@@ -62,27 +62,30 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   ref_value_ = ref_value;
   reference_history_.Append(ref_value_);
 
-  // Decode the cached supply tuples: original value -> joining tuple. A
+  // Decode the cached supply tuples: original value -> cached lane. A
   // reasonable policy keeps at most one supply tuple per original value.
-  cached_by_value_.clear();
+  cached_ = ctx.cached;
+  cached_lanes_.Reserve(ctx.capacity);
+  cached_lanes_.Reset();
   cached_values_.clear();
   cached_values_.reserve(ctx.cached->size());
-  for (const Tuple& tuple : *ctx.cached) {
+  for (std::size_t lane = 0; lane < ctx.cached->size(); ++lane) {
+    const Tuple& tuple = (*ctx.cached)[lane];
     SJOIN_CHECK_MSG(tuple.side == StreamSide::kS,
                     "reasonable policy never caches reference tuples");
     auto [v, occurrence] = reduction_->Decode(tuple.value);
     (void)occurrence;
-    SJOIN_CHECK_MSG(cached_by_value_.emplace(v, &tuple).second,
-                    "multiple supply tuples cached for one value");
+    SJOIN_CHECK_MSG(
+        cached_lanes_.Insert(v, static_cast<LaneTable<Value>::Lane>(lane)),
+        "multiple supply tuples cached for one value");
     cached_values_.push_back(v);
   }
 
   // A windowed hit additionally requires the cached supply tuple to still
   // be inside the window — the same predicate the engine's Phase-1 probe
   // applies, so Theorem 1's hits == results stays exact under windows.
-  auto cached_it = cached_by_value_.find(ref_value_);
-  hit_ = cached_it != cached_by_value_.end() &&
-         InWindow(*cached_it->second, ctx.now, ctx.window);
+  const Tuple* cached_ref = CachedFor(ref_value_);
+  hit_ = cached_ref != nullptr && InWindow(*cached_ref, ctx.now, ctx.window);
 
   // On a windowed miss the referenced value may still sit in the cache as
   // an expired entry. Expiry is monotone (only a hit refreshes, and an
@@ -91,8 +94,8 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   // as the demand-fetched candidate — never as cached and referenced at
   // the same time.
   dropped_id_ = -1;
-  if (!hit_ && cached_it != cached_by_value_.end()) {
-    dropped_id_ = cached_it->second->id;
+  if (!hit_ && cached_ref != nullptr) {
+    dropped_id_ = cached_ref->id;
     cached_values_.erase(std::find(cached_values_.begin(),
                                    cached_values_.end(), ref_value_));
   }
@@ -126,10 +129,10 @@ std::vector<TupleId> ReductionJoinPolicy::SelectRetained(
       // The freshest supply tuple for the referenced value is the arrival.
       retained_ids.push_back(s_arrival_id_);
     } else {
-      auto it = cached_by_value_.find(v);
-      SJOIN_CHECK_MSG(it != cached_by_value_.end(),
+      const Tuple* cached = CachedFor(v);
+      SJOIN_CHECK_MSG(cached != nullptr,
                       "policy retained a value that is not a candidate");
-      retained_ids.push_back(it->second->id);
+      retained_ids.push_back(cached->id);
     }
   }
   return retained_ids;
@@ -155,8 +158,7 @@ bool ReductionJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
   decided->clear();
   decided->reserve(cached_values_.size());
   for (Value v : cached_values_) {
-    decided->push_back(v == ref_value_ ? s_arrival_id_
-                                       : cached_by_value_.at(v)->id);
+    decided->push_back(v == ref_value_ ? s_arrival_id_ : CachedFor(v)->id);
   }
   return false;
 }

@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/types.h"
 #include "sjoin/engine/caching_policy.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/scored_caching_policy.h"
 #include "sjoin/stochastic/stream_history.h"
@@ -107,12 +107,20 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
   /// — leaving the members below describing the step.
   void PrepareStep(const PolicyContext& ctx);
 
+  /// This step's cached supply tuple for original value `v`, or null.
+  const Tuple* CachedFor(Value v) const {
+    const LaneTable<Value>::Lane lane = cached_lanes_.Find(v);
+    return lane == LaneTable<Value>::kNoLane ? nullptr : &(*cached_)[lane];
+  }
+
   const CachingReduction* reduction_;
   CachingPolicy* caching_policy_;
   StreamHistory reference_history_;
 
   // Step state filled by PrepareStep (reused across steps).
-  std::unordered_map<Value, const Tuple*> cached_by_value_;
+  /// Original value -> lane in `*cached_` (the step's ctx.cached).
+  LaneTable<Value> cached_lanes_;
+  const std::vector<Tuple>* cached_ = nullptr;
   std::vector<Value> cached_values_;
   CachingContext caching_ctx_;
   Value ref_value_ = 0;

@@ -429,7 +429,7 @@ void ShardedStreamEngine::OpenSharded(SessionState& session,
   retained_.reserve(options_.capacity + static_cast<std::size_t>(n));
   evicted_.reserve(options_.capacity + static_cast<std::size_t>(n));
   decided_.reserve(options_.capacity + static_cast<std::size_t>(n));
-  retained_set_.reserve(options_.capacity + static_cast<std::size_t>(n));
+  lanes_.Reserve(options_.capacity + static_cast<std::size_t>(n));
   // At most num_shards + 1 runs enter the cascade, so it performs at most
   // num_shards pairwise merges per step across ceil(log2) levels.
   std::size_t levels = 0;
@@ -707,34 +707,26 @@ void ShardedStreamEngine::AdvanceSharded(
         }
       }
       SJOIN_CHECK_LE(decided_.size(), options_.capacity);
-      candidates_.clear();
-      for (const StreamTuple& tuple : cache_) {
-        candidates_.emplace(tuple.id, tuple);
-      }
-      for (const StreamTuple& tuple : arrivals_) {
-        candidates_.emplace(tuple.id, tuple);
-      }
-      retained_set_.clear();
+      lanes_.Build(cache_, arrivals_);
       for (TupleId id : decided_) {
-        auto it = candidates_.find(id);
-        SJOIN_CHECK_MSG(it != candidates_.end(),
+        const CandidateLanes::Lane lane = lanes_.Find(id);
+        SJOIN_CHECK_MSG(lane != CandidateLanes::kNoLane,
                         "policy decided a tuple that is not a candidate");
-        SJOIN_CHECK_MSG(retained_set_.insert(id).second,
+        SJOIN_CHECK_MSG(lanes_.Take(lane),
                         "policy decided the same tuple twice");
         retained_.push_back(id);
-        new_cache_.push_back(it->second);
+        new_cache_.push_back(lanes_.tuple(lane));
       }
 
       // Commit for a decided step: incremental swap-remove against the
-      // retained set (decided steps retain almost everything, so a full
-      // rebuild would be wasted work).
-      retained_set_.clear();
-      for (TupleId id : retained_) retained_set_.insert(id);
+      // retained marks (decided steps retain almost everything, so a full
+      // rebuild would be wasted work). Every shard-cached tuple is a
+      // cached candidate, so its lane always resolves.
       evicted_.clear();
       for (ShardSlot& slot : slots_) {
         for (std::size_t i = 0; i < slot.cache.size();) {
           const StreamTuple& tuple = slot.cache[i];
-          if (retained_set_.contains(tuple.id)) {
+          if (lanes_.taken(lanes_.Find(tuple.id))) {
             ++i;
             continue;
           }
@@ -749,8 +741,10 @@ void ShardedStreamEngine::AdvanceSharded(
           slot.cache.pop_back();
         }
       }
-      for (const StreamTuple& arrival : arrivals_) {
-        if (!retained_set_.contains(arrival.id)) {
+      const auto num_cached = static_cast<CandidateLanes::Lane>(cache_.size());
+      for (std::size_t a = 0; a < arrivals_.size(); ++a) {
+        const StreamTuple& arrival = arrivals_[a];
+        if (!lanes_.taken(num_cached + static_cast<CandidateLanes::Lane>(a))) {
           evicted_.push_back(arrival.id);
           continue;
         }

@@ -5,12 +5,12 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sjoin/common/shard_workers.h"
 #include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
@@ -332,8 +332,8 @@ class ShardedStreamEngine {
   std::vector<MergeJob> merge_jobs_;
   // Deferred observer views for batched delivery (scalar fields only).
   std::vector<EngineStepView> pending_views_;
-  std::unordered_map<TupleId, StreamTuple> candidates_;
-  std::unordered_set<TupleId> retained_set_;
+  /// Decided-step commit: candidate id -> lane, plus the retained marks.
+  CandidateLanes lanes_;
   std::int64_t arena_growth_baseline_ = 0;
 };
 

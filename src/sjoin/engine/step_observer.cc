@@ -1,7 +1,6 @@
 #include "sjoin/engine/step_observer.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/scored_policy.h"
@@ -45,14 +44,15 @@ void CacheCompositionObserver::OnStep(const EngineStepView& step) {
 void ValidationObserver::OnRunBegin(const EngineRunView& run) {
   capacity_ = run.capacity;
   num_streams_ = run.topology->num_streams();
+  ids_.Reserve(capacity_);
 }
 
 void ValidationObserver::OnStep(const EngineStepView& step) {
   SJOIN_CHECK_LE(step.cache->size(), capacity_);
   SJOIN_CHECK_LE(step.retained->size(), capacity_);
-  std::unordered_set<TupleId> ids;
+  ids_.Reset();
   for (const StreamTuple& tuple : *step.cache) {
-    SJOIN_CHECK_MSG(ids.insert(tuple.id).second,
+    SJOIN_CHECK_MSG(ids_.Insert(tuple.id, 0),
                     "cache holds the same tuple twice");
     SJOIN_CHECK_MSG(tuple.stream >= 0 && tuple.stream < num_streams_,
                     "cached tuple has an out-of-range stream");

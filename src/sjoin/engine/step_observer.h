@@ -7,6 +7,7 @@
 
 #include "sjoin/common/stopwatch.h"
 #include "sjoin/common/types.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/stream_tuple.h"
 
 /// \file
@@ -153,6 +154,8 @@ class ValidationObserver final : public StepObserver {
  private:
   std::size_t capacity_ = 0;
   int num_streams_ = 0;
+  /// Duplicate-id scratch, sized at OnRunBegin and reused every step.
+  LaneTable<TupleId> ids_;
 };
 
 /// One observed (step, tuple, score) triple.

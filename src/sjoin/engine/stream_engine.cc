@@ -65,8 +65,6 @@ StreamEngine::StreamEngine(StreamTopology topology, Options options)
   const auto n = static_cast<std::size_t>(topology_.num_streams());
   new_cache_.reserve(options_.capacity);
   arrivals_.reserve(n);
-  candidates_.reserve(options_.capacity + n);
-  retained_set_.reserve(options_.capacity + n);
 }
 
 EngineRunResult StreamEngine::Run(
@@ -191,6 +189,9 @@ void StreamEngine::Advance(
   const bool use_value_index = session.use_value_index;
   ProbePlanner* planner = opts.probe_planner;
   EnginePolicy& policy = *session.policy;
+  // Sessions bind their own capacity; this only grows the table when a
+  // session's candidate count exceeds every earlier one.
+  lanes_.Reserve(opts.capacity + static_cast<std::size_t>(n));
 
   for (Time i = 0; i < steps; ++i) {
     const Time t = session.now;
@@ -315,29 +316,26 @@ void StreamEngine::Advance(
     std::vector<TupleId> retained = policy.SelectRetained(ctx);
     SJOIN_CHECK_LE(retained.size(), opts.capacity);
 
-    candidates_.clear();
-    for (const StreamTuple& tuple : session.cache) {
-      candidates_.emplace(tuple.id, tuple);
-    }
-    for (const StreamTuple& tuple : arrivals_) {
-      candidates_.emplace(tuple.id, tuple);
-    }
-    const std::size_t num_candidates = candidates_.size();
-
+    // Commit: map candidate ids to lanes (cache, then arrivals), mark the
+    // retained lanes, and copy them out in retained order.
+    lanes_.Build(session.cache, arrivals_);
+    const std::size_t num_candidates = lanes_.size();
     new_cache_.clear();
-    retained_set_.clear();
     for (TupleId id : retained) {
-      auto it = candidates_.find(id);
-      SJOIN_CHECK_MSG(it != candidates_.end(),
+      const CandidateLanes::Lane lane = lanes_.Find(id);
+      SJOIN_CHECK_MSG(lane != CandidateLanes::kNoLane,
                       "policy retained a tuple that is not a candidate");
-      SJOIN_CHECK_MSG(retained_set_.insert(id).second,
+      SJOIN_CHECK_MSG(lanes_.Take(lane),
                       "policy retained the same tuple twice");
-      new_cache_.push_back(it->second);
+      new_cache_.push_back(lanes_.tuple(lane));
     }
 
     if (use_value_index || planner != nullptr) {
-      for (const StreamTuple& tuple : session.cache) {
-        if (retained_set_.contains(tuple.id)) continue;  // Still cached.
+      // Untaken cache lanes are evictions, taken arrival lanes insertions.
+      const std::size_t num_cached = session.cache.size();
+      for (std::size_t lane = 0; lane < num_cached; ++lane) {
+        if (lanes_.taken(static_cast<CandidateLanes::Lane>(lane))) continue;
+        const StreamTuple& tuple = session.cache[lane];
         if (use_value_index) {
           auto& index =
               session.value_index[partitions->PartitionOf(tuple.value)]
@@ -350,18 +348,17 @@ void StreamEngine::Advance(
           planner->OnCacheChange(tuple.stream, tuple.value);
         }
       }
-      for (const StreamTuple& tuple : arrivals_) {
-        if (retained_set_.contains(tuple.id)) {
-          if (use_value_index) {
-            ++session.value_index[partitions->PartitionOf(tuple.value)]
-                                 [static_cast<std::size_t>(tuple.stream)]
-                                 [tuple.value];
-          }
-          if (planner != nullptr) {
-            ++session
-                  .stream_counts[static_cast<std::size_t>(tuple.stream)];
-            planner->OnCacheChange(tuple.stream, tuple.value);
-          }
+      for (std::size_t lane = num_cached; lane < num_candidates; ++lane) {
+        if (!lanes_.taken(static_cast<CandidateLanes::Lane>(lane))) continue;
+        const StreamTuple& tuple = arrivals_[lane - num_cached];
+        if (use_value_index) {
+          ++session.value_index[partitions->PartitionOf(tuple.value)]
+                               [static_cast<std::size_t>(tuple.stream)]
+                               [tuple.value];
+        }
+        if (planner != nullptr) {
+          ++session.stream_counts[static_cast<std::size_t>(tuple.stream)];
+          planner->OnCacheChange(tuple.stream, tuple.value);
         }
       }
     }

@@ -5,12 +5,12 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/types.h"
 #include "sjoin/engine/candidate_batch.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
@@ -276,8 +276,7 @@ class StreamEngine {
   // to share across sessions — and what makes Advance non-reentrant.
   std::vector<StreamTuple> new_cache_;
   std::vector<StreamTuple> arrivals_;
-  std::unordered_map<TupleId, StreamTuple> candidates_;
-  std::unordered_set<TupleId> retained_set_;
+  CandidateLanes lanes_;
   // SoA lanes of the per-step CandidateBatch (cached then arrivals),
   // rebuilt each step for sessions whose policy wants the batch.
   std::vector<Value> batch_values_;

@@ -66,6 +66,10 @@ Admission SessionScheduler::Open(const SessionConfig& config) {
   session.config = config;
   session.queued.resize(static_cast<std::size_t>(topology_.num_streams()));
   session.batch.resize(session.queued.size());
+  session.batch_ptrs.reserve(session.batch.size());
+  for (const std::vector<Value>& row : session.batch) {
+    session.batch_ptrs.push_back(&row);
+  }
   engines_[0]->Open(session.state, config.engine, *config.policy,
                     config.observers);
   ++live_sessions_;
@@ -115,8 +119,6 @@ void SessionScheduler::RunWorkItem(StreamEngine& engine, const WorkItem& item,
   Session& session = *item.session;
   if (item.take > 0) {
     const std::size_t take = static_cast<std::size_t>(item.take);
-    std::vector<const std::vector<Value>*> batch_ptrs;
-    batch_ptrs.reserve(session.batch.size());
     for (std::size_t s = 0; s < session.queued.size(); ++s) {
       std::deque<Value>& queue = session.queued[s];
       session.batch[s].assign(queue.begin(),
@@ -124,10 +126,9 @@ void SessionScheduler::RunWorkItem(StreamEngine& engine, const WorkItem& item,
                                   static_cast<std::ptrdiff_t>(take));
       queue.erase(queue.begin(), queue.begin() +
                                      static_cast<std::ptrdiff_t>(take));
-      batch_ptrs.push_back(&session.batch[s]);
     }
     Stopwatch stopwatch;
-    engine.Advance(session.state, batch_ptrs);
+    engine.Advance(session.state, session.batch_ptrs);
     latencies->push_back(
         {item.id, item.take, stopwatch.ElapsedNs()});
   }

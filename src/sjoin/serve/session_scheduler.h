@@ -179,6 +179,8 @@ class SessionScheduler {
     EngineRunResult final_result;
     /// Reused contiguous staging for one Advance slice.
     std::vector<std::vector<Value>> batch;
+    /// Advance's view of `batch` (&batch[s]), built once at Open.
+    std::vector<const std::vector<Value>*> batch_ptrs;
   };
 
   /// What one worker does to one ready session in a round: advance by

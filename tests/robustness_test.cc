@@ -12,6 +12,8 @@
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/engine/reduction.h"
+#include "sjoin/engine/sharded_stream_engine.h"
+#include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/opt_offline_policy.h"
 #include "sjoin/policies/prob_policy.h"
 #include "sjoin/policies/random_policy.h"
@@ -90,6 +92,112 @@ TEST(RobustnessDeathTest, CachingUnknownValueAborts) {
   MalformedCachingPolicy policy;
   std::vector<Value> refs = {1, 2};
   EXPECT_DEATH(sim.Run(refs, policy), "not a candidate");
+}
+
+// The engine checks below the binary façade: a raw EnginePolicy on a
+// 3-stream topology, where ids are StreamTupleIdAt(3, stream, t).
+class MalformedEnginePolicy final : public EnginePolicy,
+                                    public EngineShardScoring {
+ public:
+  enum class Kind {
+    kUnknownId,
+    kDuplicateId,
+    // Keeps stream 0's arrival at t = 0, evicts it at t = 1, and retains
+    // it again at t = 2 — an id the commit saw one step earlier.
+    kEvictedLastStep,
+    // Sharded decided step naming an id that was never a candidate.
+    kDecidedUnknownId,
+  };
+  explicit MalformedEnginePolicy(Kind kind) : kind_(kind) {}
+  const char* name() const override { return "MALFORMED-ENGINE"; }
+
+  std::vector<TupleId> SelectRetained(const EngineContext& ctx) override {
+    const TupleId first = (*ctx.arrivals)[0].id;
+    switch (kind_) {
+      case Kind::kUnknownId:
+      case Kind::kDecidedUnknownId:
+        return {999999};
+      case Kind::kDuplicateId:
+        return {first, first};
+      case Kind::kEvictedLastStep:
+        if (ctx.now == 0) return {first};
+        if (ctx.now == 1) return {first};
+        return {StreamTupleIdAt(3, 0, 0)};
+    }
+    return {};
+  }
+
+  EngineShardScoring* shard_scoring() override {
+    return kind_ == Kind::kDecidedUnknownId ? this : nullptr;
+  }
+  bool ShardBeginStep(const EngineContext& ctx,
+                      std::vector<TupleId>* decided) override {
+    *decided = SelectRetained(ctx);
+    return false;
+  }
+  std::optional<ShardKey> ShardScoreCached(const StreamTuple& tuple,
+                                           const EngineContext& ctx,
+                                           ShardScratch* scratch) override {
+    (void)tuple;
+    (void)ctx;
+    (void)scratch;
+    return std::nullopt;
+  }
+  std::optional<ShardKey> ShardScoreArrival(
+      const StreamTuple& tuple, const EngineContext& ctx) override {
+    (void)tuple;
+    (void)ctx;
+    return std::nullopt;
+  }
+  void ShardEndStep(const EngineContext& ctx,
+                    const std::vector<TupleId>& retained,
+                    const std::vector<TupleId>& evicted) override {
+    (void)ctx;
+    (void)retained;
+    (void)evicted;
+  }
+
+ private:
+  Kind kind_;
+};
+
+StreamTopology ThreeStreamPath() { return StreamTopology(3, {{0, 1}, {1, 2}}); }
+
+TEST(RobustnessDeathTest, EngineUnknownRetainedIdAborts) {
+  StreamEngine engine(ThreeStreamPath(), {.capacity = 2});
+  MalformedEnginePolicy policy(MalformedEnginePolicy::Kind::kUnknownId);
+  std::vector<Value> a = {1, 2}, b = {1, 3}, c = {2, 3};
+  EXPECT_DEATH(engine.Run({&a, &b, &c}, policy),
+               "policy retained a tuple that is not a candidate");
+}
+
+TEST(RobustnessDeathTest, EngineDuplicateRetainedIdAborts) {
+  StreamEngine engine(ThreeStreamPath(), {.capacity = 2});
+  MalformedEnginePolicy policy(MalformedEnginePolicy::Kind::kDuplicateId);
+  std::vector<Value> a = {1, 2}, b = {1, 3}, c = {2, 3};
+  EXPECT_DEATH(engine.Run({&a, &b, &c}, policy),
+               "policy retained the same tuple twice");
+}
+
+TEST(RobustnessDeathTest, EngineRetainingLastStepsEvictionAborts) {
+  // The evicted id was a candidate one step earlier; the commit's lane
+  // table must not find it through that step's (stale) entry.
+  StreamEngine engine(ThreeStreamPath(), {.capacity = 2});
+  MalformedEnginePolicy policy(
+      MalformedEnginePolicy::Kind::kEvictedLastStep);
+  std::vector<Value> a = {1, 2, 3}, b = {1, 3, 4}, c = {2, 3, 5};
+  EXPECT_DEATH(engine.Run({&a, &b, &c}, policy),
+               "policy retained a tuple that is not a candidate");
+}
+
+TEST(RobustnessDeathTest, ShardedDecidedUnknownIdAborts) {
+  ShardedStreamEngine engine(ThreeStreamPath(),
+                             {.capacity = 2, .shards = 4, .threads = 1});
+  MalformedEnginePolicy policy(
+      MalformedEnginePolicy::Kind::kDecidedUnknownId);
+  std::vector<Value> a = {1, 2}, b = {1, 3}, c = {2, 3};
+  EXPECT_DEATH(engine.Run({&a, &b, &c}, policy),
+               "policy decided a tuple that is not a candidate");
 }
 
 // A legal but adversarial policy: retains a uniformly random valid subset

@@ -253,6 +253,7 @@ TEST(StreamEngineTest, WindowLimitsJoinPairs) {
   class KeepFirstR final : public EnginePolicy {
    public:
     std::vector<TupleId> SelectRetained(const EngineContext& ctx) override {
+      (void)ctx;
       return {0};  // StreamTupleIdAt(2, 0, 0): R's tuple from time 0.
     }
     const char* name() const override { return "keep-first-r"; }
