@@ -1,6 +1,8 @@
 #ifndef SJOIN_CORE_HEEB_H_
 #define SJOIN_CORE_HEEB_H_
 
+#include <span>
+
 #include "sjoin/common/types.h"
 #include "sjoin/core/ecb.h"
 #include "sjoin/core/lifetime_fn.h"
@@ -41,16 +43,21 @@ double CachingHeeb(const StochasticProcess& reference,
                    const LifetimeFn& lifetime, Time horizon);
 
 /// Batched caching form: scores `count` values against the same reference
-/// and history in one pass. One predictive pmf per step is shared across
-/// every lane (PredictInto — allocation-free in steady state) instead of
-/// one Predict per (value, step) as the scalar loop pays. Each lane
-/// accumulates in the same dt-ascending order with the same operations as
-/// CachingHeeb, so out[i] is bit-identical to
-/// CachingHeeb(reference, history, t0, values[i], lifetime, horizon).
+/// and history in one pass, truncated at horizon = lifetime.size() with
+/// lifetime[dt - 1] = L(dt) (see LifetimeTable). One predictive pmf per
+/// step is shared across every lane (PredictInto — allocation-free in
+/// steady state), and each step touches only the lanes whose value lies in
+/// that pmf's support range: the lanes are sorted by value once per call,
+/// and each step walks the sorted run from the pmf's MinValue to its
+/// MaxValue. Skipping the other lanes is exact, because a p = 0.0 step adds
+/// +0.0 to out[i] (which is never -0.0) and multiplies survive by 1.0.
+/// Each lane still accumulates in dt-ascending order with the same
+/// operations as CachingHeeb, so out[i] is bit-identical to
+/// CachingHeeb(reference, history, t0, values[i], L, lifetime.size()).
 void CachingHeebBatch(const StochasticProcess& reference,
                       const StreamHistory& history, Time t0,
                       const Value* values, std::size_t count,
-                      const LifetimeFn& lifetime, Time horizon, double* out);
+                      std::span<const double> lifetime, double* out);
 
 /// A horizon beyond which L_exp(α) contributions are below `epsilon` even
 /// for per-step probability 1; α ln(α/ε) rounded up, at least 1.

@@ -1,6 +1,5 @@
 #include "sjoin/core/heeb_caching_policy.h"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -18,6 +17,13 @@ HeebCachingPolicy::HeebCachingPolicy(const StochasticProcess* reference,
       exp_lifetime_(options_.alpha),
       horizon_(options_.horizon > 0 ? options_.horizon
                                     : ExpHorizon(options_.alpha)) {
+  if (options_.mode == Mode::kDirect) {
+    lifetime_flat_ = LifetimeTable(
+        options_.lifetime != nullptr
+            ? *options_.lifetime
+            : static_cast<const LifetimeFn&>(exp_lifetime_),
+        horizon_);
+  }
   switch (options_.mode) {
     case Mode::kDirect:
       SJOIN_CHECK(reference_ != nullptr);
@@ -75,15 +81,10 @@ void HeebCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
                                        const CachingContext& ctx,
                                        double* out) {
   switch (options_.mode) {
-    case Mode::kDirect: {
-      const LifetimeFn& lifetime =
-          options_.lifetime != nullptr
-              ? *options_.lifetime
-              : static_cast<const LifetimeFn&>(exp_lifetime_);
+    case Mode::kDirect:
       CachingHeebBatch(*reference_, *ctx.history, ctx.now, batch.values,
-                       batch.size, lifetime, horizon_, out);
+                       batch.size, lifetime_flat_, out);
       return;
-    }
     case Mode::kWalkTable: {
       const OffsetTable& table = *walk_table_;
       const double* data = table.values().data();
@@ -108,6 +109,57 @@ void HeebCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
   }
 }
 
+void HeebCachingPolicy::AdvanceIncremental(const CachingContext& ctx) {
+  // Corollary 4: advance the stored H values to the current time:
+  // H_t = (e^{1/alpha} H_{t-1} - P_t) / (1 - P_t), P_t = Pr{X_t = v}.
+  const Time gap = ctx.now - state_time_;
+  const double e = std::exp(1.0 / options_.alpha);
+  // One reference pmf per elapsed step, shared by every value that advances
+  // incrementally. Once the gap reaches the refresh interval, every value
+  // re-anchors instead and none is needed.
+  if (gap < options_.refresh_interval) {
+    advance_pmfs_.resize(static_cast<std::size_t>(gap));
+    for (Time step = 1; step <= gap; ++step) {
+      reference_->PredictInto(
+          *ctx.history, state_time_ + step,
+          &advance_pmfs_[static_cast<std::size_t>(step - 1)]);
+    }
+  }
+  for (auto& [value, state] : cached_h_) {
+    state.updates_since_refresh += gap;
+    if (state.updates_since_refresh >= options_.refresh_interval) {
+      // Re-anchor: the recurrence is an unstable iteration whose error
+      // grows by e^{1/alpha}/(1-p) per step.
+      state.h = DirectScore(value, ctx);
+      state.updates_since_refresh = 0;
+      continue;
+    }
+    for (Time step = 1; step <= gap; ++step) {
+      double p =
+          advance_pmfs_[static_cast<std::size_t>(step - 1)].Prob(value);
+      if (p >= 1.0 - 1e-9) {
+        // Deterministic reference (p = 1): the recurrence divides by zero;
+        // recompute directly instead.
+        state.h = DirectScore(value, ctx);
+        state.updates_since_refresh = 0;
+        break;
+      }
+      state.h = (e * state.h - p) / (1.0 - p);
+      if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
+    }
+  }
+  // Drop values no longer cached (and not the current candidate): one
+  // membership pass stamps every cached value's entry, then one sweep
+  // erases the unstamped ones.
+  for (Value value : *ctx.cached) {
+    auto it = cached_h_.find(value);
+    if (it != cached_h_.end()) it->second.seen = ctx.now;
+  }
+  std::erase_if(cached_h_, [&](const auto& entry) {
+    return entry.first != ctx.referenced && entry.second.seen != ctx.now;
+  });
+}
+
 double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
   switch (options_.mode) {
     case Mode::kDirect:
@@ -117,53 +169,12 @@ double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
     case Mode::kEvaluator:
       return options_.evaluator(v, ctx.history->back());
     case Mode::kTimeIncremental: {
-      // Corollary 4: advance the stored H values to the current time:
-      // H_t = (e^{1/alpha} H_{t-1} - P_t) / (1 - P_t), P_t = Pr{X_t = v}.
-      if (state_time_ >= 0 && state_time_ < ctx.now) {
-        Time gap = ctx.now - state_time_;
-        double e = std::exp(1.0 / options_.alpha);
-        for (auto& [value, state] : cached_h_) {
-          state.updates_since_refresh += gap;
-          if (state.updates_since_refresh >= options_.refresh_interval) {
-            // Re-anchor: the recurrence is an unstable iteration whose
-            // error grows by e^{1/alpha}/(1-p) per step.
-            state.h = DirectScore(value, ctx);
-            state.updates_since_refresh = 0;
-            continue;
-          }
-          bool reanchored = false;
-          for (Time t = state_time_ + 1; t <= ctx.now; ++t) {
-            double p = reference_->Predict(*ctx.history, t).Prob(value);
-            if (p >= 1.0 - 1e-9) {
-              // Deterministic reference (p = 1): the recurrence divides by
-              // zero; recompute directly instead.
-              state.h = DirectScore(value, ctx);
-              state.updates_since_refresh = 0;
-              reanchored = true;
-              break;
-            }
-            state.h = (e * state.h - p) / (1.0 - p);
-            if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
-          }
-          if (reanchored) continue;
-        }
-        // Drop values no longer cached (and not the current candidate).
-        std::vector<Value> stale;
-        for (const auto& [value, state] : cached_h_) {
-          (void)state;
-          if (value == ctx.referenced) continue;
-          if (std::find(ctx.cached->begin(), ctx.cached->end(), value) ==
-              ctx.cached->end()) {
-            stale.push_back(value);
-          }
-        }
-        for (Value value : stale) cached_h_.erase(value);
-      }
+      if (state_time_ >= 0 && state_time_ < ctx.now) AdvanceIncremental(ctx);
       state_time_ = ctx.now;
       auto it = cached_h_.find(v);
       if (it != cached_h_.end()) return it->second.h;
       double h = DirectScore(v, ctx);
-      cached_h_[v] = IncrementalState{h, 0};
+      cached_h_[v] = IncrementalState{h, 0, ctx.now};
       return h;
     }
   }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/core/precompute.h"
@@ -89,6 +90,9 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
 
  private:
   double DirectScore(Value v, const CachingContext& ctx) const;
+  /// kTimeIncremental: Corollary 4 advance of every stored H from
+  /// state_time_ to ctx.now, then the stale-entry sweep.
+  void AdvanceIncremental(const CachingContext& ctx);
 
   const StochasticProcess* reference_;
   Options options_;
@@ -97,14 +101,20 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   // Borrowed from the ModelRepo — const-shared with every other policy on
   // the same model.
   std::shared_ptr<const OffsetTable> walk_table_;
+  // kDirect batch kernel: L(dt) for dt = 1..horizon_ (LifetimeTable).
+  std::vector<double> lifetime_flat_;
 
   // kTimeIncremental state: H per cached value at time state_time_.
   struct IncrementalState {
     double h = 0.0;
     Time updates_since_refresh = 0;
+    Time seen = -1;  // Last advance time the value was found cached.
   };
   std::unordered_map<Value, IncrementalState> cached_h_;
   Time state_time_ = -1;
+  // Reference pmfs per elapsed step of the current advance, [step - 1];
+  // reused across advances so the rebuild does not allocate.
+  std::vector<DiscreteDistribution> advance_pmfs_;
 };
 
 }  // namespace sjoin

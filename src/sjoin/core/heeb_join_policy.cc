@@ -58,14 +58,11 @@ HeebJoinPolicy::HeebJoinPolicy(const StochasticProcess* r_process,
       }
     }
   }
-  const LifetimeFn& lifetime =
+  lifetime_flat_ = LifetimeTable(
       options_.lifetime != nullptr
           ? *options_.lifetime
-          : static_cast<const LifetimeFn&>(exp_lifetime_);
-  lifetime_flat_.reserve(static_cast<std::size_t>(horizon_));
-  for (Time dt = 1; dt <= horizon_; ++dt) {
-    lifetime_flat_.push_back(lifetime.At(dt));
-  }
+          : static_cast<const LifetimeFn&>(exp_lifetime_),
+      horizon_);
 }
 
 void HeebJoinPolicy::Reset() {
@@ -103,49 +100,12 @@ void HeebJoinPolicy::EraseState(TupleId id) {
 }
 
 void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
-  if (options_.mode == Mode::kWalkTable) return;
-
-  if (options_.mode == Mode::kDirect ||
-      options_.mode == Mode::kTimeIncremental) {
-    // Arrivals are scored with direct sums; build this step's predictions.
-    // kValueIncremental builds them lazily only when its transfer falls
-    // back to a direct sum (see EnsurePredictions).
-    EnsurePredictions(ctx);
-  }
-
-  if (options_.mode == Mode::kTimeIncremental ||
-      options_.mode == Mode::kValueIncremental) {
-    SJOIN_CHECK_MSG(!ctx.window.has_value() ||
-                        options_.mode == Mode::kTimeIncremental,
-                    "value-incremental HEEB does not support sliding "
-                    "windows; use kDirect or kTimeIncremental");
-    // Corollary 3: advance every cached H from the previous step's time to
-    // now: H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}. The sweep
-    // walks the flat slot array in storage order; each entry's update is
-    // independent, so the order only affects memory access, not results.
-    if (last_step_time_ >= 0) {
-      Time gap = ctx.now - last_step_time_;
-      double e = std::exp(1.0 / options_.alpha);
-      for (CachedState& state : slots_) {
-        state.updates_since_refresh += gap;
-        if (state.updates_since_refresh >= options_.refresh_interval) {
-          // Re-anchor: the recurrence is an unstable iteration whose error
-          // grows by e^{1/alpha} per step.
-          Tuple proxy{0, state.side, state.value, state.arrival};
-          state.h = DirectScore(proxy, ctx);
-          state.updates_since_refresh = 0;
-          continue;
-        }
-        for (Time step = 1; step <= gap; ++step) {
-          double p = PartnerProbAt(state.side, state.value,
-                                   last_step_time_ + step, ctx);
-          state.h = e * state.h - p;
-          if (state.h < 0.0) state.h = 0.0;  // Guard truncation drift.
-        }
-      }
-    }
-    last_step_time_ = ctx.now;
-  }
+  // The sharded prologue, then Corollary 3 eagerly: every cached H
+  // advanced to now (slots_ is empty outside the incremental modes). The
+  // sweep walks the flat slot array in storage order; each entry's update
+  // is independent, so the order only affects memory access, not results.
+  ShardBeginStep(ctx, nullptr);
+  for (CachedState& state : slots_) AdvanceState(&state, ctx);
 }
 
 bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
@@ -156,33 +116,41 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
     EnsurePredictions(ctx);
     return true;
   }
+  // Corollary 3, lazily: each entry advances inside the parallel scoring
+  // phase (ShardScoreCached / ShardScoreCachedBatch).
+  PrepareAdvance(ctx);
+  return true;
+}
 
+void HeebJoinPolicy::PrepareAdvance(const PolicyContext& ctx) {
   SJOIN_CHECK_MSG(!ctx.window.has_value() ||
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
                   "windows; use kDirect or kTimeIncremental");
+  // kTimeIncremental scores arrivals with direct sums; kValueIncremental
+  // builds the predictions only when a transfer or re-anchor needs them.
   if (options_.mode == Mode::kTimeIncremental) EnsurePredictions(ctx);
 
-  shard_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
-  shard_e_ = std::exp(1.0 / options_.alpha);
-  if (shard_gap_ > 0) {
+  advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
+  advance_e_ = std::exp(1.0 / options_.alpha);
+  if (advance_gap_ > 0) {
     // Entries crossing the refresh interval re-anchor with DirectScore,
     // which reads this step's predictions; build them up front so the
     // parallel phase never mutates shared state.
     for (const CachedState& state : slots_) {
-      if (state.updates_since_refresh + shard_gap_ >=
+      if (state.updates_since_refresh + advance_gap_ >=
           options_.refresh_interval) {
         EnsurePredictions(ctx);
         break;
       }
     }
     // One partner pmf per (cached side, elapsed step), shared by every
-    // entry of that side during the lazy advance.
+    // entry of that side.
     for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
       StreamSide partner = Partner(side);
       auto& pmfs = advance_pmfs_[SideIndex(side)];
-      pmfs.resize(static_cast<std::size_t>(shard_gap_));
-      for (Time step = 1; step <= shard_gap_; ++step) {
+      pmfs.resize(static_cast<std::size_t>(advance_gap_));
+      for (Time step = 1; step <= advance_gap_; ++step) {
         process(partner)->PredictInto(
             *history(partner, ctx), last_step_time_ + step,
             &pmfs[static_cast<std::size_t>(step - 1)]);
@@ -190,7 +158,28 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
     }
   }
   last_step_time_ = ctx.now;
-  return true;
+}
+
+void HeebJoinPolicy::AdvanceState(CachedState* state,
+                                  const PolicyContext& ctx) {
+  if (advance_gap_ == 0) return;
+  state->updates_since_refresh += advance_gap_;
+  if (state->updates_since_refresh >= options_.refresh_interval) {
+    // Re-anchor: the recurrence is an unstable iteration whose error grows
+    // by e^{1/alpha} per step.
+    SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built in PrepareAdvance.
+    Tuple proxy{0, state->side, state->value, state->arrival};
+    state->h = DirectScore(proxy, ctx);
+    state->updates_since_refresh = 0;
+    return;
+  }
+  // H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}, once per elapsed step.
+  const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
+  for (Time step = 1; step <= advance_gap_; ++step) {
+    double p = pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
+    state->h = advance_e_ * state->h - p;
+    if (state->h < 0.0) state->h = 0.0;  // Guard truncation drift.
+  }
 }
 
 std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
@@ -207,30 +196,14 @@ std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
   CachedState* state = FindState(tuple.id);
   SJOIN_CHECK_MSG(state != nullptr,
                   "cached tuple without incremental HEEB state");
-  if (shard_gap_ > 0) {
-    state->updates_since_refresh += shard_gap_;
-    if (state->updates_since_refresh >= options_.refresh_interval) {
-      SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built in ShardBeginStep.
-      Tuple proxy{0, state->side, state->value, state->arrival};
-      state->h = DirectScore(proxy, ctx);
-      state->updates_since_refresh = 0;
-    } else {
-      const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
-      for (Time step = 1; step <= shard_gap_; ++step) {
-        double p =
-            pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
-        state->h = shard_e_ * state->h - p;
-        if (state->h < 0.0) state->h = 0.0;  // Guard truncation drift.
-      }
-    }
-  }
+  AdvanceState(state, ctx);
   // Same window guard as Score(); the entry advances either way, exactly
   // like the serial BeginStep sweep runs before Score's window check.
   double score =
       ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window)
           ? 0.0
           : state->h;
-  return ShardKey{score, tuple.arrival, tuple.id};
+  return ShardKey{score, tuple.arrival, static_cast<std::int64_t>(tuple.id)};
 }
 
 void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
@@ -256,23 +229,7 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
     CachedState* state = FindState(batch.ids[i]);
     SJOIN_CHECK_MSG(state != nullptr,
                     "cached tuple without incremental HEEB state");
-    if (shard_gap_ > 0) {
-      state->updates_since_refresh += shard_gap_;
-      if (state->updates_since_refresh >= options_.refresh_interval) {
-        SJOIN_CHECK_EQ(predictions_time_, ctx.now);
-        Tuple proxy{0, state->side, state->value, state->arrival};
-        state->h = DirectScore(proxy, ctx);
-        state->updates_since_refresh = 0;
-      } else {
-        const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
-        for (Time step = 1; step <= shard_gap_; ++step) {
-          double p =
-              pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
-          state->h = shard_e_ * state->h - p;
-          if (state->h < 0.0) state->h = 0.0;
-        }
-      }
-    }
+    AdvanceState(state, ctx);
     double score =
         windowed && ctx.now - batch.arrivals[i] > w ? 0.0 : state->h;
     out[i] = ShardKey{score, batch.arrivals[i],
@@ -330,10 +287,6 @@ void HeebJoinPolicy::FlattenPredictions() {
 double HeebJoinPolicy::DirectScore(const Tuple& tuple,
                                    const PolicyContext& ctx) {
   EnsurePredictions(ctx);
-  const LifetimeFn& lifetime =
-      options_.lifetime != nullptr
-          ? *options_.lifetime
-          : static_cast<const LifetimeFn&>(exp_lifetime_);
   Time max_dt = horizon_;
   if (ctx.window.has_value()) {
     // Section 7: contributions stop once the tuple leaves the window.
@@ -343,8 +296,8 @@ double HeebJoinPolicy::DirectScore(const Tuple& tuple,
   const auto& partner_preds = predictions_[SideIndex(Partner(tuple.side))];
   double h = 0.0;
   for (Time dt = 1; dt <= max_dt; ++dt) {
-    h += partner_preds[static_cast<std::size_t>(dt - 1)].Prob(tuple.value) *
-         lifetime.At(dt);
+    const std::size_t k = static_cast<std::size_t>(dt - 1);
+    h += partner_preds[k].Prob(tuple.value) * lifetime_flat_[k];
   }
   return h;
 }
@@ -541,18 +494,27 @@ void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
   }
   // Drop state for evicted tuples in place — no per-step rebuild. This
   // also erases entries created for arrivals that were scored but never
-  // retained, so they cannot accumulate across steps. EraseState swaps
-  // the last slot into the hole, so the swapped-in slot is re-examined
-  // before advancing.
-  retained_scratch_.clear();
-  retained_scratch_.insert(retained.begin(), retained.end());
-  for (std::size_t i = 0; i < slots_.size();) {
-    if (retained_scratch_.contains(slots_[i].id)) {
-      ++i;
-    } else {
-      EraseState(slots_[i].id);
-    }
+  // retained, so they cannot accumulate across steps. Retained slots are
+  // marked through slot_index_, then one sweep compacts the kept slots to
+  // the front (slot order is arbitrary; see CachedState).
+  retained_scratch_.assign(slots_.size(), 0);
+  for (TupleId id : retained) {
+    auto it = slot_index_.find(id);
+    if (it != slot_index_.end()) retained_scratch_[it->second] = 1;
   }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (retained_scratch_[i] == 0) {
+      slot_index_.erase(slots_[i].id);
+      continue;
+    }
+    if (kept != i) {
+      slots_[kept] = slots_[i];
+      slot_index_[slots_[kept].id] = kept;
+    }
+    ++kept;
+  }
+  slots_.resize(kept);
 }
 
 }  // namespace sjoin

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
@@ -82,12 +81,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // Sharded execution (see scored_policy.h). All four modes are
   // score-decomposable. The incremental modes replace BeginStep's eager
   // Corollary 3 sweep with a lazy per-tuple advance inside the parallel
-  // scoring phase, driven by per-step partner pmfs that ShardBeginStep
-  // builds once and shares across every cached tuple of a side — the
-  // serial sweep re-predicts that same pmf once per tuple, which is the
-  // dominant cost the sharded hot path removes. Results are bit-identical
-  // (PredictInto matches Predict bitwise; the advance arithmetic is
-  // unchanged).
+  // scoring phase. Both run the same AdvanceState body over the same
+  // per-(side, elapsed step) partner pmfs, which PrepareAdvance builds
+  // once per step and shares across every cached tuple of a side, so the
+  // two paths are bit-identical.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
@@ -102,7 +99,7 @@ class HeebJoinPolicy final : public ScoredPolicy {
                              const PolicyContext& ctx, ShardScratch* scratch,
                              double* score_scratch, ShardKey* out) override;
   /// Drops incremental state for exactly the evicted ids — O(evicted),
-  /// where the serial EndStep pays an O(cache) retained-set walk.
+  /// where the serial EndStep pays an O(cache) mark-and-sweep.
   void ShardEndStep(const PolicyContext& ctx,
                     const std::vector<TupleId>& retained,
                     const std::vector<TupleId>& evicted) override;
@@ -145,6 +142,11 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// batch kernel gathers from.
   void FlattenPredictions();
 
+  /// Incremental modes, once per step before any scoring: sets the elapsed
+  /// gap, builds the shared per-(side, elapsed step) partner pmfs, and
+  /// builds this step's predictions if any entry will re-anchor.
+  void PrepareAdvance(const PolicyContext& ctx);
+
   /// Probability that the partner of `side` produces `v` at time `t`.
   double PartnerProbAt(StreamSide side, Value v, Time t,
                        const PolicyContext& ctx) const;
@@ -181,9 +183,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   };
   FlatPmfs flat_predictions_[2];
   Time flat_time_ = -1;
-  // L(dt) for dt = 1..horizon_, precomputed at construction. The kernel
-  // reads these instead of calling lifetime.At per (lane, dt); the values
-  // are the same doubles, so sums stay bit-identical.
+  // L(dt) for dt = 1..horizon_ (LifetimeTable), precomputed at
+  // construction. DirectScore and the batch kernel read these instead of
+  // calling lifetime.At per term; the values are the same doubles, so sums
+  // stay bit-identical.
   std::vector<double> lifetime_flat_;
 
   // Incremental modes: H values of cached tuples in a flat slot array
@@ -200,20 +203,23 @@ class HeebJoinPolicy final : public ScoredPolicy {
     Time updates_since_refresh = 0;
   };
   CachedState* FindState(TupleId id);
+  /// Advances one entry's H by PrepareAdvance's gap (Corollary 3), or
+  /// re-anchors it with the direct sum once the refresh interval is due.
+  void AdvanceState(CachedState* state, const PolicyContext& ctx);
   void InsertState(const Tuple& tuple, double h);
   void EraseState(TupleId id);
   std::vector<CachedState> slots_;
   std::unordered_map<TupleId, std::size_t> slot_index_;
   Time last_step_time_ = -1;
-  // EndStep scratch (reused across steps to avoid reallocation).
-  std::unordered_set<TupleId> retained_scratch_;
+  // EndStep scratch: per-slot retained marks (reused across steps).
+  std::vector<unsigned char> retained_scratch_;
 
-  // Sharded incremental advance: elapsed steps since the previous decision
-  // and the shared per-(cached side, elapsed step) partner pmfs the lazy
-  // Corollary 3 advance reads. Written in ShardBeginStep (serial), read
-  // only during the parallel scoring phase.
-  Time shard_gap_ = 0;
-  double shard_e_ = 1.0;
+  // Incremental advance: elapsed steps since the previous decision and the
+  // shared per-(cached side, elapsed step) partner pmfs the Corollary 3
+  // advance reads. Written in PrepareAdvance (serial), read only while the
+  // entries advance.
+  Time advance_gap_ = 0;
+  double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
 
   // kWalkTable: per-side lookup tables (indexed by the side of the cached

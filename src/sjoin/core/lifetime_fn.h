@@ -2,6 +2,7 @@
 #define SJOIN_CORE_LIFETIME_FN_H_
 
 #include <memory>
+#include <vector>
 
 #include "sjoin/common/types.h"
 
@@ -92,6 +93,12 @@ class WindowedLifetime final : public LifetimeFn {
   const LifetimeFn* base_;
   Time remaining_life_;
 };
+
+/// L(1..horizon) as a flat table, table[dt - 1] = lifetime.At(dt). The
+/// truncated HEEB sums read it instead of one virtual At (and, for L_exp,
+/// one std::exp) per term; the entries are the same doubles, so every sum
+/// that reads the table is bit-identical to one that calls At.
+std::vector<double> LifetimeTable(const LifetimeFn& lifetime, Time horizon);
 
 }  // namespace sjoin
 

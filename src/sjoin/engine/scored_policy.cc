@@ -82,12 +82,14 @@ bool ScoredPolicy::ShardBeginStep(const PolicyContext& ctx,
 std::optional<ShardKey> ScoredPolicy::ShardScoreCached(
     const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
   (void)scratch;
-  return ShardKey{Score(tuple, ctx), tuple.arrival, tuple.id};
+  return ShardKey{Score(tuple, ctx), tuple.arrival,
+                  static_cast<std::int64_t>(tuple.id)};
 }
 
 std::optional<ShardKey> ScoredPolicy::ShardScoreArrival(
     const Tuple& tuple, const PolicyContext& ctx) {
-  return ShardKey{Score(tuple, ctx), tuple.arrival, tuple.id};
+  return ShardKey{Score(tuple, ctx), tuple.arrival,
+                  static_cast<std::int64_t>(tuple.id)};
 }
 
 void ScoredPolicy::ShardEndStep(const PolicyContext& ctx,

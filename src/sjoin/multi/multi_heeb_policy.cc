@@ -32,6 +32,11 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
   // Predictive pmfs per stream for the current step, rebuilt in place.
   RebuildPredictions(processes_, *ctx.histories, ctx.now, options_.horizon,
                      &predictions_);
+  // L(1..horizon), built on first use rather than at construction, which
+  // callers pay per policy even when it never runs.
+  if (lifetime_table_.empty()) {
+    lifetime_table_ = LifetimeTable(lifetime_, options_.horizon);
+  }
   ScoreMemo* memo = options_.use_score_cache ? &memo_ : nullptr;
   if (memo != nullptr) memo->BeginStep();
 
@@ -50,9 +55,8 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
           !memo->Lookup(partner, tuple.value, max_dt, &subtotal)) {
         const auto& preds = predictions_[static_cast<std::size_t>(partner)];
         for (Time dt = 1; dt <= max_dt; ++dt) {
-          subtotal +=
-              preds[static_cast<std::size_t>(dt - 1)].Prob(tuple.value) *
-              lifetime_.At(dt);
+          const std::size_t k = static_cast<std::size_t>(dt - 1);
+          subtotal += preds[k].Prob(tuple.value) * lifetime_table_[k];
         }
         if (memo != nullptr) {
           memo->Store(partner, tuple.value, max_dt, subtotal);
@@ -60,6 +64,7 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
       }
       h += subtotal;
     }
+    if (score_observer_) score_observer_(tuple, h);
     return h;
   };
 

@@ -1,6 +1,8 @@
 #ifndef SJOIN_MULTI_MULTI_HEEB_POLICY_H_
 #define SJOIN_MULTI_MULTI_HEEB_POLICY_H_
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sjoin/common/rng.h"
@@ -47,15 +49,27 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   /// Hit/miss accounting of the score memo (zero when disabled).
   const ScoreMemo::Stats& score_cache_stats() const { return memo_.stats(); }
 
+  /// Verification hook mirroring ScoredPolicy::set_score_observer: when
+  /// set, receives every candidate's score as SelectRetained computes it,
+  /// cached tuples first, then arrivals.
+  using ScoreObserver = std::function<void(const MultiTuple&, double)>;
+  void set_score_observer(ScoreObserver observer) {
+    score_observer_ = std::move(observer);
+  }
+
  private:
   std::vector<const StochasticProcess*> processes_;
   const MultiJoinSimulator* simulator_;
   Options options_;
   ExpLifetime lifetime_;
+  // lifetime_.At(dt) for dt = 1..horizon (LifetimeTable); filled by the
+  // first SelectRetained.
+  std::vector<double> lifetime_table_;
   // Per-step predictive pmfs, [stream][dt-1]; kept as a member and
   // overwritten in place so the per-step rebuild does not allocate.
   std::vector<std::vector<DiscreteDistribution>> predictions_;
   ScoreMemo memo_;
+  ScoreObserver score_observer_;
 };
 
 /// Random eviction baseline for the multi-join problem.

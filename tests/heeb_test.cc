@@ -10,6 +10,7 @@
 #include "sjoin/core/dominance.h"
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/stochastic/offline_process.h"
+#include "sjoin/stochastic/random_walk_process.h"
 #include "sjoin/stochastic/stationary_process.h"
 
 namespace sjoin {
@@ -177,6 +178,131 @@ TEST(HeebTest, InfiniteLifetimeEqualsEcbLimitForCaching) {
   InfiniteLifetime l;
   double h = CachingHeeb(reference, history, 0, 1, l, 200);
   EXPECT_NEAR(h, 1.0, 1e-12);  // p = 0.5, referenced eventually a.s.
+}
+
+// --- CachingHeebBatch: support-bounded kernel vs the scalar sum ----------
+//
+// The batch kernel visits only the lanes inside each step's pmf support.
+// These cases pin that the skipped lanes change nothing: every lane must
+// equal the per-lane CachingHeeb bit for bit (EXPECT_EQ on doubles).
+
+std::vector<double> BatchScores(const StochasticProcess& reference,
+                                const StreamHistory& history, Time t0,
+                                const std::vector<Value>& values,
+                                const LifetimeFn& lifetime, Time horizon) {
+  std::vector<double> out(values.size(), -1.0);
+  CachingHeebBatch(reference, history, t0, values.data(), values.size(),
+                   LifetimeTable(lifetime, horizon), out.data());
+  return out;
+}
+
+void ExpectBatchMatchesScalar(const StochasticProcess& reference,
+                              const StreamHistory& history, Time t0,
+                              const std::vector<Value>& values,
+                              const LifetimeFn& lifetime, Time horizon) {
+  const std::vector<double> batch =
+      BatchScores(reference, history, t0, values, lifetime, horizon);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(batch[i], CachingHeeb(reference, history, t0, values[i],
+                                    lifetime, horizon))
+        << "lane " << i << " value " << values[i];
+  }
+}
+
+TEST(CachingHeebBatchTest, LanesOutsideEverySupportScoreExactlyZero) {
+  StationaryProcess reference(DiscreteDistribution::BoundedUniform(0, 9));
+  StreamHistory history({4});
+  const std::vector<Value> values = {-100, 42, -1, 10, 3, 1000, 0, 9};
+  ExpLifetime lifetime(6.0);
+  ExpectBatchMatchesScalar(reference, history, 0, values, lifetime, 80);
+  const std::vector<double> batch =
+      BatchScores(reference, history, 0, values, lifetime, 80);
+  for (std::size_t i : {0u, 1u, 2u, 3u, 5u}) {
+    EXPECT_EQ(batch[i], 0.0) << "lane " << i;
+    EXPECT_FALSE(std::signbit(batch[i])) << "lane " << i;
+  }
+  for (std::size_t i : {4u, 6u, 7u}) EXPECT_GT(batch[i], 0.0);
+}
+
+TEST(CachingHeebBatchTest, DuplicateAndNegativeValues) {
+  StationaryProcess reference(
+      DiscreteDistribution::TruncatedDiscretizedNormal(-2.0, 3.0, -9, 6));
+  StreamHistory history({-2, 0});
+  const std::vector<Value> values = {-3, 5, -3, -9, 0, -3, 6, -10, 5, 0, 7};
+  ExpectBatchMatchesScalar(reference, history, 1, values, ExpLifetime(8.0),
+                           120);
+  ExpectBatchMatchesScalar(reference, history, 1, values, InverseLifetime(),
+                           50);
+  const std::vector<double> batch =
+      BatchScores(reference, history, 1, values, ExpLifetime(8.0), 120);
+  EXPECT_EQ(batch[0], batch[2]);  // Duplicate lanes score alike.
+  EXPECT_EQ(batch[0], batch[5]);
+  EXPECT_EQ(batch[1], batch[8]);
+}
+
+TEST(CachingHeebBatchTest, RandomWalkSupportWidensWithDt) {
+  RandomWalkProcess reference(DiscreteDistribution::DiscretizedNormal(0.5, 1.0),
+                              0);
+  StreamHistory history({0, 1, 3});
+  // Lanes near the anchor enter the support at dt = 1; lanes further out
+  // only once the walk's spread reaches them; the extremes never do.
+  std::vector<Value> values;
+  for (Value v = -40; v <= 60; v += 3) values.push_back(v);
+  values.push_back(3);
+  values.push_back(-500);
+  ExpectBatchMatchesScalar(reference, history, 2, values, ExpLifetime(10.0),
+                           40);
+  Rng rng(77);
+  std::vector<Value> random_values;
+  for (int i = 0; i < 64; ++i) random_values.push_back(rng.UniformInt(-30, 40));
+  ExpectBatchMatchesScalar(reference, history, 2, random_values,
+                           ExpLifetime(4.0), 30);
+}
+
+TEST(CachingHeebBatchTest, InteriorZeroMasses) {
+  // In-range values with zero mass (-1, 0, 2) take the visited-lane path
+  // with p = 0.0; out-of-range values take the skipped path.
+  StationaryProcess reference(DiscreteDistribution::FromMasses(
+      -2, {0.3, 0.0, 0.0, 0.5, 0.0, 0.2}));
+  StreamHistory history({1});
+  const std::vector<Value> values = {-3, -2, -1, 0, 1, 2, 3, 4, 1, -1};
+  ExpectBatchMatchesScalar(reference, history, 0, values, ExpLifetime(5.0),
+                           60);
+  const std::vector<double> batch =
+      BatchScores(reference, history, 0, values, ExpLifetime(5.0), 60);
+  EXPECT_EQ(batch[2], 0.0);
+  EXPECT_EQ(batch[3], 0.0);
+  EXPECT_EQ(batch[5], 0.0);
+  EXPECT_GT(batch[1], 0.0);
+}
+
+TEST(CachingHeebBatchTest, OfflineReferenceVisitsOneLanePerStep) {
+  // A point mass per step: each step's support holds a single value. Past
+  // the end of the sequence (dt > 10) the pmf is empty and no lane moves.
+  OfflineProcess reference({3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5});
+  StreamHistory history({3});
+  const std::vector<Value> values = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0};
+  ExpectBatchMatchesScalar(reference, history, 0, values, ExpLifetime(3.0),
+                           14);
+}
+
+TEST(CachingHeebBatchTest, ZeroLanesWriteNothing) {
+  StationaryProcess reference(DiscreteDistribution::BoundedUniform(0, 3));
+  StreamHistory history({0});
+  double sentinel = -7.0;
+  CachingHeebBatch(reference, history, 0, nullptr, 0,
+                   LifetimeTable(ExpLifetime(5.0), 20), &sentinel);
+  EXPECT_EQ(sentinel, -7.0);
+}
+
+TEST(LifetimeFnTest, LifetimeTableHoldsAtValues) {
+  ExpLifetime l(7.0);
+  const std::vector<double> table = LifetimeTable(l, 30);
+  ASSERT_EQ(table.size(), 30u);
+  for (Time dt = 1; dt <= 30; ++dt) {
+    EXPECT_EQ(table[static_cast<std::size_t>(dt - 1)], l.At(dt));
+  }
+  EXPECT_TRUE(LifetimeTable(l, 0).empty());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "sjoin/common/rng.h"
 #include "sjoin/core/heeb_join_policy.h"
@@ -294,6 +296,92 @@ TEST(ProbePlannerIntegrationTest, WindowedPlannerStaysBitIdentical) {
   MultiHeebPolicy heeb(processes, &naive, {.alpha = 8.0, .horizon = 40});
   EXPECT_EQ(naive.Run(streams, heeb).counted_results,
             planned.Run(streams, heeb).counted_results);
+}
+
+TEST(MultiHeebPolicyTest, ScoresMatchFromScratchSumBeforeAndAfterReset) {
+  // The policy reads L(dt) from a table built on first use; every score
+  // must equal the Appendix C sum computed from scratch through
+  // Predict() and ExpLifetime::At, bit for bit, on the first step after
+  // construction and again after Reset().
+  std::vector<std::unique_ptr<LinearTrendProcess>> owned;
+  auto streams = TrendingStreams(&owned, 3, 40, 215);
+  std::vector<const StochasticProcess*> processes;
+  for (const auto& p : owned) processes.push_back(p.get());
+  MultiJoinSimulator sim(3, {{0, 1}, {1, 2}}, {.capacity = 4, .warmup = 0});
+  constexpr double kAlpha = 7.0;
+  constexpr Time kHorizon = 50;
+  constexpr Time kNow = 20;
+  MultiHeebPolicy heeb(processes, &sim,
+                       {.alpha = kAlpha, .horizon = kHorizon});
+
+  std::vector<StreamHistory> histories;
+  for (const auto& stream : streams) {
+    histories.emplace_back(std::vector<Value>(stream.begin(),
+                                              stream.begin() + kNow + 1));
+  }
+  std::vector<MultiTuple> cached;
+  std::vector<MultiTuple> arrivals;
+  for (int s = 0; s < 3; ++s) {
+    for (Time t : {kNow - 9, kNow - 3}) {
+      cached.push_back({MultiTupleIdAt(3, s, t), s,
+                        streams[static_cast<std::size_t>(s)]
+                               [static_cast<std::size_t>(t)],
+                        t});
+    }
+    arrivals.push_back({MultiTupleIdAt(3, s, kNow), s,
+                        streams[static_cast<std::size_t>(s)]
+                               [static_cast<std::size_t>(kNow)],
+                        kNow});
+  }
+  auto from_scratch = [&](const MultiTuple& tuple, std::optional<Time> window) {
+    const ExpLifetime lifetime(kAlpha);
+    Time max_dt = kHorizon;
+    if (window.has_value()) {
+      max_dt = std::min(max_dt, tuple.arrival + *window - kNow);
+    }
+    double h = 0.0;
+    for (int partner : sim.PartnersOf(tuple.stream)) {
+      double subtotal = 0.0;
+      for (Time dt = 1; dt <= max_dt; ++dt) {
+        subtotal += processes[static_cast<std::size_t>(partner)]
+                        ->Predict(histories[static_cast<std::size_t>(partner)],
+                                  kNow + dt)
+                        .Prob(tuple.value) *
+                    lifetime.At(dt);
+      }
+      h += subtotal;
+    }
+    return h;
+  };
+
+  for (std::optional<Time> window : {std::optional<Time>{},
+                                     std::optional<Time>{15}}) {
+    MultiPolicyContext ctx;
+    ctx.now = kNow;
+    ctx.capacity = 4;
+    ctx.cached = &cached;
+    ctx.arrivals = &arrivals;
+    ctx.histories = &histories;
+    ctx.window = window;
+    for (bool reset : {false, true}) {
+      if (reset) heeb.Reset();
+      std::vector<std::pair<TupleId, double>> seen;
+      heeb.set_score_observer([&](const MultiTuple& tuple, double score) {
+        seen.emplace_back(tuple.id, score);
+      });
+      heeb.SelectRetained(ctx);
+      ASSERT_EQ(seen.size(), cached.size() + arrivals.size());
+      std::size_t i = 0;
+      for (const auto* run : {&cached, &arrivals}) {
+        for (const MultiTuple& tuple : *run) {
+          EXPECT_EQ(seen[i].first, tuple.id);
+          EXPECT_EQ(seen[i].second, from_scratch(tuple, window))
+              << "tuple " << tuple.id << " reset " << reset;
+          ++i;
+        }
+      }
+    }
+  }
 }
 
 // --- Policy score caches (bit-identical memoization) ---------------------
