@@ -238,9 +238,10 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
 }
 
 double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
-                                     const PolicyContext& ctx) const {
+                                     const PolicyContext& ctx) {
   StreamSide partner = Partner(side);
-  return process(partner)->Predict(*history(partner, ctx), t).Prob(v);
+  process(partner)->PredictInto(*history(partner, ctx), t, &partner_pmf_);
+  return partner_pmf_.Prob(v);
 }
 
 void HeebJoinPolicy::EnsurePredictions(const PolicyContext& ctx) {

@@ -147,9 +147,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// builds this step's predictions if any entry will re-anchor.
   void PrepareAdvance(const PolicyContext& ctx);
 
-  /// Probability that the partner of `side` produces `v` at time `t`.
+  /// Probability that the partner of `side` produces `v` at time `t`,
+  /// predicted into partner_pmf_ (no allocation once its buffer is sized).
   double PartnerProbAt(StreamSide side, Value v, Time t,
-                       const PolicyContext& ctx) const;
+                       const PolicyContext& ctx);
 
   /// Corollary 5 transfer for a new arrival (kValueIncremental).
   double ValueIncrementalScore(const Tuple& tuple, const PolicyContext& ctx);
@@ -221,6 +222,9 @@ class HeebJoinPolicy final : public ScoredPolicy {
   Time advance_gap_ = 0;
   double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
+  // kValueIncremental: PartnerProbAt's scratch pmf, refilled per transfer
+  // step. Arrivals are scored serially, so one buffer suffices.
+  DiscreteDistribution partner_pmf_;
 
   // kWalkTable: per-side lookup tables (indexed by the side of the cached
   // tuple; the table is built from the partner's walk). Borrowed from the

@@ -106,12 +106,21 @@ std::size_t SessionScheduler::Offer(
   }
   stats_.steps_offered += static_cast<std::int64_t>(accepted);
   stats_.steps_shed += static_cast<std::int64_t>(steps - accepted);
+  if (accepted > 0) MarkReady(id, session);
   return accepted;
 }
 
 void SessionScheduler::Finish(SessionId id) {
   Session& session = Live(id);
-  if (!session.closed) session.finishing = true;
+  if (session.closed) return;
+  session.finishing = true;
+  MarkReady(id, session);
+}
+
+void SessionScheduler::MarkReady(SessionId id, Session& session) {
+  if (session.in_ready) return;
+  session.in_ready = true;
+  ready_.push_back(id);
 }
 
 void SessionScheduler::RunWorkItem(StreamEngine& engine, const WorkItem& item,
@@ -139,66 +148,83 @@ void SessionScheduler::RunWorkItem(StreamEngine& engine, const WorkItem& item,
 }
 
 std::int64_t SessionScheduler::RunRound() {
-  // Plan the round serially: the ready list, each session's quota slice
-  // and the session -> worker assignment are all deterministic functions
-  // of the queue state, independent of thread count and timing.
+  if (ready_.empty()) return 0;
+  // Plan the round serially: the ready list (in id order), each session's
+  // quota slice and the session -> worker assignment are all deterministic
+  // functions of the queue state, independent of thread count and timing.
+  // Offers arriving out of id order leave the list unsorted.
+  if (!std::is_sorted(ready_.begin(), ready_.end())) {
+    std::sort(ready_.begin(), ready_.end());
+  }
   const std::size_t workers = worker_items_.size();
   for (std::vector<WorkItem>& items : worker_items_) items.clear();
   std::int64_t planned = 0;
-  std::size_t ready = 0;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    Session& session = sessions_[i];
-    if (session.closed) continue;
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    Session& session = sessions_[static_cast<std::size_t>(ready_[i])];
     const std::size_t backlog = session.queued[0].size();
     const Time quota =
         options_.quota_unit * static_cast<Time>(session.config.weight);
     const Time take =
         std::min<Time>(quota, static_cast<Time>(backlog));
-    // A finishing session closes only once its whole queue has executed;
-    // with a backlog above quota it advances now and closes in a later
-    // round.
-    const bool close_after =
-        session.finishing && backlog == static_cast<std::size_t>(take);
-    if (take == 0 && !close_after) continue;
+    // A ready session holds queued steps or is finishing, so every entry
+    // plans work. A finishing session closes only once its whole queue has
+    // executed; with a backlog above quota it advances now and closes in a
+    // later round.
     WorkItem item;
     item.session = &session;
-    item.id = static_cast<SessionId>(i);
+    item.id = ready_[i];
     item.take = take;
-    item.close_after = close_after;
-    worker_items_[ready % workers].push_back(item);
-    ++ready;
+    item.close_after =
+        session.finishing && backlog == static_cast<std::size_t>(take);
+    worker_items_[i % workers].push_back(item);
     planned += take;
   }
-  if (ready == 0) return 0;
 
-  // Execute: worker w drains its own item list on its own engine,
-  // touching only its sessions and its latency buffer. A size-1 pool
-  // runs this inline on the driver thread.
-  TaskGroup group(pool_);
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (worker_items_[w].empty()) continue;
-    group.Run([this, w] {
-      std::vector<SliceLatency>& latencies = worker_latencies_[w];
-      for (const WorkItem& item : worker_items_[w]) {
-        RunWorkItem(*engines_[w], item, &latencies);
-      }
-    });
-  }
-  group.Wait();
-
-  // Fold thread-local accounting back in deterministic worker order.
-  for (std::size_t w = 0; w < workers; ++w) {
-    for (const SliceLatency& sample : worker_latencies_[w]) {
-      slice_latencies_.push_back(sample);
+  if (ready_.size() == 1) {
+    // One work item: run it on the driver thread with engines_[0], the
+    // engine the fan-out would have given it, and skip the worker handoff.
+    RunWorkItem(*engines_[0], worker_items_[0][0], &slice_latencies_);
+  } else {
+    // Execute: worker w drains its own item list on its own engine,
+    // touching only its sessions and its latency buffer. A size-1 pool
+    // runs this inline on the driver thread.
+    if (!group_.has_value()) group_.emplace(pool_);
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (worker_items_[w].empty()) continue;
+      group_->Run([this, w] {
+        std::vector<SliceLatency>& latencies = worker_latencies_[w];
+        for (const WorkItem& item : worker_items_[w]) {
+          RunWorkItem(*engines_[w], item, &latencies);
+        }
+      });
     }
-    worker_latencies_[w].clear();
-    for (const WorkItem& item : worker_items_[w]) {
-      if (item.session->closed) {
-        ++stats_.sessions_closed;
-        --live_sessions_;
-      }
+    group_->Wait();
+    // Fold thread-local latencies back in deterministic worker order.
+    for (std::vector<SliceLatency>& latencies : worker_latencies_) {
+      slice_latencies_.insert(slice_latencies_.end(), latencies.begin(),
+                              latencies.end());
+      latencies.clear();
     }
   }
+
+  // Keep exactly the sessions with work left for a later round. A session
+  // closes only with an empty queue, and a finishing session that stayed
+  // open still holds steps, so those are the sessions still queued.
+  // Filtering in place keeps the list in id order.
+  std::size_t kept = 0;
+  for (const SessionId id : ready_) {
+    Session& session = sessions_[static_cast<std::size_t>(id)];
+    if (session.closed) {
+      ++stats_.sessions_closed;
+      --live_sessions_;
+    }
+    if (!session.queued[0].empty()) {
+      ready_[kept++] = id;
+    } else {
+      session.in_ready = false;
+    }
+  }
+  ready_.resize(kept);
   stats_.steps_executed += planned;
   ++stats_.rounds;
   return planned;
@@ -206,20 +232,12 @@ std::int64_t SessionScheduler::RunRound() {
 
 void SessionScheduler::Drain() {
   while (live_sessions_ > 0) {
-    const std::int64_t executed = RunRound();
-    if (executed > 0) continue;
-    // A zero-step round may still have closed drained sessions; stall
-    // only when nothing closed either.
-    bool progressed = false;
-    for (const Session& session : sessions_) {
-      if (!session.closed && session.finishing &&
-          session.queued[0].empty()) {
-        progressed = true;  // Will close next round.
-      }
-    }
-    SJOIN_CHECK_MSG(progressed || live_sessions_ == 0,
+    // Every ready session advances or closes in the next round, so an
+    // empty ready list with live sessions can never make progress.
+    SJOIN_CHECK_MSG(!ready_.empty(),
                     "SessionScheduler::Drain stalled: a live session has "
                     "no queued work and was never Finish()ed");
+    RunRound();
   }
 }
 

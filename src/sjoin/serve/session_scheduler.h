@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sjoin/common/thread_pool.h"
@@ -31,12 +32,17 @@
 /// accounting.
 ///
 /// Threading model: single driver, parallel rounds. All public methods
-/// are driver-thread-only (externally serialized); RunRound() internally
-/// fans the ready sessions out over `threads` workers, each with its own
-/// StreamEngine (sessions opened serially are engine-portable, so any
-/// worker may run any session's next slice). Workers touch disjoint
-/// sessions and thread-local accounting, so results are independent of
-/// the thread count and of which worker ran what.
+/// are driver-thread-only (externally serialized). Offer (when it accepts
+/// a step) and Finish put the session on a ready list, so a round costs
+/// O(ready sessions), not O(admitted sessions). RunRound() plans over that
+/// list in id order and fans the ready sessions out over `threads`
+/// workers, each with its own StreamEngine (sessions opened serially are
+/// engine-portable, so any worker may run any session's next slice). A
+/// round with exactly one ready session runs inline on the driver thread
+/// with engines_[0] — the engine the fan-out would give it — and skips
+/// the worker handoff. Workers touch disjoint sessions and thread-local
+/// accounting, so results are independent of the thread count, of which
+/// worker ran what, and of whether a round ran inline.
 
 namespace sjoin {
 namespace serve {
@@ -176,6 +182,8 @@ class SessionScheduler {
     std::vector<std::deque<Value>> queued;
     bool finishing = false;
     bool closed = false;
+    /// On ready_: set by MarkReady, cleared when a round drops it.
+    bool in_ready = false;
     EngineRunResult final_result;
     /// Reused contiguous staging for one Advance slice.
     std::vector<std::vector<Value>> batch;
@@ -195,6 +203,8 @@ class SessionScheduler {
 
   Session& Live(SessionId id);
   const Session& Live(SessionId id) const;
+  /// Puts an open session on ready_ (once).
+  void MarkReady(SessionId id, Session& session);
   static void RunWorkItem(StreamEngine& engine, const WorkItem& item,
                           std::vector<SliceLatency>* latencies);
 
@@ -203,9 +213,19 @@ class SessionScheduler {
   /// One engine per worker; engines_[0] doubles as the open/close engine.
   std::vector<std::unique_ptr<StreamEngine>> engines_;
   ThreadPool pool_;
+  /// Reused by every fan-out round (a group is empty again after Wait).
+  /// Built by the first fan-out rather than the constructor: built there,
+  /// it put perfbench's serve-small setup_s (4 workers, 1024 Opens) in
+  /// the slow mode of its layout effect, 1.4 ms instead of 1.0 ms
+  /// (EXPERIMENTS.md).
+  std::optional<TaskGroup> group_;
   /// Stable addresses: workers hold Session* across a round.
   std::deque<Session> sessions_;
   std::size_t live_sessions_ = 0;
+  /// Open sessions that are finishing or hold queued steps — exactly the
+  /// sessions the next round plans. Pushed in offer order; RunRound sorts
+  /// it by id when that order broke it.
+  std::vector<SessionId> ready_;
   SchedulerStats stats_;
   std::vector<SliceLatency> slice_latencies_;
   /// Per-worker scratch reused across rounds.

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/rng.h"
 #include "sjoin/engine/join_simulator.h"
+#include "sjoin/engine/step_observer.h"
+#include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/prob_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
 #include "sjoin/stochastic/random_walk_process.h"
@@ -127,6 +132,85 @@ TEST(HeebJoinPolicyTest, IncrementalAdvanceDeterministicAcrossReruns) {
     EXPECT_EQ(first[i].first, second[i].first) << "score " << i;
     EXPECT_EQ(first[i].second, second[i].second) << "score " << i;
   }
+}
+
+TEST(HeebJoinPolicyTest, ValueIncrementalTransferMatchesCorollary5) {
+  // Every arrival with a same-side cached donor scores by the Corollary 5
+  // transfer: walk the donor's H from now to t' = now + (v' - v)/a with
+  // per-step partner probabilities. Recompute that walk here from the
+  // observed donor scores and freshly allocated Predict() pmfs; the
+  // policy's scratch-pmf path must give the same doubles.
+  TrendConfig config;
+  Rng rng(41);
+  auto pair = SampleStreamPair(config.r, config.s, 240, rng);
+  HeebJoinPolicy::Options options;
+  options.mode = HeebJoinPolicy::Mode::kValueIncremental;
+  options.alpha = ExpLifetime::AlphaForAverageLifetime(12.0);
+  options.horizon = 200;
+  HeebJoinPolicy policy(&config.r, &config.s, options);
+
+  // Scores of the current step, delivered before its OnStep.
+  std::vector<std::pair<Tuple, double>> step_scores;
+  policy.set_score_observer([&step_scores](const Tuple& tuple, double score) {
+    step_scores.emplace_back(tuple, score);
+  });
+  const double e = std::exp(1.0 / options.alpha);
+  const StreamHistory no_history;  // Trend processes ignore the history.
+  int transfers = 0;
+  struct TransferCheck final : public StepObserver {
+    std::function<void(Time)> on_step;
+    void OnStep(const EngineStepView& step) override { on_step(step.now); }
+  } check;
+  check.on_step = [&](Time now) {
+    for (const auto& [arrival, score] : step_scores) {
+      if (arrival.arrival != now) continue;
+      // The donor: the nearest-valued cached tuple of the same side,
+      // ties broken by (value, id).
+      const std::pair<Tuple, double>* donor = nullptr;
+      for (const auto& entry : step_scores) {
+        const Tuple& cached = entry.first;
+        if (cached.arrival == now || cached.side != arrival.side) continue;
+        if (donor == nullptr) {
+          donor = &entry;
+          continue;
+        }
+        const Value d = std::llabs(cached.value - arrival.value);
+        const Value best = std::llabs(donor->first.value - arrival.value);
+        if (d < best ||
+            (d == best && (cached.value < donor->first.value ||
+                           (cached.value == donor->first.value &&
+                            cached.id < donor->first.id)))) {
+          donor = &entry;
+        }
+      }
+      if (donor == nullptr) continue;  // Scored directly.
+      const LinearTrendProcess& partner =
+          arrival.side == StreamSide::kR ? config.s : config.r;
+      const Value diff = donor->first.value - arrival.value;
+      const Time t_prime =
+          now + diff / static_cast<Value>(partner.slope());
+      double h = donor->second;
+      if (t_prime > now) {
+        for (Time t = now + 1; t <= t_prime; ++t) {
+          h = e * h - partner.Predict(no_history, t).Prob(donor->first.value);
+          if (h < 0.0) h = 0.0;
+        }
+      } else {
+        for (Time t = now; t > t_prime; --t) {
+          h = (h + partner.Predict(no_history, t).Prob(donor->first.value)) /
+              e;
+        }
+      }
+      EXPECT_EQ(score, h) << "arrival " << arrival.id << " at " << now;
+      ++transfers;
+    }
+    step_scores.clear();
+  };
+
+  BinaryPolicyAdapter adapter(&policy);
+  StreamEngine engine(StreamTopology::Binary(), {.capacity = 8});
+  engine.Run({&pair.r, &pair.s}, adapter, {&check});
+  EXPECT_GT(transfers, 200);
 }
 
 TEST(HeebJoinPolicyTest, WalkTableMatchesDirect) {

@@ -1,0 +1,327 @@
+// The session scheduler's round mechanics, case by case: which sessions a
+// round picks up (the ready list), when a finishing session closes, that
+// shed or empty offers leave nothing to run, and that the slice order and
+// per-step traces do not depend on the offer order, on the worker count,
+// or on whether a one-session round ran inline on the driver thread.
+// (serve_differential covers randomized interleavings against solo runs.)
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "sjoin/common/rng.h"
+#include "sjoin/engine/step_observer.h"
+#include "sjoin/engine/stream_engine.h"
+#include "sjoin/policies/prob_policy.h"
+#include "sjoin/serve/session_scheduler.h"
+
+namespace sjoin {
+namespace serve {
+namespace {
+
+std::vector<Value> SampleValues(Time len, Value domain, Rng& rng) {
+  std::vector<Value> out;
+  out.reserve(static_cast<std::size_t>(len));
+  for (Time t = 0; t < len; ++t) {
+    out.push_back(rng.UniformInt(0, domain - 1));
+  }
+  return out;
+}
+
+/// Elements [begin, end) of `v`.
+std::vector<Value> Slice(const std::vector<Value>& v, std::size_t begin,
+                         std::size_t end) {
+  return std::vector<Value>(v.begin() + static_cast<std::ptrdiff_t>(begin),
+                            v.begin() + static_cast<std::ptrdiff_t>(end));
+}
+
+/// Per-step trace: produced count, candidate count, cache ids and the
+/// retained ids, so any divergence in the step loop shows up.
+struct StepTrace {
+  Time now = 0;
+  std::int64_t produced = 0;
+  std::size_t num_candidates = 0;
+  std::vector<TupleId> cache_ids;
+  std::vector<TupleId> retained;
+
+  friend bool operator==(const StepTrace&, const StepTrace&) = default;
+};
+
+class TraceObserver final : public StepObserver {
+ public:
+  void OnStep(const EngineStepView& step) override {
+    StepTrace trace;
+    trace.now = step.now;
+    trace.produced = step.produced;
+    trace.num_candidates = step.num_candidates;
+    for (const StreamTuple& tuple : *step.cache) {
+      trace.cache_ids.push_back(tuple.id);
+    }
+    trace.retained = *step.retained;
+    steps_.push_back(std::move(trace));
+  }
+  void OnRunEnd(const EngineRunView& run) override { end_length_ = run.length; }
+
+  const std::vector<StepTrace>& steps() const { return steps_; }
+  Time end_length() const { return end_length_; }
+
+ private:
+  std::vector<StepTrace> steps_;
+  Time end_length_ = -1;
+};
+
+/// A scheduler plus the PROB policy, adapter and trace each of its
+/// sessions borrows (one of each per session: policies are stateful).
+class Harness {
+ public:
+  explicit Harness(SessionScheduler::Options options)
+      : scheduler_(StreamTopology::Binary(), options) {}
+
+  SessionId Open(std::size_t capacity, int weight = 1) {
+    policies_.push_back(std::make_unique<ProbPolicy>());
+    adapters_.emplace_back(policies_.back().get());
+    traces_.emplace_back();
+    SessionConfig config;
+    config.engine.capacity = capacity;
+    config.policy = &adapters_.back();
+    config.observers = {&traces_.back()};
+    config.weight = weight;
+    const Admission admission = scheduler_.Open(config);
+    EXPECT_TRUE(admission.ok());
+    return admission.id;
+  }
+
+  std::size_t Offer(SessionId id, const std::vector<Value>& r,
+                    const std::vector<Value>& s) {
+    return scheduler_.Offer(id, {&r, &s});
+  }
+
+  SessionScheduler& scheduler() { return scheduler_; }
+  const TraceObserver& trace(SessionId id) const {
+    return traces_[static_cast<std::size_t>(id)];
+  }
+
+  /// The (session, steps) sequence of every slice so far.
+  std::vector<std::pair<SessionId, Time>> Slices() const {
+    std::vector<std::pair<SessionId, Time>> out;
+    for (const SliceLatency& slice : scheduler_.slice_latencies()) {
+      out.emplace_back(slice.session, slice.steps);
+    }
+    return out;
+  }
+
+ private:
+  SessionScheduler scheduler_;
+  std::vector<std::unique_ptr<ProbPolicy>> policies_;
+  std::deque<BinaryPolicyAdapter> adapters_;
+  std::deque<TraceObserver> traces_;
+};
+
+/// Solo reference: the same arrivals through one engine's batch Run.
+std::pair<EngineRunResult, std::vector<StepTrace>> SoloRun(
+    std::size_t capacity, const std::vector<Value>& r,
+    const std::vector<Value>& s) {
+  ProbPolicy policy;
+  BinaryPolicyAdapter adapter(&policy);
+  StreamEngine::Options options;
+  options.capacity = capacity;
+  StreamEngine engine(StreamTopology::Binary(), options);
+  TraceObserver trace;
+  EngineRunResult result = engine.Run({&r, &s}, adapter, {&trace});
+  return {result, trace.steps()};
+}
+
+SessionScheduler::Options WithThreads(int threads) {
+  SessionScheduler::Options options;
+  options.threads = threads;
+  return options;
+}
+
+TEST(SessionSchedulerTest, IdleRoundReturnsZero) {
+  for (int threads : {1, 4}) {
+    Harness harness(WithThreads(threads));
+    for (int i = 0; i < 3; ++i) harness.Open(4);
+    EXPECT_EQ(harness.scheduler().RunRound(), 0);
+
+    // A session whose queue ran dry is idle again.
+    Rng rng(3);
+    const std::vector<Value> r = SampleValues(5, 4, rng);
+    const std::vector<Value> s = SampleValues(5, 4, rng);
+    ASSERT_EQ(harness.Offer(1, r, s), 5u);
+    EXPECT_EQ(harness.scheduler().RunRound(), 5);
+    EXPECT_EQ(harness.scheduler().RunRound(), 0);
+    EXPECT_EQ(harness.scheduler().stats().rounds, 1);
+    EXPECT_EQ(harness.scheduler().slice_latencies().size(), 1u);
+  }
+}
+
+TEST(SessionSchedulerTest, FinishWithoutOfferClosesOnNextRound) {
+  for (int threads : {1, 4}) {
+    Harness harness(WithThreads(threads));
+    harness.Open(4);
+    const SessionId id = harness.Open(4);
+    harness.scheduler().Finish(id);
+    EXPECT_FALSE(harness.scheduler().closed(id));
+
+    EXPECT_EQ(harness.scheduler().RunRound(), 0);
+    EXPECT_TRUE(harness.scheduler().closed(id));
+    EXPECT_FALSE(harness.scheduler().closed(0));
+    EXPECT_EQ(harness.scheduler().result(id).total_results, 0);
+    EXPECT_EQ(harness.scheduler().result(id).counted_results, 0);
+    EXPECT_EQ(harness.trace(id).end_length(), 0);
+    EXPECT_EQ(harness.scheduler().stats().sessions_closed, 1);
+    EXPECT_TRUE(harness.scheduler().slice_latencies().empty());
+    // Finish on a closed session is a no-op and leaves nothing to run.
+    harness.scheduler().Finish(id);
+    EXPECT_EQ(harness.scheduler().RunRound(), 0);
+    EXPECT_EQ(harness.scheduler().stats().rounds, 1);
+  }
+}
+
+TEST(SessionSchedulerTest, ShedOfferDoesNotMakeSessionReady) {
+  SessionScheduler::Options options;
+  options.queue_capacity = 8;
+  options.high_watermark = 4;
+  Harness harness(options);
+  const SessionId id = harness.Open(4);
+  Rng rng(7);
+  const std::vector<Value> r = SampleValues(4, 4, rng);
+  const std::vector<Value> s = SampleValues(4, 4, rng);
+  const std::vector<Value> empty;
+
+  // An empty offer accepts nothing: no round runs.
+  EXPECT_EQ(harness.Offer(id, empty, empty), 0u);
+  EXPECT_EQ(harness.scheduler().RunRound(), 0);
+  EXPECT_EQ(harness.scheduler().stats().rounds, 0);
+
+  // At the watermark the second offer is shed whole; only the first one's
+  // steps run, and afterwards the session is idle again.
+  EXPECT_EQ(harness.Offer(id, r, s), 4u);
+  EXPECT_EQ(harness.Offer(id, r, s), 0u);
+  EXPECT_EQ(harness.scheduler().stats().steps_shed, 4);
+  EXPECT_EQ(harness.scheduler().RunRound(), 4);
+  EXPECT_EQ(harness.Offer(id, empty, empty), 0u);
+  EXPECT_EQ(harness.scheduler().RunRound(), 0);
+  EXPECT_EQ(harness.scheduler().stats().rounds, 1);
+  EXPECT_EQ(harness.scheduler().stats().steps_executed, 4);
+}
+
+TEST(SessionSchedulerTest, FinishingBacklogAboveQuotaClosesWhenDrained) {
+  for (int threads : {1, 4}) {
+    SessionScheduler::Options options;
+    options.quota_unit = 4;
+    options.threads = threads;
+    Harness harness(options);
+    const SessionId id = harness.Open(3);
+    Rng rng(11);
+    const std::vector<Value> r = SampleValues(10, 5, rng);
+    const std::vector<Value> s = SampleValues(10, 5, rng);
+    ASSERT_EQ(harness.Offer(id, r, s), 10u);
+    harness.scheduler().Finish(id);
+
+    for (const Time expected : {4, 4}) {
+      EXPECT_EQ(harness.scheduler().RunRound(), expected);
+      EXPECT_FALSE(harness.scheduler().closed(id));
+    }
+    EXPECT_EQ(harness.scheduler().RunRound(), 2);
+    EXPECT_TRUE(harness.scheduler().closed(id));
+    EXPECT_EQ(harness.scheduler().RunRound(), 0);
+    EXPECT_EQ(harness.scheduler().stats().sessions_closed, 1);
+
+    const auto [solo, solo_steps] = SoloRun(3, r, s);
+    EXPECT_EQ(harness.scheduler().result(id).total_results,
+              solo.total_results);
+    EXPECT_EQ(harness.trace(id).steps(), solo_steps);
+    EXPECT_EQ(harness.trace(id).end_length(), 10);
+  }
+}
+
+TEST(SessionSchedulerTest, SliceOrderIgnoresOfferOrderAndThreads) {
+  Rng rng(19);
+  const std::vector<Value> r5 = SampleValues(40, 6, rng);
+  const std::vector<Value> s5 = SampleValues(40, 6, rng);
+  const std::vector<Value> r2 = SampleValues(30, 6, rng);
+  const std::vector<Value> s2 = SampleValues(30, 6, rng);
+
+  std::vector<std::vector<std::pair<SessionId, Time>>> slices;
+  for (int threads : {1, 2, 4}) {
+    SessionScheduler::Options options;
+    options.quota_unit = 8;
+    options.threads = threads;
+    Harness harness(options);
+    for (int i = 0; i < 6; ++i) harness.Open(4, 1 + i % 2);
+
+    // Session 5 (weight 2) always offers before session 2 (weight 1), in
+    // chunks larger than session 2's quota so its backlog carries over.
+    for (std::size_t begin = 0; begin < 40; begin += 10) {
+      harness.Offer(5, Slice(r5, begin, begin + 10),
+                    Slice(s5, begin, begin + 10));
+      if (begin < 30) {
+        harness.Offer(2, Slice(r2, begin, begin + 10),
+                      Slice(s2, begin, begin + 10));
+      }
+      harness.scheduler().RunRound();
+    }
+    harness.scheduler().Finish(5);
+    harness.scheduler().Finish(2);
+    for (SessionId id : {0, 1, 3, 4}) harness.scheduler().Finish(id);
+    harness.scheduler().Drain();
+
+    EXPECT_EQ(harness.scheduler().result(5).total_results,
+              SoloRun(4, r5, s5).first.total_results);
+    EXPECT_EQ(harness.scheduler().result(2).total_results,
+              SoloRun(4, r2, s2).first.total_results);
+    slices.push_back(harness.Slices());
+  }
+  // Rounds list session 2 before session 5 whatever the offer order.
+  const std::vector<std::pair<SessionId, Time>> expected{
+      {2, 8}, {5, 10}, {2, 8}, {5, 10}, {2, 8}, {5, 10},
+      {2, 6}, {5, 10}};
+  EXPECT_EQ(slices[0], expected);
+  EXPECT_EQ(slices[1], expected);
+  EXPECT_EQ(slices[2], expected);
+}
+
+TEST(SessionSchedulerTest, OneSessionRoundTraceMatchesAcrossThreads) {
+  Rng rng(23);
+  const std::vector<Value> ra = SampleValues(60, 7, rng);
+  const std::vector<Value> sa = SampleValues(60, 7, rng);
+  const std::vector<Value> rb = SampleValues(20, 7, rng);
+  const std::vector<Value> sb = SampleValues(20, 7, rng);
+
+  std::vector<std::vector<StepTrace>> traces;
+  for (int threads : {1, 4}) {
+    SessionScheduler::Options options;
+    options.quota_unit = 16;
+    options.threads = threads;
+    Harness harness(options);
+    const SessionId a = harness.Open(5);
+    const SessionId b = harness.Open(5);
+    // Rounds 1-2 hold session a alone (inline at threads 4), rounds 3-4
+    // fan a and b out together, and the tail is a alone again: the
+    // session moves between the driver thread and the workers.
+    ASSERT_EQ(harness.Offer(a, Slice(ra, 0, 30), Slice(sa, 0, 30)), 30u);
+    EXPECT_EQ(harness.scheduler().RunRound(), 16);
+    EXPECT_EQ(harness.scheduler().RunRound(), 14);
+    ASSERT_EQ(harness.Offer(b, rb, sb), 20u);
+    ASSERT_EQ(harness.Offer(a, Slice(ra, 30, 60), Slice(sa, 30, 60)), 30u);
+    EXPECT_EQ(harness.scheduler().RunRound(), 32);
+    EXPECT_EQ(harness.scheduler().RunRound(), 18);
+    harness.scheduler().Finish(a);
+    harness.scheduler().Finish(b);
+    harness.scheduler().Drain();
+    EXPECT_EQ(harness.trace(a).end_length(), 60);
+    EXPECT_EQ(harness.trace(b).steps(), SoloRun(5, rb, sb).second);
+    traces.push_back(harness.trace(a).steps());
+  }
+  EXPECT_EQ(traces[0], SoloRun(5, ra, sa).second);
+  EXPECT_EQ(traces[1], traces[0]);
+}
+
+}  // namespace
+}  // namespace serve
+}  // namespace sjoin
