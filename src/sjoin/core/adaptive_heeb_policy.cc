@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "sjoin/common/check.h"
 #include "sjoin/core/lifetime_fn.h"
@@ -52,9 +51,14 @@ std::vector<TupleId> AdaptiveHeebJoinPolicy::SelectRetained(
   // at some earlier step and are not retained now). Arrivals discarded
   // on the spot were never cached and do not count toward the average
   // cached-tuple lifetime.
-  std::unordered_set<TupleId> retained_set(retained.begin(), retained.end());
+  retained_set_.Reserve(retained.size());
+  retained_set_.Reset();
+  for (TupleId id : retained) retained_set_.Insert(id, 0);
+  auto is_retained = [this](TupleId id) {
+    return retained_set_.Find(id) != LaneTable<TupleId>::kNoLane;
+  };
   for (const Tuple& tuple : *ctx.cached) {
-    if (retained_set.count(tuple.id) > 0) continue;
+    if (is_retained(tuple.id)) continue;
     auto it = cached_arrivals_.find(tuple.id);
     Time admitted_at = it != cached_arrivals_.end() ? it->second
                                                     : tuple.arrival;
@@ -66,7 +70,7 @@ std::vector<TupleId> AdaptiveHeebJoinPolicy::SelectRetained(
     if (it != cached_arrivals_.end()) cached_arrivals_.erase(it);
   }
   for (const Tuple& tuple : *ctx.arrivals) {
-    if (retained_set.count(tuple.id) > 0) {
+    if (is_retained(tuple.id)) {
       cached_arrivals_.emplace(tuple.id, ctx.now);
     }
   }

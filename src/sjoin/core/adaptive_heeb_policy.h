@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "sjoin/core/heeb_join_policy.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/replacement_policy.h"
 
 /// \file
@@ -64,6 +65,8 @@ class AdaptiveHeebJoinPolicy final : public ReplacementPolicy {
   std::unique_ptr<HeebJoinPolicy> inner_;
   // Tuples currently cached (admitted at some step): id -> arrival time.
   std::unordered_map<TupleId, Time> cached_arrivals_;
+  // This step's retained ids (per-step scratch).
+  LaneTable<TupleId> retained_set_;
 };
 
 }  // namespace sjoin

@@ -2,18 +2,97 @@
 #define SJOIN_ENGINE_RANKED_SELECT_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sjoin/common/types.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/engine/rank_order.h"
 
 /// \file
-/// The multi-way policies' shared top-k selection under the strict
-/// (score desc, arrival desc, id desc) order — the rank_order.h total
-/// order the sharded engine's merge also uses, so every comparison sort
-/// yields the same unique retained sequence.
+/// Top-k selection under the strict rank_order.h orders, shared by every
+/// selection site: ScoredPolicy and ScoredCachingPolicy selection, the
+/// multi-way policies' KeepBestRanked, and the sharded engine's per-shard
+/// and arrival runs.
+///
+/// The engines store the cache in the order a policy retained it, so each
+/// step's candidates arrive as last step's ranked run followed by this
+/// step's arrivals. When scores move little between steps that run is
+/// nearly sorted, and an insertion pass ranks it in about one comparison
+/// per candidate plus one shift per position an arrival (or a reordered
+/// cached tuple) travels. RankTopK runs that pass first and falls back to
+/// nth_element + prefix sort once the shifts exceed a linear budget, so
+/// the worst case stays O(n + k log k) beyond the wasted budget.
+///
+/// Exactness: under a strict total order the best `keep` candidates, in
+/// order, are unique. Both paths produce that prefix, so the result is a
+/// pure function of the keys whatever path runs.
 
 namespace sjoin {
+
+/// Shift budget of RankTopK's insertion pass over `n` candidates. Sized
+/// for the arrivals' insertions (about arrivals × n/2 shifts): a 5-way
+/// star step with 100 cached tuples and 5 arrivals needs ~500.
+constexpr std::size_t RankTopKMoveBudget(std::size_t n) { return 8 * n + 64; }
+
+/// Puts the best min(keep, n) of data[0, n) under `better` (a strict total
+/// order) into data[0, keep), ranked best first; the rest of the range is
+/// left in unspecified order. Returns true when the insertion pass
+/// finished within RankTopKMoveBudget(n), false when it fell back to
+/// nth_element + prefix sort (tests use this to reach both paths).
+template <typename T, typename Better>
+bool RankTopK(T* data, std::size_t n, std::size_t keep, Better better) {
+  keep = std::min(keep, n);
+  std::vector<T> reference;
+  if constexpr (kValidationEnabled) {
+    reference.assign(data, data + n);
+    if (keep < n) {
+      std::nth_element(reference.begin(), reference.begin() + keep,
+                       reference.end(), better);
+    }
+    std::sort(reference.begin(), reference.begin() + keep, better);
+  }
+  const std::size_t budget = RankTopKMoveBudget(n);
+  std::size_t moves = 0;
+  bool within_budget = true;
+  // The sorted prefix grows to `keep` entries; after that, a candidate
+  // enters only when it beats the current k-th, which it displaces into
+  // the candidate's old slot. A nearly sorted run moves its entries a few
+  // places, found by a short linear probe; an entry that travels further
+  // (an arrival ranked near the top) binary-searches its place, and the
+  // block it jumps shifts down as one move.
+  constexpr std::size_t kLinearProbe = 8;
+  for (std::size_t i = 1; i < n && keep > 0 && within_budget; ++i) {
+    const std::size_t last = std::min(i, keep) - 1;
+    if (!better(data[i], data[last])) continue;
+    T entry = std::move(data[i]);
+    if (i > last) data[i] = std::move(data[last]);
+    std::size_t j = last;
+    const std::size_t stop = j > kLinearProbe ? j - kLinearProbe : 0;
+    while (j > stop && better(entry, data[j - 1])) --j;
+    if (j == stop && j > 0 && better(entry, data[j - 1])) {
+      j = static_cast<std::size_t>(
+          std::upper_bound(data, data + j, entry, better) - data);
+    }
+    std::move_backward(data + j, data + last, data + last + 1);
+    data[j] = std::move(entry);
+    moves += last - j + 1;
+    within_budget = moves <= budget;
+  }
+  if (!within_budget) {
+    if (keep < n) std::nth_element(data, data + keep, data + n, better);
+    std::sort(data, data + keep, better);
+  }
+  if constexpr (kValidationEnabled) {
+    for (std::size_t i = 0; i < keep; ++i) {
+      SJOIN_VALIDATE_MSG(!better(data[i], reference[i]) &&
+                             !better(reference[i], data[i]),
+                         "RankTopK prefix differs from nth_element + sort");
+    }
+  }
+  return within_budget;
+}
 
 /// One scored retention candidate.
 struct RankedTuple {
@@ -27,20 +106,12 @@ inline bool RankedTupleBetter(const RankedTuple& a, const RankedTuple& b) {
   return RankOrderBetter(a.score, a.arrival, a.id, b.score, b.arrival, b.id);
 }
 
-/// Best `capacity` ids, ranked by (score desc, arrival desc, id desc).
-/// nth_element partitions the best `keep` candidates to the front, then
-/// only that prefix is sorted: under a strict total order (ids are unique)
-/// the partition point is unique, so the sorted prefix is exactly the
-/// prefix a full sort would produce — at O(n + k log k) instead of
-/// O(n log n).
+/// Best `capacity` ids, ranked by (score desc, arrival desc, id desc),
+/// selected by RankTopK.
 inline std::vector<TupleId> KeepBestRanked(std::vector<RankedTuple> ranked,
                                            std::size_t capacity) {
-  std::size_t keep = std::min(capacity, ranked.size());
-  if (keep < ranked.size()) {
-    std::nth_element(ranked.begin(), ranked.begin() + keep, ranked.end(),
-                     RankedTupleBetter);
-  }
-  std::sort(ranked.begin(), ranked.begin() + keep, RankedTupleBetter);
+  const std::size_t keep = std::min(capacity, ranked.size());
+  RankTopK(ranked.data(), ranked.size(), keep, RankedTupleBetter);
   std::vector<TupleId> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) retained.push_back(ranked[i].id);

@@ -4,6 +4,7 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/rank_order.h"
+#include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
@@ -64,15 +65,11 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
                            a.value, b.score,
                            static_cast<int>(b.is_referenced), b.value);
   };
-  // nth_element + prefix sort: the order is strict and total (values are
-  // unique within cached ∪ {referenced}), so the sorted prefix equals the
-  // former full sort's prefix.
-  std::size_t keep = std::min(ctx.capacity, candidates.size());
-  if (keep < candidates.size()) {
-    std::nth_element(candidates.begin(), candidates.begin() + keep,
-                     candidates.end(), better);
-  }
-  std::sort(candidates.begin(), candidates.begin() + keep, better);
+  // RankTopK (ranked_select.h): the order is strict and total (values are
+  // unique within cached ∪ {referenced}), so the ranked prefix equals a
+  // full sort's prefix.
+  const std::size_t keep = std::min(ctx.capacity, candidates.size());
+  RankTopK(candidates.data(), candidates.size(), keep, better);
   std::vector<Value> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {

@@ -48,16 +48,12 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
       ranked_scratch_.push_back({Score(t, ctx), t.arrival, t.id});
     }
   }
-  // Top-k selection: partition the best `keep` to the front, sort only
-  // that prefix. The rank order is strict and total (ids are unique), so
-  // the prefix is exactly what the former full sort produced.
-  std::size_t keep = std::min(ctx.capacity, ranked_scratch_.size());
-  if (keep < ranked_scratch_.size()) {
-    std::nth_element(ranked_scratch_.begin(), ranked_scratch_.begin() + keep,
-                     ranked_scratch_.end(), RankedTupleBetter);
-  }
-  std::sort(ranked_scratch_.begin(), ranked_scratch_.begin() + keep,
-            RankedTupleBetter);
+  // Top-k selection over last step's ranked run plus the arrivals
+  // (ranked_select.h); the order is strict and total (ids are unique), so
+  // the prefix is exactly what a full sort produces.
+  const std::size_t keep = std::min(ctx.capacity, ranked_scratch_.size());
+  RankTopK(ranked_scratch_.data(), ranked_scratch_.size(), keep,
+           RankedTupleBetter);
   std::vector<TupleId> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {

@@ -5,6 +5,7 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/common/validate.h"
+#include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
@@ -38,21 +39,9 @@ ShardedStreamEngine::ShardedStreamEngine(StreamTopology topology,
 }
 
 void ShardedStreamEngine::SortRun(ScoredEntry* run, std::size_t size) {
-  if (size > 64) {
-    std::sort(run, run + size, [](const ScoredEntry& a, const ScoredEntry& b) {
-      return ShardKeyBetter(a.key, b.key);
-    });
-    return;
-  }
-  for (std::size_t i = 1; i < size; ++i) {
-    ScoredEntry entry = run[i];
-    std::size_t j = i;
-    while (j > 0 && ShardKeyBetter(entry.key, run[j - 1].key)) {
-      run[j] = run[j - 1];
-      --j;
-    }
-    run[j] = entry;
-  }
+  RankTopK(run, size, size, [](const ScoredEntry& a, const ScoredEntry& b) {
+    return ShardKeyBetter(a.key, b.key);
+  });
 }
 
 int ShardedStreamEngine::DefaultThreads(int shards) {

@@ -271,9 +271,10 @@ class ShardedStreamEngine {
 
   /// Sorts a scored run best-first. Shard runs enter nearly sorted (the
   /// commit rebuilds shard caches in merged order, and score advancement
-  /// rarely reorders neighbours), so small runs use insertion sort;
-  /// larger runs take introsort. Any comparison sort yields the same
-  /// unique order — the keys are a strict total order.
+  /// rarely reorders neighbours), so RankTopK (ranked_select.h) over the
+  /// whole run takes its insertion pass and falls back to a full sort
+  /// only past its shift budget. Either path yields the same unique order
+  /// — the keys are a strict total order.
   static void SortRun(ScoredEntry* run, std::size_t size);
 
   std::size_t ShardOf(Value value) const {

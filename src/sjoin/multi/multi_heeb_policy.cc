@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sjoin/common/check.h"
-#include "sjoin/engine/ranked_select.h"
 
 namespace sjoin {
 
@@ -13,70 +12,210 @@ MultiHeebPolicy::MultiHeebPolicy(
     : processes_(processes),
       simulator_(simulator),
       options_(options),
-      lifetime_(options.alpha) {
+      lifetime_(options.alpha),
+      ring_(options.horizon) {
   SJOIN_CHECK(simulator != nullptr);
   SJOIN_CHECK_EQ(static_cast<int>(processes_.size()),
                  simulator_->num_streams());
   for (const StochasticProcess* process : processes_) {
     SJOIN_CHECK(process != nullptr);
   }
-  SJOIN_CHECK_GE(options_.horizon, 1);
 }
 
 void MultiHeebPolicy::Reset() {
-  memo_.Reset(simulator_->num_streams());
+  ring_.Reset();
+  stats_ = ScoreMemo::Stats();
+}
+
+void MultiHeebPolicy::BuildKeys(const MultiPolicyContext& ctx) {
+  const std::size_t n = lane_values_.size();
+  key_values_.clear();
+  key_max_dts_.clear();
+  if (n == 0) {
+    dense_ = false;
+    return;
+  }
+  const auto [min_it, max_it] =
+      std::minmax_element(lane_values_.begin(), lane_values_.end());
+  min_value_ = *min_it;
+  max_value_ = *max_it;
+  // Lane order by (value, max_dt). Candidate values drift in a narrow
+  // band, so a counting sort over the value range usually applies; a wide
+  // range falls back to a comparison sort.
+  const std::uint64_t span = static_cast<std::uint64_t>(max_value_) -
+                             static_cast<std::uint64_t>(min_value_);
+  dense_ = span < 4 * n + 64;
+  order_.resize(n);
+  if (dense_) {
+    value_start_.assign(static_cast<std::size_t>(span) + 2, 0);
+    for (Value v : lane_values_) {
+      ++value_start_[static_cast<std::size_t>(v - min_value_) + 1];
+    }
+    for (std::size_t r = 1; r < value_start_.size(); ++r) {
+      value_start_[r] += value_start_[r - 1];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      order_[value_start_[static_cast<std::size_t>(lane_values_[i] -
+                                                   min_value_)]++] =
+          static_cast<std::uint32_t>(i);
+    }
+    // Within one value, order by max_dt (all equal without a window).
+    if (ctx.window.has_value()) {
+      for (std::size_t i = 1; i < n; ++i) {
+        const std::uint32_t lane = order_[i];
+        std::size_t j = i;
+        while (j > 0 && lane_values_[order_[j - 1]] == lane_values_[lane] &&
+               lane_max_dts_[order_[j - 1]] > lane_max_dts_[lane]) {
+          order_[j] = order_[j - 1];
+          --j;
+        }
+        order_[j] = lane;
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      order_[i] = static_cast<std::uint32_t>(i);
+    }
+    std::sort(order_.begin(), order_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                if (lane_values_[a] != lane_values_[b]) {
+                  return lane_values_[a] < lane_values_[b];
+                }
+                return lane_max_dts_[a] < lane_max_dts_[b];
+              });
+  }
+  // Distinct keys in (value, max_dt) order, and each lane's key.
+  for (std::uint32_t lane : order_) {
+    if (key_values_.empty() || key_values_.back() != lane_values_[lane] ||
+        key_max_dts_.back() != lane_max_dts_[lane]) {
+      key_values_.push_back(lane_values_[lane]);
+      key_max_dts_.push_back(lane_max_dts_[lane]);
+    }
+    lane_keys_[lane] = static_cast<std::uint32_t>(key_values_.size() - 1);
+  }
+  // Dense index: value_start_[v - min_value_] = first key with value >= v.
+  if (dense_) {
+    std::size_t k = 0;
+    for (std::size_t r = 0; r < value_start_.size(); ++r) {
+      while (k < key_values_.size() &&
+             key_values_[k] < min_value_ + static_cast<Value>(r)) {
+        ++k;
+      }
+      value_start_[r] = static_cast<std::uint32_t>(k);
+    }
+  }
+}
+
+void MultiHeebPolicy::ScoreKeys(Time now) {
+  const std::size_t keys = key_values_.size();
+  const std::size_t num_streams = partner_joined_.size();
+  key_sums_.assign(num_streams * keys, 0.0);
+  if (keys == 0) return;
+  const Value* values = key_values_.data();
+  const Time* max_dts = key_max_dts_.data();
+  const double* life = lifetime_table_.data();
+  const Time last_dt = *std::max_element(key_max_dts_.begin(),
+                                         key_max_dts_.end());
+  for (std::size_t p = 0; p < num_streams; ++p) {
+    // Every key is scored against every joined partner; a (partner, key)
+    // pair no candidate reads costs a few adds and is never summed.
+    if (!partner_joined_[p]) continue;
+    double* sums = key_sums_.data() + p * keys;
+    const PredictionRing::Slot* ring = ring_.slots(static_cast<int>(p));
+    const auto horizon = static_cast<std::size_t>(ring_.horizon());
+    // Δt ascending, so each key accumulates in the definitional order.
+    std::size_t r = ring_.RingIndex(now + 1);
+    for (Time dt = 1; dt <= last_dt;
+         ++dt, r = r + 1 == horizon ? 0 : r + 1) {
+      const PredictionRing::Slot& slot = ring[r];
+      const Value lo = std::max(slot.lo, min_value_);
+      const Value hi = std::min(slot.hi, max_value_);
+      if (lo > hi) continue;  // Also every empty pmf (hi < lo).
+      std::size_t begin;
+      std::size_t end;
+      if (dense_) {
+        begin = value_start_[static_cast<std::size_t>(lo - min_value_)];
+        end = value_start_[static_cast<std::size_t>(hi - min_value_) + 1];
+      } else {
+        begin = static_cast<std::size_t>(
+            std::lower_bound(values, values + keys, lo) - values);
+        end = static_cast<std::size_t>(
+            std::upper_bound(values, values + keys, hi) - values);
+      }
+      const double l = life[dt - 1];
+      for (std::size_t k = begin; k < end; ++k) {
+        if (dt <= max_dts[k]) {
+          sums[k] += slot.masses[values[k] - slot.lo] * l;
+        }
+      }
+    }
+  }
 }
 
 std::vector<TupleId> MultiHeebPolicy::SelectRetained(
     const MultiPolicyContext& ctx) {
-  // Predictive pmfs per stream for the current step, rebuilt in place.
-  RebuildPredictions(processes_, *ctx.histories, ctx.now, options_.horizon,
-                     &predictions_);
-  // L(1..horizon), built on first use rather than at construction, which
-  // callers pay per policy even when it never runs.
+  const int num_streams = simulator_->num_streams();
+  // Built on first use rather than at construction, which callers pay per
+  // policy even when it never runs.
   if (lifetime_table_.empty()) {
     lifetime_table_ = LifetimeTable(lifetime_, options_.horizon);
+    partner_joined_.assign(static_cast<std::size_t>(num_streams), 0);
+    for (int s = 0; s < num_streams; ++s) {
+      for (int p : simulator_->PartnersOf(s)) {
+        partner_joined_[static_cast<std::size_t>(p)] = 1;
+      }
+    }
   }
-  ScoreMemo* memo = options_.use_score_cache ? &memo_ : nullptr;
-  if (memo != nullptr) memo->BeginStep();
+  ring_.Advance(processes_, *ctx.histories, ctx.now);
 
-  auto score = [&](const MultiTuple& tuple) {
+  // Lanes in scoring order: cached, then arrivals.
+  const std::size_t n = ctx.cached->size() + ctx.arrivals->size();
+  lane_values_.resize(n);
+  lane_max_dts_.resize(n);
+  lane_keys_.resize(n);
+  auto lane = [&ctx](std::size_t i) -> const MultiTuple& {
+    const std::size_t cached = ctx.cached->size();
+    return i < cached ? (*ctx.cached)[i] : (*ctx.arrivals)[i - cached];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const MultiTuple& tuple = lane(i);
     Time max_dt = options_.horizon;
     if (ctx.window.has_value()) {
       max_dt = std::min(max_dt, tuple.arrival + *ctx.window - ctx.now);
     }
+    lane_values_[i] = tuple.value;
+    lane_max_dts_[i] = max_dt;
+  }
+  BuildKeys(ctx);
+  ScoreKeys(ctx.now);
+
+  // Appendix C: a candidate's score sums its partners' subtotals in
+  // PartnersOf order.
+  const std::size_t keys = key_values_.size();
+  const bool count = options_.use_score_cache;
+  if (count) served_.assign(partner_joined_.size() * keys, 0);
+  ranked_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const MultiTuple& tuple = lane(i);
     double h = 0.0;
-    // Appendix C: sum the binary HEEB over all partner streams. Each
-    // partner's inner sum goes through a subtotal so the memoized and
-    // from-scratch paths round identically.
-    for (int partner : simulator_->PartnersOf(tuple.stream)) {
-      double subtotal = 0.0;
-      if (memo == nullptr ||
-          !memo->Lookup(partner, tuple.value, max_dt, &subtotal)) {
-        const auto& preds = predictions_[static_cast<std::size_t>(partner)];
-        for (Time dt = 1; dt <= max_dt; ++dt) {
-          const std::size_t k = static_cast<std::size_t>(dt - 1);
-          subtotal += preds[k].Prob(tuple.value) * lifetime_table_[k];
-        }
-        if (memo != nullptr) {
-          memo->Store(partner, tuple.value, max_dt, subtotal);
-        }
+    for (int p : simulator_->PartnersOf(tuple.stream)) {
+      const std::size_t at =
+          static_cast<std::size_t>(p) * keys + lane_keys_[i];
+      h += key_sums_[at];
+      if (count) {
+        ++(served_[at] != 0 ? stats_.hits : stats_.misses);
+        served_[at] = 1;
       }
-      h += subtotal;
     }
     if (score_observer_) score_observer_(tuple, h);
-    return h;
-  };
-
-  std::vector<RankedTuple> ranked;
-  ranked.reserve(ctx.cached->size() + ctx.arrivals->size());
-  for (const MultiTuple& tuple : *ctx.cached) {
-    ranked.push_back({score(tuple), tuple.arrival, tuple.id});
+    ranked_.push_back({h, tuple.arrival, tuple.id});
   }
-  for (const MultiTuple& tuple : *ctx.arrivals) {
-    ranked.push_back({score(tuple), tuple.arrival, tuple.id});
-  }
-  return KeepBestRanked(std::move(ranked), ctx.capacity);
+  const std::size_t keep = std::min(ctx.capacity, n);
+  RankTopK(ranked_.data(), n, keep, RankedTupleBetter);
+  std::vector<TupleId> retained;
+  retained.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) retained.push_back(ranked_[i].id);
+  return retained;
 }
 
 std::vector<TupleId> MultiRandomPolicy::SelectRetained(

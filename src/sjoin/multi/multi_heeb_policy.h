@@ -1,12 +1,14 @@
 #ifndef SJOIN_MULTI_MULTI_HEEB_POLICY_H_
 #define SJOIN_MULTI_MULTI_HEEB_POLICY_H_
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/rng.h"
 #include "sjoin/core/lifetime_fn.h"
+#include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/multi/multi_join_simulator.h"
 #include "sjoin/stochastic/process.h"
@@ -17,10 +19,30 @@
 /// HEEB terms,
 ///   H_x = Σ_{p ∈ partners(stream(x))} Σ_{Δt} Pr{X^p_{t0+Δt} = v_x} L(Δt).
 ///
-/// Scoring accumulates each partner's inner sum into a subtotal and adds
-/// the subtotals in partner order, so the subtotal for a (partner, value)
-/// pair can be memoized per step (engine/score_memo.h) without changing a
-/// single bit of any score — Options::use_score_cache turns that on.
+/// A step pays only for what changed since the last one:
+///
+/// * Partner predictions live in a PredictionRing (engine/score_memo.h):
+///   history-independent streams predict one new time per step, dependent
+///   streams re-predict the horizon.
+/// * Scoring is one batched, support-bounded kernel. A partner's inner sum
+///   depends only on the key (value, max Δt), where max Δt is the horizon
+///   cut by the candidate's remaining window. The candidates are sorted
+///   once by key (a counting sort over the narrow band candidate values
+///   drift in, a comparison sort when the band is wide) and the distinct
+///   keys kept. Each joined partner walks Δt in ascending order adding
+///   masses[v − lo]·L(Δt) only to the keys inside that pmf's [lo, hi] with
+///   Δt ≤ max Δt, so each (partner, key) subtotal is computed once. A
+///   candidate's score is then the sum of its partners' subtotals in
+///   PartnersOf order.
+/// * Selection is RankTopK (engine/ranked_select.h) over the cached run,
+///   which the engine keeps in last step's rank order, plus the arrivals.
+///
+/// Exactness: each subtotal adds the same products in the same Δt order as
+/// the definitional loop Σ_Δt Prob(v)·L(Δt), minus the terms whose
+/// probability is outside the pmf's support — those add exactly +0.0, the
+/// argument CachingHeebBatch (core/heeb.h) documents — so every score is
+/// bit-identical to a from-scratch evaluation (testing/naive_multi_heeb.h
+/// is the oracle).
 
 namespace sjoin {
 
@@ -30,8 +52,8 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   struct Options {
     double alpha = 10.0;
     Time horizon = 100;
-    /// Memoize per-(partner, value) score subtotals for the step
-    /// (bit-identical scores either way; see file comment).
+    /// The kernel always computes each (partner, value, max Δt) subtotal
+    /// once; this only turns on score_cache_stats() accounting.
     bool use_score_cache = false;
   };
 
@@ -46,8 +68,11 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
 
   const char* name() const override { return "MULTI-HEEB"; }
 
-  /// Hit/miss accounting of the score memo (zero when disabled).
-  const ScoreMemo::Stats& score_cache_stats() const { return memo_.stats(); }
+  /// Key-sharing accounting when Options::use_score_cache is set (zero
+  /// otherwise): misses are the distinct (partner, key) subtotals the
+  /// candidates read, hits the (candidate, partner) lanes served by a
+  /// subtotal another lane already read.
+  const ScoreMemo::Stats& score_cache_stats() const { return stats_; }
 
   /// Verification hook mirroring ScoredPolicy::set_score_observer: when
   /// set, receives every candidate's score as SelectRetained computes it,
@@ -58,6 +83,12 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   }
 
  private:
+  /// Sorts this step's lanes by key and fills the distinct keys, each
+  /// lane's key, and the value -> first-key index.
+  void BuildKeys(const MultiPolicyContext& ctx);
+  /// key_sums_[p * keys + k] = partner p's subtotal for key k.
+  void ScoreKeys(Time now);
+
   std::vector<const StochasticProcess*> processes_;
   const MultiJoinSimulator* simulator_;
   Options options_;
@@ -65,11 +96,32 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   // lifetime_.At(dt) for dt = 1..horizon (LifetimeTable); filled by the
   // first SelectRetained.
   std::vector<double> lifetime_table_;
-  // Per-step predictive pmfs, [stream][dt-1]; kept as a member and
-  // overwritten in place so the per-step rebuild does not allocate.
-  std::vector<std::vector<DiscreteDistribution>> predictions_;
-  ScoreMemo memo_;
+  PredictionRing ring_;
+  ScoreMemo::Stats stats_;
   ScoreObserver score_observer_;
+  // [p] = 1 when some stream joins with p; filled by the first
+  // SelectRetained.
+  std::vector<unsigned char> partner_joined_;
+
+  // Per-step scratch, reused so the steady state allocates nothing.
+  // Lanes are the candidates in scoring order (cached, then arrivals).
+  std::vector<Value> lane_values_;
+  std::vector<Time> lane_max_dts_;
+  std::vector<std::uint32_t> lane_keys_;
+  std::vector<std::uint32_t> order_;
+  // Distinct (value, max_dt) keys, sorted.
+  std::vector<Value> key_values_;
+  std::vector<Time> key_max_dts_;
+  std::vector<double> key_sums_;
+  // When dense_: value_start_[v - min_value_] is the first key whose value
+  // is >= v, for v in [min_value_, max_value_ + 1].
+  bool dense_ = false;
+  Value min_value_ = 0;
+  Value max_value_ = 0;
+  std::vector<std::uint32_t> value_start_;
+  // score_cache_stats() bookkeeping: (partner, key) pairs already served.
+  std::vector<unsigned char> served_;
+  std::vector<RankedTuple> ranked_;
 };
 
 /// Random eviction baseline for the multi-join problem.

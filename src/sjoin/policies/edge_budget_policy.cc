@@ -13,14 +13,14 @@ EdgeBudgetPolicy::EdgeBudgetPolicy(
     : processes_(processes),
       topology_(topology),
       options_(options),
-      lifetime_(options.alpha) {
+      lifetime_(options.alpha),
+      ring_(options.horizon) {
   SJOIN_CHECK(topology != nullptr);
   SJOIN_CHECK_EQ(static_cast<int>(processes_.size()),
                  topology_->num_streams());
   for (const StochasticProcess* process : processes_) {
     SJOIN_CHECK(process != nullptr);
   }
-  SJOIN_CHECK_GE(options_.horizon, 1);
   SJOIN_CHECK_GE(options_.realloc_interval, 1);
   SJOIN_CHECK(options_.decay > 0.0 && options_.decay <= 1.0);
 }
@@ -32,6 +32,7 @@ void EdgeBudgetPolicy::Reset() {
   budgets_.clear();  // Re-apportioned on the first step.
   realloc_checkpoints_ = 0;
   memo_.Reset(topology_->num_streams());
+  ring_.Reset();
   edge_ranked_.assign(edges, {});
 }
 
@@ -71,16 +72,14 @@ void EdgeBudgetPolicy::Apportion(std::size_t total,
   }
 }
 
-double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value,
+double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value, Time now,
                                          Time max_dt, ScoreMemo* memo) {
   double subtotal = 0.0;
   if (memo != nullptr && memo->Lookup(partner, value, max_dt, &subtotal)) {
     return subtotal;
   }
-  const auto& preds = predictions_[static_cast<std::size_t>(partner)];
   for (Time dt = 1; dt <= max_dt; ++dt) {
-    subtotal += preds[static_cast<std::size_t>(dt - 1)].Prob(value) *
-                lifetime_.At(dt);
+    subtotal += ring_.pmf(partner, now + dt).Prob(value) * lifetime_.At(dt);
   }
   if (memo != nullptr) memo->Store(partner, value, max_dt, subtotal);
   return subtotal;
@@ -89,8 +88,7 @@ double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value,
 std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
     const EngineContext& ctx) {
   const auto& edges = topology_->join_edges();
-  RebuildPredictions(processes_, *ctx.histories, ctx.now, options_.horizon,
-                     &predictions_);
+  ring_.Advance(processes_, *ctx.histories, ctx.now);
   ScoreMemo* memo = options_.use_score_cache ? &memo_ : nullptr;
   if (memo != nullptr) memo->BeginStep();
 
@@ -132,7 +130,8 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
         continue;
       }
       incident = true;
-      double h = PartnerSubtotal(partner, tuple.value, max_dt, memo);
+      double h =
+          PartnerSubtotal(partner, tuple.value, ctx.now, max_dt, memo);
       window_mass_[e] += h;
       edge_ranked_[e].push_back({h, tuple.arrival, tuple.id});
       total_score += h;
@@ -152,7 +151,8 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
   // from rank_order.h, so the retained set is a total function of the
   // scores.
   const auto better = RankedTupleBetter;
-  claimed_.clear();
+  claimed_.Reserve(ctx.cached->size() + ctx.arrivals->size());
+  claimed_.Reset();
   std::vector<TupleId> retained;
   retained.reserve(ctx.capacity);
   for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -161,7 +161,7 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
     std::size_t taken = 0;
     for (const RankedTuple& entry : ranked) {
       if (taken >= budgets_[e] || retained.size() >= ctx.capacity) break;
-      if (!claimed_.insert(entry.id).second) continue;
+      if (!claimed_.Insert(entry.id, 0)) continue;
       retained.push_back(entry.id);
       ++taken;
     }
@@ -169,7 +169,7 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
   std::sort(total_ranked_.begin(), total_ranked_.end(), better);
   for (const RankedTuple& entry : total_ranked_) {
     if (retained.size() >= ctx.capacity) break;
-    if (!claimed_.insert(entry.id).second) continue;
+    if (!claimed_.Insert(entry.id, 0)) continue;
     retained.push_back(entry.id);
   }
   return retained;

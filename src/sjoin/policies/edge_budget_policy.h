@@ -2,10 +2,10 @@
 #define SJOIN_POLICIES_EDGE_BUDGET_POLICY_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
+#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/engine/stream_engine.h"
@@ -22,11 +22,11 @@
 /// The per-edge score of a tuple x on edge e = (a, b) is exactly the
 /// binary HEEB term against the opposite stream, Σ_Δt Pr{X^p = v_x} L(Δt)
 /// — the same per-partner subtotal MultiHeebPolicy computes, so the two
-/// policies share the ScoreMemo machinery. Budgets follow a deterministic
-/// reallocation schedule: every `realloc_interval` steps the per-edge
-/// benefit mass accumulated since the last checkpoint is folded into a
-/// decayed counter and k is re-apportioned by largest remainder (ties on
-/// the edge index). Between checkpoints budgets are frozen, so — like the
+/// policies share the PredictionRing and ScoreMemo machinery. Budgets
+/// follow a deterministic reallocation schedule: every `realloc_interval`
+/// steps the per-edge benefit mass accumulated since the last checkpoint
+/// is folded into a decayed counter and k is re-apportioned by largest
+/// remainder (ties on the edge index). Between checkpoints budgets are frozen, so — like the
 /// probe planner and the PR 7 rebalancer — the whole schedule is a pure
 /// function of the observed prefix of the run and replays identically.
 
@@ -71,7 +71,7 @@ class EdgeBudgetPolicy final : public EnginePolicy {
                         std::vector<std::size_t>* out);
 
   /// The binary HEEB subtotal of `value` against `partner`, memoized.
-  double PartnerSubtotal(int partner, Value value, Time max_dt,
+  double PartnerSubtotal(int partner, Value value, Time now, Time max_dt,
                          ScoreMemo* memo);
 
   std::vector<const StochasticProcess*> processes_;
@@ -79,7 +79,7 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   Options options_;
   ExpLifetime lifetime_;
 
-  std::vector<std::vector<DiscreteDistribution>> predictions_;
+  PredictionRing ring_;
   ScoreMemo memo_;
 
   /// Benefit mass per edge: decayed history + the current window.
@@ -91,7 +91,7 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   // Per-step scratch, hoisted.
   std::vector<std::vector<RankedTuple>> edge_ranked_;
   std::vector<RankedTuple> total_ranked_;
-  std::unordered_set<TupleId> claimed_;
+  LaneTable<TupleId> claimed_;
 };
 
 }  // namespace sjoin

@@ -45,6 +45,7 @@
 #include "sjoin/testing/brute_force_flow.h"
 #include "sjoin/testing/brute_force_opt.h"
 #include "sjoin/testing/naive_flow_expect.h"
+#include "sjoin/testing/naive_multi_heeb.h"
 #include "sjoin/testing/naive_reference.h"
 #include "sjoin/testing/naive_simulator.h"
 #include "sjoin/testing/scenario_generator.h"
@@ -1727,6 +1728,160 @@ std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
+// Suite 10b: multi_heeb — MultiHeebPolicy (prediction ring, batched
+// support-bounded kernel, RankTopK selection) against the definitional
+// NaiveMultiHeebPolicy on 5-way star, 3-way chain and triangle topologies,
+// with and without sliding windows (small windows give cached tuples
+// max Δt <= 0), over a mix of history-independent processes (trend,
+// seasonal, stationary, scripted with empty tail predictions, regime
+// switching, and sometimes a steep trend whose values spread wide) and
+// history-dependent ones (random walk, AR(1)). Every score
+// must match bit for bit in observer order, and so must the full per-step
+// trace; a rerun (Run resets the policy) must replay both.
+
+std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed) {
+  Rng aux(seed ^ kAuxSalt);
+  const int shape = static_cast<int>(seed % 3);
+  const int n = shape == 0 ? 5 : 3;
+  const std::vector<std::pair<int, int>> edges =
+      shape == 0   ? std::vector<std::pair<int, int>>{{0, 1},
+                                                      {0, 2},
+                                                      {0, 3},
+                                                      {0, 4}}
+      : shape == 1 ? std::vector<std::pair<int, int>>{{0, 1}, {1, 2}}
+                   : std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {0, 2}};
+  const Time len = aux.UniformInt(24, 72);
+  const auto capacity = static_cast<std::size_t>(aux.UniformInt(1, 12));
+  std::optional<Time> window;
+  const double window_draw = aux.UniformReal();
+  if (window_draw < 0.35) {
+    window = aux.UniformInt(0, 4);
+  } else if (window_draw < 0.65) {
+    window = aux.UniformInt(5, 30);
+  }
+  const Time warmup = aux.UniformInt(0, 8);
+  const double alpha = 2.0 + aux.UniformInt(0, 14);
+  const Time horizon = aux.UniformInt(1, 30);
+  const bool count_keys = aux.UniformReal() < 0.5;
+
+  // One process per stream, drawn from the scenario generator's pools
+  // (kAny: stationary / trend / seasonal / scripted / walk / AR(1);
+  // kSkewed: Zipf / bursty / regime switching).
+  std::vector<std::unique_ptr<StochasticProcess>> owned;
+  std::vector<const StochasticProcess*> processes;
+  std::vector<std::vector<Value>> streams;
+  std::vector<const std::vector<Value>*> stream_ptrs;
+  std::ostringstream kinds;
+  Rng realization_rng(seed ^ kRealizationSalt);
+  for (int s = 0; s < n; ++s) {
+    ScenarioGenerator::Options gen_options;
+    gen_options.pool = aux.UniformReal() < 0.2
+                           ? ScenarioGenerator::Pool::kSkewed
+                           : ScenarioGenerator::Pool::kAny;
+    gen_options.min_length = len;
+    gen_options.max_length = len;
+    Scenario scenario = ScenarioGenerator(gen_options)
+                            .Sample(seed * 8 + static_cast<std::uint64_t>(s));
+    if (s == 0 && aux.UniformReal() < 0.15) {
+      // A steep trend spreads the cached values over far more integers
+      // than there are candidates, which takes the kernel's comparison
+      // sort instead of its counting sort.
+      scenario.r_process = std::make_unique<LinearTrendProcess>(
+          static_cast<double>(aux.UniformInt(20, 60)), 0.0,
+          DiscreteDistribution::BoundedUniform(-2, 2));
+      scenario.description = "steep";
+    }
+    kinds << (s == 0 ? "" : "/")
+          << scenario.description.substr(0, scenario.description.find('/'));
+    owned.push_back(std::move(scenario.r_process));
+    processes.push_back(owned.back().get());
+    streams.push_back(SampleStream(*owned.back(), len, realization_rng));
+  }
+  for (const auto& stream : streams) stream_ptrs.push_back(&stream);
+
+  std::ostringstream context;
+  context << (shape == 0 ? "star5" : shape == 1 ? "chain3" : "triangle")
+          << " [" << kinds.str() << "] len=" << len << " k=" << capacity
+          << " window=" << (window.has_value() ? *window : -1)
+          << " alpha=" << alpha << " horizon=" << horizon;
+
+  const MultiJoinSimulator facade(
+      n, edges, {.capacity = capacity, .warmup = warmup, .window = window});
+  MultiHeebPolicy optimized(processes, &facade,
+                            {.alpha = alpha,
+                             .horizon = horizon,
+                             .use_score_cache = count_keys});
+  NaiveMultiHeebPolicy naive(processes, &facade.topology(), alpha, horizon);
+  using Scores = std::vector<std::pair<TupleId, double>>;
+  Scores naive_scores;
+  Scores scores;
+  naive.set_score_observer([&](const StreamTuple& tuple, double score) {
+    naive_scores.emplace_back(tuple.id, score);
+  });
+  optimized.set_score_observer([&](const StreamTuple& tuple, double score) {
+    scores.emplace_back(tuple.id, score);
+  });
+
+  StreamEngine engine(facade.topology(), {.capacity = capacity,
+                                          .warmup = warmup,
+                                          .window = window});
+  EngineTraceObserver naive_trace;
+  const EngineRunResult naive_run =
+      engine.Run(stream_ptrs, naive, {&naive_trace});
+
+  auto check = [&](const std::string& label) -> std::optional<std::string> {
+    EngineTraceObserver trace;
+    scores.clear();
+    const EngineRunResult run = engine.Run(stream_ptrs, optimized, {&trace});
+    for (std::size_t i = 0; i < scores.size() && i < naive_scores.size();
+         ++i) {
+      if (scores[i] != naive_scores[i]) {
+        std::ostringstream out;
+        out.precision(17);
+        out << context.str() << " [" << label << "]: score " << i
+            << " diverges (naive id " << naive_scores[i].first << " -> "
+            << naive_scores[i].second << ", optimized id " << scores[i].first
+            << " -> " << scores[i].second << ")";
+        return out.str();
+      }
+    }
+    if (scores.size() != naive_scores.size()) {
+      return context.str() + " [" + label + "]: score counts diverge";
+    }
+    if (run.total_results != naive_run.total_results ||
+        run.counted_results != naive_run.counted_results) {
+      return context.str() + " [" + label + "]: result counts diverge";
+    }
+    return CompareEngineTraces(context.str() + " [" + label + "]",
+                               naive_trace, trace);
+  };
+  if (auto mismatch = check("first run")) return mismatch;
+  const ScoreMemo::Stats first_stats = optimized.score_cache_stats();
+  if (count_keys && !scores.empty() &&
+      first_stats.misses <= 0) {
+    return context.str() + ": key accounting reported no computed keys";
+  }
+  // Run resets the policy (ring, statistics); the rerun must replay the
+  // first run exactly.
+  if (auto mismatch = check("rerun")) return mismatch;
+  const ScoreMemo::Stats rerun_stats = optimized.score_cache_stats();
+  if (rerun_stats.hits != first_stats.hits ||
+      rerun_stats.misses != first_stats.misses) {
+    return context.str() + ": key accounting diverges across reruns";
+  }
+
+  if (DiffMulti()) {
+    // Façade rerun: MultiJoinSimulator adds nothing but plumbing.
+    const MultiJoinRunResult facade_run = facade.Run(streams, optimized);
+    if (facade_run.counted_results != naive_run.counted_results ||
+        facade_run.total_results != naive_run.total_results) {
+      return context.str() + ": facade rerun diverges from the oracle";
+    }
+  }
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
 // Suite 11: serve_scheduler — N concurrent sessions multiplexed through a
 // serve::SessionScheduler (seed-rotated WRR quotas, weights and worker
 // counts, randomly chunked arrival interleavings, and sometimes a tight
@@ -2222,6 +2377,13 @@ const std::vector<DifferentialSuite>& Registry() {
        "fixed-order engine, bit for bit, score memo off and on, plus rerun "
        "determinism of the planner statistics",
        1000, &MultiPlannerTrial},
+      {"multi_heeb",
+       "MultiHeebPolicy (prediction ring, support-bounded key kernel, "
+       "RankTopK) vs the definitional NaiveMultiHeebPolicy on star / chain "
+       "/ triangle topologies x independent and history-dependent "
+       "processes x windows: every score and the full trace bit for bit, "
+       "plus rerun replay",
+       1000, &MultiHeebOracleTrial},
       {"serve_scheduler",
        "N sessions multiplexed through a serve::SessionScheduler (random "
        "quotas, weights, worker counts, chunked interleavings, watermark "

@@ -5,7 +5,9 @@
 // topologies, bit for bit on full per-step traces, plus rerun determinism
 // of the planner statistics. (The SJOIN_DIFF_MULTI env hook additionally
 // reruns each trial through the MultiJoinSimulator façade and the sharded
-// engine's serial fallback; CI's TSan job runs with it set.)
+// engine's serial fallback; CI's TSan job runs with it set.) A second suite
+// checks MultiHeebPolicy against the definitional naive MULTI-HEEB oracle,
+// score by score.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,14 @@ namespace {
 
 TEST(DifferentialMultiTest, PlannedMultiWayRunsMatchNaiveBitForBit) {
   const DifferentialSuite* suite = FindDifferentialSuite("multi_planner");
+  ASSERT_NE(suite, nullptr);
+  DifferentialReport report = RunDifferentialSuite(
+      *suite, kDifferentialBaseSeed, TrialCountFromEnv(suite->default_trials));
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(DifferentialMultiTest, MultiHeebMatchesNaiveOracleBitForBit) {
+  const DifferentialSuite* suite = FindDifferentialSuite("multi_heeb");
   ASSERT_NE(suite, nullptr);
   DifferentialReport report = RunDifferentialSuite(
       *suite, kDifferentialBaseSeed, TrialCountFromEnv(suite->default_trials));
