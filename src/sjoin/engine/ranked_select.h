@@ -21,9 +21,15 @@
 /// step's arrivals. When scores move little between steps that run is
 /// nearly sorted, and an insertion pass ranks it in about one comparison
 /// per candidate plus one shift per position an arrival (or a reordered
-/// cached tuple) travels. RankTopK runs that pass first and falls back to
-/// nth_element + prefix sort once the shifts exceed a linear budget, so
-/// the worst case stays O(n + k log k) beyond the wasted budget.
+/// cached tuple) travels. RankTopK decides from the input before it spends
+/// anything on that pass: a pre-scan counts descents (adjacent pairs out
+/// of order). A nearly sorted run has a few, the arrivals plus the cached
+/// tuples that swapped; random scores (RAND, CACHE-RAND) have about n/2.
+/// Past RankTopKDescentLimit the pre-scan stops and the candidates go
+/// straight to nth_element + prefix sort. Few descents can still hide long
+/// travel (two interleaved sorted runs have one), so the insertion pass
+/// also falls back once its shifts exceed a linear budget; the worst case
+/// stays O(n + k log k) beyond that budget.
 ///
 /// Exactness: under a strict total order the best `keep` candidates, in
 /// order, are unique. Both paths produce that prefix, so the result is a
@@ -36,11 +42,18 @@ namespace sjoin {
 /// star step with 100 cached tuples and 5 arrivals needs ~500.
 constexpr std::size_t RankTopKMoveBudget(std::size_t n) { return 8 * n + 64; }
 
+/// Descents RankTopK's pre-scan tolerates over `n` candidates before it
+/// skips the insertion pass. Measured at perf_smoke defaults, the nearly
+/// sorted sites average at most 11 descents per call at n = 52 and 9 at
+/// n = 104, while random scores average n/2.
+constexpr std::size_t RankTopKDescentLimit(std::size_t n) { return n / 4 + 8; }
+
 /// Puts the best min(keep, n) of data[0, n) under `better` (a strict total
 /// order) into data[0, keep), ranked best first; the rest of the range is
-/// left in unspecified order. Returns true when the insertion pass
-/// finished within RankTopKMoveBudget(n), false when it fell back to
-/// nth_element + prefix sort (tests use this to reach both paths).
+/// left in unspecified order. Returns true when the insertion pass ran and
+/// finished within RankTopKMoveBudget(n), false when the pre-scan or the
+/// budget sent it to nth_element + prefix sort (tests use this to reach
+/// every path).
 template <typename T, typename Better>
 bool RankTopK(T* data, std::size_t n, std::size_t keep, Better better) {
   keep = std::min(keep, n);
@@ -53,9 +66,16 @@ bool RankTopK(T* data, std::size_t n, std::size_t keep, Better better) {
     }
     std::sort(reference.begin(), reference.begin() + keep, better);
   }
+  // Pre-scan, stopping as soon as the descents pass the limit.
+  const std::size_t descent_limit = RankTopKDescentLimit(n);
+  std::size_t descents = 0;
+  for (std::size_t i = 1; i < n && keep > 0 && descents <= descent_limit;
+       ++i) {
+    if (better(data[i], data[i - 1])) ++descents;
+  }
   const std::size_t budget = RankTopKMoveBudget(n);
   std::size_t moves = 0;
-  bool within_budget = true;
+  bool within_budget = descents <= descent_limit;
   // The sorted prefix grows to `keep` entries; after that, a candidate
   // enters only when it beats the current k-th, which it displaces into
   // the candidate's old slot. A nearly sorted run moves its entries a few

@@ -27,64 +27,22 @@ void MultiHeebPolicy::Reset() {
   stats_ = ScoreMemo::Stats();
 }
 
-void MultiHeebPolicy::BuildKeys(const MultiPolicyContext& ctx) {
+void MultiHeebPolicy::BuildKeys() {
   const std::size_t n = lane_values_.size();
+  order_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order_[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(order_.begin(), order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              if (lane_values_[a] != lane_values_[b]) {
+                return lane_values_[a] < lane_values_[b];
+              }
+              return lane_max_dts_[a] < lane_max_dts_[b];
+            });
+  // Distinct keys in (value, max_dt) order, and each lane's key.
   key_values_.clear();
   key_max_dts_.clear();
-  if (n == 0) {
-    dense_ = false;
-    return;
-  }
-  const auto [min_it, max_it] =
-      std::minmax_element(lane_values_.begin(), lane_values_.end());
-  min_value_ = *min_it;
-  max_value_ = *max_it;
-  // Lane order by (value, max_dt). Candidate values drift in a narrow
-  // band, so a counting sort over the value range usually applies; a wide
-  // range falls back to a comparison sort.
-  const std::uint64_t span = static_cast<std::uint64_t>(max_value_) -
-                             static_cast<std::uint64_t>(min_value_);
-  dense_ = span < 4 * n + 64;
-  order_.resize(n);
-  if (dense_) {
-    value_start_.assign(static_cast<std::size_t>(span) + 2, 0);
-    for (Value v : lane_values_) {
-      ++value_start_[static_cast<std::size_t>(v - min_value_) + 1];
-    }
-    for (std::size_t r = 1; r < value_start_.size(); ++r) {
-      value_start_[r] += value_start_[r - 1];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      order_[value_start_[static_cast<std::size_t>(lane_values_[i] -
-                                                   min_value_)]++] =
-          static_cast<std::uint32_t>(i);
-    }
-    // Within one value, order by max_dt (all equal without a window).
-    if (ctx.window.has_value()) {
-      for (std::size_t i = 1; i < n; ++i) {
-        const std::uint32_t lane = order_[i];
-        std::size_t j = i;
-        while (j > 0 && lane_values_[order_[j - 1]] == lane_values_[lane] &&
-               lane_max_dts_[order_[j - 1]] > lane_max_dts_[lane]) {
-          order_[j] = order_[j - 1];
-          --j;
-        }
-        order_[j] = lane;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      order_[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(order_.begin(), order_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (lane_values_[a] != lane_values_[b]) {
-                  return lane_values_[a] < lane_values_[b];
-                }
-                return lane_max_dts_[a] < lane_max_dts_[b];
-              });
-  }
-  // Distinct keys in (value, max_dt) order, and each lane's key.
   for (std::uint32_t lane : order_) {
     if (key_values_.empty() || key_values_.back() != lane_values_[lane] ||
         key_max_dts_.back() != lane_max_dts_[lane]) {
@@ -92,17 +50,6 @@ void MultiHeebPolicy::BuildKeys(const MultiPolicyContext& ctx) {
       key_max_dts_.push_back(lane_max_dts_[lane]);
     }
     lane_keys_[lane] = static_cast<std::uint32_t>(key_values_.size() - 1);
-  }
-  // Dense index: value_start_[v - min_value_] = first key with value >= v.
-  if (dense_) {
-    std::size_t k = 0;
-    for (std::size_t r = 0; r < value_start_.size(); ++r) {
-      while (k < key_values_.size() &&
-             key_values_[k] < min_value_ + static_cast<Value>(r)) {
-        ++k;
-      }
-      value_start_[r] = static_cast<std::uint32_t>(k);
-    }
   }
 }
 
@@ -128,20 +75,12 @@ void MultiHeebPolicy::ScoreKeys(Time now) {
     for (Time dt = 1; dt <= last_dt;
          ++dt, r = r + 1 == horizon ? 0 : r + 1) {
       const PredictionRing::Slot& slot = ring[r];
-      const Value lo = std::max(slot.lo, min_value_);
-      const Value hi = std::min(slot.hi, max_value_);
-      if (lo > hi) continue;  // Also every empty pmf (hi < lo).
-      std::size_t begin;
-      std::size_t end;
-      if (dense_) {
-        begin = value_start_[static_cast<std::size_t>(lo - min_value_)];
-        end = value_start_[static_cast<std::size_t>(hi - min_value_) + 1];
-      } else {
-        begin = static_cast<std::size_t>(
-            std::lower_bound(values, values + keys, lo) - values);
-        end = static_cast<std::size_t>(
-            std::upper_bound(values, values + keys, hi) - values);
-      }
+      // Keys whose value lies in the pmf's support; an empty pmf
+      // (hi < lo) selects none.
+      const auto begin = static_cast<std::size_t>(
+          std::lower_bound(values, values + keys, slot.lo) - values);
+      const auto end = static_cast<std::size_t>(
+          std::upper_bound(values + begin, values + keys, slot.hi) - values);
       const double l = life[dt - 1];
       for (std::size_t k = begin; k < end; ++k) {
         if (dt <= max_dts[k]) {
@@ -186,7 +125,7 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
     lane_values_[i] = tuple.value;
     lane_max_dts_[i] = max_dt;
   }
-  BuildKeys(ctx);
+  BuildKeys();
   ScoreKeys(ctx.now);
 
   // Appendix C: a candidate's score sums its partners' subtotals in

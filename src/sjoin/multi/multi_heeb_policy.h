@@ -27,11 +27,10 @@
 /// * Scoring is one batched, support-bounded kernel. A partner's inner sum
 ///   depends only on the key (value, max Δt), where max Δt is the horizon
 ///   cut by the candidate's remaining window. The candidates are sorted
-///   once by key (a counting sort over the narrow band candidate values
-///   drift in, a comparison sort when the band is wide) and the distinct
-///   keys kept. Each joined partner walks Δt in ascending order adding
-///   masses[v − lo]·L(Δt) only to the keys inside that pmf's [lo, hi] with
-///   Δt ≤ max Δt, so each (partner, key) subtotal is computed once. A
+///   once by key and the distinct keys kept. Each joined partner walks Δt
+///   in ascending order, binary-searches the keys inside that pmf's
+///   [lo, hi] and adds masses[v − lo]·L(Δt) to those with Δt ≤ max Δt,
+///   so each (partner, key) subtotal is computed once. A
 ///   candidate's score is then the sum of its partners' subtotals in
 ///   PartnersOf order.
 /// * Selection is RankTopK (engine/ranked_select.h) over the cached run,
@@ -83,9 +82,9 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   }
 
  private:
-  /// Sorts this step's lanes by key and fills the distinct keys, each
-  /// lane's key, and the value -> first-key index.
-  void BuildKeys(const MultiPolicyContext& ctx);
+  /// Sorts this step's lanes by key and fills the distinct keys and each
+  /// lane's key.
+  void BuildKeys();
   /// key_sums_[p * keys + k] = partner p's subtotal for key k.
   void ScoreKeys(Time now);
 
@@ -113,12 +112,6 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   std::vector<Value> key_values_;
   std::vector<Time> key_max_dts_;
   std::vector<double> key_sums_;
-  // When dense_: value_start_[v - min_value_] is the first key whose value
-  // is >= v, for v in [min_value_, max_value_ + 1].
-  bool dense_ = false;
-  Value min_value_ = 0;
-  Value max_value_ = 0;
-  std::vector<std::uint32_t> value_start_;
   // score_cache_stats() bookkeeping: (partner, key) pairs already served.
   std::vector<unsigned char> served_;
   std::vector<RankedTuple> ranked_;

@@ -13,7 +13,8 @@ EdgeBudgetPolicy::EdgeBudgetPolicy(
     : processes_(processes),
       topology_(topology),
       options_(options),
-      lifetime_(options.alpha),
+      lifetime_table_(LifetimeTable(ExpLifetime(options.alpha),
+                                    options.horizon)),
       ring_(options.horizon) {
   SJOIN_CHECK(topology != nullptr);
   SJOIN_CHECK_EQ(static_cast<int>(processes_.size()),
@@ -78,8 +79,17 @@ double EdgeBudgetPolicy::PartnerSubtotal(int partner, Value value, Time now,
   if (memo != nullptr && memo->Lookup(partner, value, max_dt, &subtotal)) {
     return subtotal;
   }
-  for (Time dt = 1; dt <= max_dt; ++dt) {
-    subtotal += ring_.pmf(partner, now + dt).Prob(value) * lifetime_.At(dt);
+  // Σ_Δt Pr{X^partner_{now+Δt} = value} L(Δt), walking the ring from
+  // now+1. A Δt whose pmf does not cover `value` adds exactly +0.0, so it
+  // is skipped.
+  const PredictionRing::Slot* ring = ring_.slots(partner);
+  const auto horizon = static_cast<std::size_t>(ring_.horizon());
+  std::size_t r = ring_.RingIndex(now + 1);
+  for (Time dt = 1; dt <= max_dt; ++dt, r = r + 1 == horizon ? 0 : r + 1) {
+    const PredictionRing::Slot& slot = ring[r];
+    if (value >= slot.lo && value <= slot.hi) {
+      subtotal += slot.masses[value - slot.lo] * lifetime_table_[dt - 1];
+    }
   }
   if (memo != nullptr) memo->Store(partner, value, max_dt, subtotal);
   return subtotal;
@@ -132,6 +142,7 @@ std::vector<TupleId> EdgeBudgetPolicy::SelectRetained(
       incident = true;
       double h =
           PartnerSubtotal(partner, tuple.value, ctx.now, max_dt, memo);
+      if (score_observer_) score_observer_(ctx, tuple, partner, h);
       window_mass_[e] += h;
       edge_ranked_[e].push_back({h, tuple.arrival, tuple.id});
       total_score += h;

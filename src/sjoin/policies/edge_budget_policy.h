@@ -2,6 +2,8 @@
 #define SJOIN_POLICIES_EDGE_BUDGET_POLICY_H_
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
@@ -63,6 +65,15 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   std::int64_t realloc_checkpoints() const { return realloc_checkpoints_; }
   const ScoreMemo::Stats& score_cache_stats() const { return memo_.stats(); }
 
+  /// Verification hook mirroring MultiHeebPolicy::set_score_observer: when
+  /// set, receives every per-edge subtotal (a candidate's binary HEEB term
+  /// against `partner`) as SelectRetained computes it.
+  using ScoreObserver = std::function<void(
+      const EngineContext&, const StreamTuple&, int partner, double)>;
+  void set_score_observer(ScoreObserver observer) {
+    score_observer_ = std::move(observer);
+  }
+
  private:
   /// Largest-remainder apportionment of `total` over `weights` (equal
   /// split, ties to lower indexes, when every weight is zero).
@@ -77,7 +88,8 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   std::vector<const StochasticProcess*> processes_;
   const StreamTopology* topology_;
   Options options_;
-  ExpLifetime lifetime_;
+  // L(dt) for dt = 1..horizon (LifetimeTable).
+  std::vector<double> lifetime_table_;
 
   PredictionRing ring_;
   ScoreMemo memo_;
@@ -92,6 +104,7 @@ class EdgeBudgetPolicy final : public EnginePolicy {
   std::vector<std::vector<RankedTuple>> edge_ranked_;
   std::vector<RankedTuple> total_ranked_;
   LaneTable<TupleId> claimed_;
+  ScoreObserver score_observer_;
 };
 
 }  // namespace sjoin

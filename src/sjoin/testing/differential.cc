@@ -1784,8 +1784,8 @@ std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed) {
                             .Sample(seed * 8 + static_cast<std::uint64_t>(s));
     if (s == 0 && aux.UniformReal() < 0.15) {
       // A steep trend spreads the cached values over far more integers
-      // than there are candidates, which takes the kernel's comparison
-      // sort instead of its counting sort.
+      // than there are candidates, so each pmf's support selects few
+      // keys or none.
       scenario.r_process = std::make_unique<LinearTrendProcess>(
           static_cast<double>(aux.UniformInt(20, 60)), 0.0,
           DiscreteDistribution::BoundedUniform(-2, 2));

@@ -17,6 +17,7 @@
 #include "sjoin/policies/edge_budget_policy.h"
 #include "sjoin/policies/opt_offline_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
+#include "sjoin/stochastic/random_walk_process.h"
 #include "sjoin/stochastic/stream_sampler.h"
 
 namespace sjoin {
@@ -472,6 +473,65 @@ TEST(EdgeBudgetPolicyTest, PlannerDoesNotChangeEdgeBudgetResults) {
                           {.alpha = 10.0, .horizon = 50});
   EXPECT_EQ(naive.Run(streams, policy).counted_results,
             planned.Run(streams, policy).counted_results);
+}
+
+TEST(EdgeBudgetPolicyTest, SubtotalsMatchTheDefinitionalSum) {
+  // Every per-edge subtotal must equal Σ_Δt Pr{X^p_{now+Δt} = v} L(Δt)
+  // from a fresh Predict() and L per term, bit for bit: trend partners
+  // reuse ring slots across steps, walk partners re-predict every step,
+  // and the window cuts max Δt below the horizon (to 0 near expiry).
+  Rng rng(218);
+  const auto noise = DiscreteDistribution::TruncatedDiscretizedNormal(
+      0.0, 2.0, -8, 8);
+  LinearTrendProcess center(1.0, 0.0, noise);
+  LinearTrendProcess trend(1.0, -1.0, noise);
+  RandomWalkProcess walk_a(DiscreteDistribution::BoundedUniform(-2, 2), 0);
+  RandomWalkProcess walk_b(DiscreteDistribution::BoundedUniform(-1, 1), 5);
+  LinearTrendProcess steep(3.0, 0.0, noise);
+  const std::vector<const StochasticProcess*> processes = {
+      &center, &trend, &walk_a, &walk_b, &steep};
+  std::vector<std::vector<Value>> streams;
+  for (const StochasticProcess* process : processes) {
+    streams.push_back(SampleRealization(*process, 160, rng));
+  }
+  constexpr double kAlpha = 6.0;
+  constexpr Time kHorizon = 25;
+  const ExpLifetime lifetime(kAlpha);
+  for (bool memoized : {false, true}) {
+    for (std::optional<Time> window : {std::optional<Time>(),
+                                       std::optional<Time>(12)}) {
+      MultiJoinSimulator sim(
+          5, StarEdges(), {.capacity = 7, .warmup = 10, .window = window});
+      EdgeBudgetPolicy policy(processes, &sim.topology(),
+                              {.alpha = kAlpha,
+                               .horizon = kHorizon,
+                               .realloc_interval = 16,
+                               .use_score_cache = memoized});
+      std::int64_t checked = 0;
+      policy.set_score_observer([&](const EngineContext& ctx,
+                                    const StreamTuple& tuple, int partner,
+                                    double subtotal) {
+        Time max_dt = kHorizon;
+        if (ctx.window.has_value()) {
+          max_dt = std::min(max_dt, tuple.arrival + *ctx.window - ctx.now);
+        }
+        const auto p = static_cast<std::size_t>(partner);
+        double expected = 0.0;
+        for (Time dt = 1; dt <= max_dt; ++dt) {
+          expected += processes[p]
+                          ->Predict((*ctx.histories)[p], ctx.now + dt)
+                          .Prob(tuple.value) *
+                      lifetime.At(dt);
+        }
+        EXPECT_EQ(subtotal, expected)
+            << "memo " << memoized << " now " << ctx.now << " stream "
+            << tuple.stream << " partner " << partner;
+        ++checked;
+      });
+      sim.Run(streams, policy);
+      EXPECT_GT(checked, 0);
+    }
+  }
 }
 
 TEST(EdgeBudgetPolicyTest, RetainsCompetitiveResultsOnSkewedStar) {

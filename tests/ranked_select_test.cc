@@ -1,7 +1,7 @@
 // RankTopK: the insertion-first top-k shared by every selection site
 // (ScoredPolicy, ScoredCachingPolicy, KeepBestRanked and the sharded
 // engine's runs), checked against nth_element + prefix sort on sorted,
-// nearly sorted, reversed and random inputs, on both of its paths.
+// nearly sorted, reversed, interleaved and random inputs, on every path.
 
 #include "sjoin/engine/ranked_select.h"
 
@@ -104,18 +104,37 @@ TEST(RankTopKTest, NearlySortedRunWithArrivalsStaysOnTheInsertionPath) {
 }
 
 TEST(RankTopKTest, ReversedInputFallsBackAndStillMatches) {
+  // n - 1 descents: the pre-scan skips the insertion pass for every keep.
   std::vector<RankedTuple> ranked = Sorted(300);
   std::reverse(ranked.begin(), ranked.end());
-  for (std::size_t keep : {299u, 300u}) {
+  for (std::size_t keep : {1u, 299u, 300u}) {
     std::vector<TupleId> ids;
     EXPECT_FALSE(RunTopK(ranked, keep, &ids)) << "keep " << keep;
     EXPECT_EQ(ids, ReferenceTopK(ranked, keep)) << "keep " << keep;
   }
-  // keep = 1: every candidate displaces the current best with one move,
-  // which the budget covers.
-  std::vector<TupleId> ids;
-  EXPECT_TRUE(RunTopK(ranked, 1, &ids));
-  EXPECT_EQ(ids, ReferenceTopK(ranked, 1));
+}
+
+TEST(RankTopKTest, FewDescentsWithLongTravelHitTheMoveBudget) {
+  // Two interleaved sorted runs: one descent, which the pre-scan lets
+  // through, but each entry of the second run travels about n/4 places,
+  // so the insertion pass exceeds its budget and falls back.
+  std::vector<RankedTuple> ranked;
+  const std::size_t half = 150;
+  for (std::size_t i = 0; i < half; ++i) {
+    ranked.push_back({static_cast<double>(2 * (half - i)), 0,
+                      static_cast<TupleId>(i)});
+  }
+  for (std::size_t i = 0; i < half; ++i) {
+    ranked.push_back({static_cast<double>(2 * (half - i)) - 1.0, 0,
+                      static_cast<TupleId>(half + i)});
+  }
+  for (std::size_t keep : {1u, 150u, 300u}) {
+    std::vector<TupleId> ids;
+    const bool insertion = RunTopK(ranked, keep, &ids);
+    EXPECT_EQ(ids, ReferenceTopK(ranked, keep)) << "keep " << keep;
+    // keep = 1 only compares each entry with the current best.
+    EXPECT_EQ(insertion, keep == 1) << "keep " << keep;
+  }
 }
 
 TEST(RankTopKTest, RandomInputForcesTheFallbackAndStillMatches) {
@@ -198,6 +217,10 @@ TEST(RankTopKTest, BudgetCoversAStarStepOfArrivals) {
   // Five arrivals each crossing a 105-candidate run.
   EXPECT_GE(RankTopKMoveBudget(105), 5u * 105u);
   EXPECT_EQ(RankTopKMoveBudget(0), 64u);
+  // The pre-scan lets through the descents such a step shows, and stops
+  // well short of the n/2 that random scores have.
+  EXPECT_GE(RankTopKDescentLimit(105), 5u + 9u);
+  EXPECT_LT(RankTopKDescentLimit(400), 400u / 2u - 60u);
 }
 
 TEST(RankTopKTest, KeepBestRankedReturnsTheRankedIds) {
