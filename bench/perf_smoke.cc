@@ -706,7 +706,8 @@ int main(int argc, char** argv) {
   // scored join row (HEEB-value-incr) and the two caching regimes
   // (CACHE-LRU via the reduction, CACHE-PROB via the joining-policy
   // route). threads = 1 is the inline path — those rows double as the
-  // matrix's serial baselines; threads > shards exercises idle workers.
+  // matrix's serial baselines; threads > shards is bounded to one
+  // worker per shard, so those rows repeat the threads = shards team.
   // shards = 1 always runs the plain serial engine (threads is moot), so
   // only its threads = 1 row is emitted. On single-core hosts every
   // thread count measures the same core, so a flat threads axis there is

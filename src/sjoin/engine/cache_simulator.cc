@@ -22,7 +22,6 @@ CacheRunResult RunReduced(const CacheSimulator::Options& options,
                               .shards = options.shards,
                               .threads = options.threads,
                               .pin_threads = options.pin_threads,
-                              .pool = options.pool,
                               .adaptive = {.enabled = options.adaptive_shards,
                                            .interval =
                                                options.adaptive_interval}});

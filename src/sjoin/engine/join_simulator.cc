@@ -24,7 +24,6 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
                               .shards = options_.shards,
                               .threads = options_.threads,
                               .pin_threads = options_.pin_threads,
-                              .pool = options_.pool,
                               .adaptive = {.enabled = options_.adaptive_shards,
                                            .interval =
                                                options_.adaptive_interval}});

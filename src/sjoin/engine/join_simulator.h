@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
@@ -70,10 +69,6 @@ class JoinSimulator {
     int threads = 0;
     /// Pin sharded-path workers to CPUs (Linux only, best effort).
     bool pin_threads = false;
-    /// Legacy thread-count hint for the sharded path (not owned; must
-    /// outlive the simulator): when `threads` == 0 a configured pool caps
-    /// the persistent worker team at its size.
-    ThreadPool* pool = nullptr;
     /// Skew-adaptive sharding: replace the static value hash with an
     /// AdaptivePartitionMap whose deterministic rebalancer moves shard
     /// ranges every `adaptive_interval` steps (DESIGN.md §2e). Results

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/validate.h"
 #include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/scoring_batch.h"
@@ -51,9 +52,8 @@ int ShardedStreamEngine::DefaultThreads(int shards) {
 
 int ShardedStreamEngine::effective_threads() const {
   if (options_.shards <= 1) return 1;
-  if (options_.threads > 0) return options_.threads;
-  if (options_.pool != nullptr) {
-    return std::min(options_.pool->num_threads(), options_.shards);
+  if (options_.threads > 0) {
+    return std::min(options_.threads, options_.shards);
   }
   return DefaultThreads(options_.shards);
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sjoin/common/shard_workers.h"
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/common/types.h"
 #include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/partition_map.h"
@@ -83,18 +82,11 @@ class ShardedStreamEngine {
     int shards = 1;
     /// Worker threads for the sharded path. 0 = auto
     /// (min(shards, hardware)); 1 runs every shard inline on the caller;
-    /// values above `shards` spawn extra workers that own no shards
-    /// (harmless, so a benchmark matrix can sweep threads independently).
+    /// values above `shards` are bounded to one worker per shard.
     int threads = 0;
     /// Pin spawned workers to CPUs (worker w -> CPU w mod hardware);
     /// Linux only, best effort, never affects results.
     bool pin_threads = false;
-    /// Legacy thread-count hint (not owned; may be null). The sharded
-    /// step no longer executes on a ThreadPool — persistent per-shard
-    /// workers own it — but when `threads` == 0 a configured pool still
-    /// caps the worker count at its size, so existing callers keep the
-    /// thread budget they configured.
-    ThreadPool* pool = nullptr;
     /// Skew-adaptive partitioning; see AdaptiveOptions.
     AdaptiveOptions adaptive;
     /// Runtime probe planning for the serial path (engine/probe_planner.h;
@@ -145,9 +137,9 @@ class ShardedStreamEngine {
   const StreamTopology& topology() const { return serial_.topology(); }
   const Options& options() const { return options_; }
 
-  /// Worker-team size the sharded path runs with: `threads` when set,
-  /// else the configured pool's size capped at `shards`, else
-  /// DefaultThreads(shards). 1 when shards <= 1.
+  /// Worker-team size the sharded path runs with: min(`threads`,
+  /// `shards`) when `threads` is set, else DefaultThreads(shards). 1 when
+  /// shards <= 1.
   int effective_threads() const;
 
   /// effective_threads() of a default-constructed engine at `shards`,

@@ -37,7 +37,6 @@ MultiJoinRunResult MultiJoinSimulator::Run(
                                          .shards = options_.shards,
                                          .threads = options_.threads,
                                          .pin_threads = options_.pin_threads,
-                                         .pool = options_.pool,
                                          .adaptive = {
                                              .enabled =
                                                  options_.adaptive_shards,

@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <sstream>
-#include <string_view>
 #include <unordered_map>
 
 #include "sjoin/common/check.h"
@@ -108,122 +107,35 @@ std::optional<std::string> ExpectEqualRuns(const std::string& context,
   return std::nullopt;
 }
 
-/// SJOIN_DIFF_SHARDS=<n> (n > 1) reruns every optimized engine run in the
-/// suites sharded at n shards. Sharding is bit-identical by contract, so
-/// all existing oracles must keep passing unchanged — this turns each of
-/// the 1000-trial suites into a sharding differential for free. Returns 0
-/// when unset or <= 1 (serial).
-int DiffShards() {
-  static const int shards = [] {
-    const char* env = std::getenv("SJOIN_DIFF_SHARDS");
-    if (env == nullptr) return 0;
-    int parsed = std::atoi(env);
-    return parsed > 1 ? parsed : 0;
-  }();
-  return shards;
+/// Applies the config's engine shape (shards x threads, adaptive map with
+/// interval 8, short enough that rebalances fire within the suites'
+/// scenario lengths) to JoinSimulator or CacheSimulator options. The
+/// naive oracles stay serial, so every comparison against them doubles as
+/// a bit-identity check of that shape.
+template <typename Options>
+Options Shaped(Options options, const DiffConfig& config) {
+  if (config.shards > 0) options.shards = config.shards;
+  if (config.threads > 0) options.threads = config.threads;
+  if (config.adaptive) {
+    options.adaptive_shards = true;
+    options.adaptive_interval = 8;
+  }
+  return options;
 }
 
-/// SJOIN_DIFF_THREADS=<n> (n > 1) runs the sharded reruns requested by
-/// SJOIN_DIFF_SHARDS on a persistent worker team of n threads instead of
-/// inline, so the suites double as a threading differential: parallel
-/// shard scoring and the parallel merge cascade must stay bit-identical
-/// to the serial oracles. No effect unless SJOIN_DIFF_SHARDS engages the
-/// sharded path. Returns 0 when unset or <= 1.
-int DiffThreads() {
-  static const int threads = [] {
-    const char* env = std::getenv("SJOIN_DIFF_THREADS");
-    if (env == nullptr) return 0;
-    int parsed = std::atoi(env);
-    return parsed > 1 ? parsed : 0;
-  }();
-  return threads;
-}
-
-/// SJOIN_DIFF_ADAPTIVE=1 reruns every optimized engine run with the
-/// skew-adaptive partition map enabled (interval 8, short enough that
-/// rebalances actually fire inside the suites' scenario lengths).
-/// Adaptive sharding is bit-identical by the same merge contract as
-/// static sharding, so all oracles must keep passing unchanged. The hook
-/// is self-sufficient: when SJOIN_DIFF_SHARDS leaves the run serial, the
-/// adaptive reruns default to 4 shards.
-bool DiffAdaptive() {
-  static const bool adaptive = [] {
-    const char* env = std::getenv("SJOIN_DIFF_ADAPTIVE");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  }();
-  return adaptive;
-}
-
-/// SJOIN_DIFF_MULTI=1 makes the multi_planner suite additionally rerun
-/// every trial through the MultiJoinSimulator façade (planner on and off)
-/// and through a 4-shard ShardedStreamEngine — multi policies publish no
-/// shard scoring, so the sharded engine must take its serial fallback and
-/// still honor the attached planner. Both reruns must reproduce the
-/// direct-engine results exactly.
-bool DiffMulti() {
-  static const bool multi = [] {
-    const char* env = std::getenv("SJOIN_DIFF_MULTI");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  }();
-  return multi;
-}
-
-/// SJOIN_DIFF_SERVE=1 forces every serve_scheduler trial to execute its
-/// served side on 4 worker engines instead of the seed-rotated worker
-/// count — the TSan job sets it so the scheduler's round fan-out
-/// (disjoint sessions on real threads, thread-local latency buffers,
-/// deterministic fold) runs under the race detector on every trial.
-bool DiffServe() {
-  static const bool serve = [] {
-    const char* env = std::getenv("SJOIN_DIFF_SERVE");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  }();
-  return serve;
-}
-
-/// SJOIN_DIFF_BATCH=<0|1> pins the batch_scoring suite's engine runs to
-/// one flag value instead of comparing batch-off against batch-on: 0 runs
-/// every side scalar, anything else runs every side through the batch
-/// kernels. The trial then degenerates to a serial-vs-sharded identity
-/// check under the pinned setting — the TSan job pins it on (together
-/// with SJOIN_DIFF_SHARDS / SJOIN_DIFF_THREADS) so the kernels execute
-/// under the race detector.
-std::optional<bool> DiffBatch() {
-  static const std::optional<bool> batch = []() -> std::optional<bool> {
-    const char* env = std::getenv("SJOIN_DIFF_BATCH");
-    if (env == nullptr || *env == '\0') return std::nullopt;
-    return std::string_view(env) != "0";
-  }();
-  return batch;
-}
-
-/// Runs the optimized joining side of a trial. By default this goes
-/// through the JoinSimulator façade; with SJOIN_DIFF_ENGINE=direct it
-/// constructs the engine + BinaryPolicyAdapter + observer chain by
-/// hand instead, so CI exercises both entry paths against the same
-/// oracles (the two must be indistinguishable — the façade adds nothing
-/// but plumbing). SJOIN_DIFF_SHARDS applies to both paths.
+/// Runs the optimized joining side of a trial, through the JoinSimulator
+/// façade or, on the `direct` entry path, through a hand-built engine +
+/// BinaryPolicyAdapter + observer chain; the two must be
+/// indistinguishable against the oracles (the façade adds nothing but
+/// plumbing).
 JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
+                               const DiffConfig& config,
                                const std::vector<Value>& r,
                                const std::vector<Value>& s,
                                ReplacementPolicy& policy) {
-  static const bool direct = [] {
-    const char* env = std::getenv("SJOIN_DIFF_ENGINE");
-    return env != nullptr && std::string_view(env) == "direct";
-  }();
-  JoinSimulator::Options run_options = options;
-  if (DiffShards() > 0) run_options.shards = DiffShards();
-  if (DiffThreads() > 0) run_options.threads = DiffThreads();
-  if (DiffAdaptive()) {
-    if (run_options.shards <= 1) run_options.shards = 4;
-    run_options.adaptive_shards = true;
-    run_options.adaptive_interval = 8;
-  }
-  if (!direct) return JoinSimulator(run_options).Run(r, s, policy);
+  const JoinSimulator::Options run_options = Shaped(options, config);
+  if (!config.direct) return JoinSimulator(run_options).Run(r, s, policy);
 
-  // ShardedStreamEngine with shards = 1 delegates to a plain serial
-  // StreamEngine internally, so the historical direct-path semantics are
-  // preserved when SJOIN_DIFF_SHARDS is unset.
   ShardedStreamEngine engine(
       StreamTopology::Binary(),
       {.capacity = run_options.capacity,
@@ -400,7 +312,8 @@ std::optional<std::string> LockstepCachingScoreCompare(
 // Suite 1: ecb_heeb_scoring — tabulated ECB curves and HEEB closed forms
 // against from-scratch recomputation, bit for bit.
 
-std::optional<std::string> EcbHeebScoringTrial(std::uint64_t seed) {
+std::optional<std::string> EcbHeebScoringTrial(std::uint64_t seed,
+                                               const DiffConfig&) {
   ScenarioGenerator::Options options;
   options.pool = ScenarioGenerator::Pool::kAny;
   options.min_length = 6;
@@ -521,7 +434,8 @@ std::optional<std::string> EcbHeebScoringTrial(std::uint64_t seed) {
 // identical), and each Section 4.4 incremental mode against kDirect on
 // result counts.
 
-std::optional<std::string> HeebPolicyJoinTrial(std::uint64_t seed) {
+std::optional<std::string> HeebPolicyJoinTrial(std::uint64_t seed,
+                                               const DiffConfig& config) {
   ScenarioGenerator::Options options;
   options.min_length = 32;
   options.max_length = 72;
@@ -572,7 +486,8 @@ std::optional<std::string> HeebPolicyJoinTrial(std::uint64_t seed) {
                             scenario.s_process.get(), scenario.alpha,
                             scenario.horizon);
 
-  JoinRunResult direct_result = RunOptimizedJoin(sim_options, r, s, direct);
+  JoinRunResult direct_result =
+      RunOptimizedJoin(sim_options, config, r, s, direct);
   JoinRunResult naive_result = naive_sim.Run(r, s, naive);
   if (auto mismatch =
           ExpectEqualRuns(scenario.description + " [direct vs naive]",
@@ -589,7 +504,8 @@ std::optional<std::string> HeebPolicyJoinTrial(std::uint64_t seed) {
       // any horizon.
       HeebJoinPolicy table(scenario.r_process.get(), scenario.s_process.get(),
                            incremental_options);
-      JoinRunResult table_result = RunOptimizedJoin(sim_options, r, s, table);
+      JoinRunResult table_result =
+          RunOptimizedJoin(sim_options, config, r, s, table);
       if (table_result.total_results != direct_result.total_results ||
           table_result.counted_results != direct_result.counted_results) {
         std::ostringstream out;
@@ -629,7 +545,8 @@ std::optional<std::string> HeebPolicyJoinTrial(std::uint64_t seed) {
 // Suite 3: min_cost_flow — SolveMinCostFlow on random unit-capacity
 // assignment networks against exhaustive matching enumeration.
 
-std::optional<std::string> MinCostFlowTrial(std::uint64_t seed) {
+std::optional<std::string> MinCostFlowTrial(std::uint64_t seed,
+                                            const DiffConfig&) {
   Rng rng(seed);
   AssignmentInstance instance = MakeRandomAssignmentInstance(rng, 6, 6);
 
@@ -756,7 +673,8 @@ std::optional<std::string> MinCostFlowTrial(std::uint64_t seed) {
 // over one cache trajectory. Retained sets must match exactly — order and
 // tie-breaks included — with the prefilter both off and on.
 
-std::optional<std::string> FlowExpectTrial(std::uint64_t seed) {
+std::optional<std::string> FlowExpectTrial(std::uint64_t seed,
+                                           const DiffConfig&) {
   ScenarioGenerator::Options options;
   options.pool = ScenarioGenerator::Pool::kAny;
   options.min_length = 12;
@@ -849,7 +767,8 @@ std::optional<std::string> FlowExpectTrial(std::uint64_t seed) {
 // Suite 4: offline_opt — OptOfflinePolicy's min-cost-flow schedule against
 // exhaustive eviction search on tiny instances.
 
-std::optional<std::string> OfflineOptTrial(std::uint64_t seed) {
+std::optional<std::string> OfflineOptTrial(std::uint64_t seed,
+                                           const DiffConfig& config) {
   Rng rng(seed);
   Time length = rng.UniformInt(4, 9);
   std::size_t capacity = static_cast<std::size_t>(rng.UniformInt(1, 3));
@@ -883,7 +802,7 @@ std::optional<std::string> OfflineOptTrial(std::uint64_t seed) {
   JoinSimulator::Options sim_options;
   sim_options.capacity = capacity;
   sim_options.window = window;
-  JoinRunResult replayed = RunOptimizedJoin(sim_options, r, s, opt);
+  JoinRunResult replayed = RunOptimizedJoin(sim_options, config, r, s, opt);
   if (replayed.total_results != brute) {
     std::ostringstream out;
     out << context() << ": replayed schedule produces "
@@ -900,7 +819,8 @@ std::optional<std::string> OfflineOptTrial(std::uint64_t seed) {
 // index) against NaiveJoinSimulator, and the two-stream MultiJoinSimulator
 // against the binary engine, under assorted baseline policies.
 
-std::optional<std::string> JoinSimulatorTrial(std::uint64_t seed) {
+std::optional<std::string> JoinSimulatorTrial(std::uint64_t seed,
+                                              const DiffConfig& config) {
   ScenarioGenerator::Options options;
   options.pool = ScenarioGenerator::Pool::kIndependent;
   options.min_length = 48;
@@ -943,7 +863,8 @@ std::optional<std::string> JoinSimulatorTrial(std::uint64_t seed) {
   sim_options.warmup = scenario.warmup;
   sim_options.window = scenario.window;
   sim_options.track_cache_composition = true;
-  JoinRunResult optimized = RunOptimizedJoin(sim_options, r, s, *policy);
+  JoinRunResult optimized =
+      RunOptimizedJoin(sim_options, config, r, s, *policy);
   JoinRunResult naive = NaiveJoinSimulator(sim_options).Run(r, s, *policy);
   std::string context =
       scenario.description + " policy=" + policy->name();
@@ -980,7 +901,8 @@ std::optional<std::string> JoinSimulatorTrial(std::uint64_t seed) {
 // (NaiveCacheSimulator); plus HeebCachingPolicy kDirect against its naive
 // oracle and kTimeIncremental against kDirect.
 
-std::optional<std::string> ReductionTrial(std::uint64_t seed) {
+std::optional<std::string> ReductionTrial(std::uint64_t seed,
+                                          const DiffConfig& config) {
   ScenarioGenerator::Options options;
   options.pool = ScenarioGenerator::Pool::kIndependent;
   options.min_length = 48;
@@ -1014,18 +936,7 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
   cache_options.capacity = scenario.capacity;
   cache_options.warmup = scenario.warmup;
   cache_options.window = scenario.window;
-  // Under SJOIN_DIFF_SHARDS the engine-backed side runs sharded while the
-  // naive loop stays serial — every comparison below then doubles as a
-  // sharding bit-identity check on the reduction path (and a threading
-  // one under SJOIN_DIFF_THREADS).
-  if (DiffShards() > 0) cache_options.shards = DiffShards();
-  if (DiffThreads() > 0) cache_options.threads = DiffThreads();
-  if (DiffAdaptive()) {
-    if (cache_options.shards <= 1) cache_options.shards = 4;
-    cache_options.adaptive_shards = true;
-    cache_options.adaptive_interval = 8;
-  }
-  CacheSimulator cache_sim(cache_options);
+  CacheSimulator cache_sim(Shaped(cache_options, config));
   CacheRunResult cached = cache_sim.Run(references, *policy);
   std::string context = scenario.description + " policy=" + policy->name();
 
@@ -1055,7 +966,7 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
   sim_options.warmup = scenario.warmup;
   sim_options.window = scenario.window;
   JoinRunResult joined =
-      RunOptimizedJoin(sim_options, reduction.r_stream(),
+      RunOptimizedJoin(sim_options, config, reduction.r_stream(),
                        reduction.s_stream(), reduced_policy);
   if (joined.total_results != cached.hits ||
       joined.counted_results != cached.counted_hits) {
@@ -1120,9 +1031,8 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed) {
 // StreamEngine on the same realization and policy, bit for bit: per-step
 // retained ids (in policy order), post-step cache contents, produced
 // counts, candidate-set sizes, run totals, and merged telemetry. This is
-// the direct statement of the sharding contract; the SJOIN_DIFF_SHARDS /
-// SJOIN_DIFF_THREADS hooks additionally re-run the other suites' oracles
-// sharded (and threaded).
+// the direct statement of the sharding contract; the s4t4 configs
+// additionally rerun the joining suites' oracles sharded and threaded.
 
 /// Records the full per-step trace of an engine run for exact comparison.
 class EngineTraceObserver final : public StepObserver {
@@ -1193,7 +1103,8 @@ std::optional<std::string> CompareEngineTraces(
   return std::nullopt;
 }
 
-std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
+std::optional<std::string> ShardedEngineTrial(std::uint64_t seed,
+                                              const DiffConfig&) {
   ScenarioGenerator::Options options;
   options.min_length = 32;
   options.max_length = 80;
@@ -1266,10 +1177,10 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
 
   // Shard counts cross worker-team sizes: threads == 1 is the inline
   // path, threads < shards folds several shards onto one worker,
-  // threads == shards is one shard per worker, and threads > shards
-  // leaves workers idle. Every combination must reproduce the serial
-  // trace bit for bit — the merge cascade's output is independent of
-  // how (or whether) its pair merges are parallelized.
+  // threads == shards is one shard per worker, and threads > shards is
+  // bounded to one worker per shard. Every combination must reproduce
+  // the serial trace bit for bit — the merge cascade's output is
+  // independent of how (or whether) its pair merges are parallelized.
   struct ShardCase {
     int shards;
     int threads;
@@ -1329,7 +1240,8 @@ std::optional<std::string> ShardedEngineTrial(std::uint64_t seed) {
 // pure function of observed load, so its decisions must reproduce
 // exactly across reruns and thread counts.
 
-std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed) {
+std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed,
+                                               const DiffConfig&) {
   ScenarioGenerator::Options options;
   options.pool = ScenarioGenerator::Pool::kSkewed;
   options.min_length = 48;
@@ -1496,9 +1408,11 @@ std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed) {
 // fixed-order engine bit for bit on full per-step traces, with the
 // policy's ScoreMemo both off and on; a rerun must additionally replay
 // the identical planner statistics (plans are pure functions of the run
-// prefix). SJOIN_DIFF_MULTI adds façade and sharded-fallback reruns.
+// prefix). The multi_reruns config adds façade and sharded-fallback
+// reruns.
 
-std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
+std::optional<std::string> MultiPlannerTrial(std::uint64_t seed,
+                                             const DiffConfig& config) {
   Rng aux(seed ^ kAuxSalt);
   const bool star = seed % 2 == 1;
   const int n = star ? 5 : 3;
@@ -1682,7 +1596,7 @@ std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
     return out.str();
   }
 
-  if (DiffMulti()) {
+  if (config.multi_reruns) {
     // Façade reruns, planner off and on: MultiJoinSimulator adds nothing
     // but plumbing over the engine.
     MultiJoinRunResult facade_naive = facade.Run(streams, *plain);
@@ -1739,7 +1653,8 @@ std::optional<std::string> MultiPlannerTrial(std::uint64_t seed) {
 // must match bit for bit in observer order, and so must the full per-step
 // trace; a rerun (Run resets the policy) must replay both.
 
-std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed) {
+std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed,
+                                                const DiffConfig& config) {
   Rng aux(seed ^ kAuxSalt);
   const int shape = static_cast<int>(seed % 3);
   const int n = shape == 0 ? 5 : 3;
@@ -1870,7 +1785,7 @@ std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed) {
     return context.str() + ": key accounting diverges across reruns";
   }
 
-  if (DiffMulti()) {
+  if (config.multi_reruns) {
     // Façade rerun: MultiJoinSimulator adds nothing but plumbing.
     const MultiJoinRunResult facade_run = facade.Run(streams, optimized);
     if (facade_run.counted_results != naive_run.counted_results ||
@@ -1891,7 +1806,8 @@ std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed) {
 // service contract: multiplexing adds admission, backpressure and
 // fairness, never a different join.
 
-std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed) {
+std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed,
+                                               const DiffConfig& config) {
   ScenarioGenerator::Options options;
   options.min_length = 24;
   options.max_length = 64;
@@ -1974,7 +1890,9 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed) {
   serve::SessionScheduler::Options sched_options;
   sched_options.max_sessions = static_cast<std::size_t>(num_sessions);
   sched_options.quota_unit = kQuotas[seed % 5];
-  sched_options.threads = DiffServe() ? 4 : 1 + static_cast<int>(seed % 4);
+  sched_options.threads = config.serve_workers > 0
+                              ? config.serve_workers
+                              : 1 + static_cast<int>(seed % 4);
   const bool throttled = aux.UniformReal() < 0.35;
   if (throttled) {
     sched_options.queue_capacity = 24;
@@ -2132,12 +2050,12 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed) {
 // batch-on, sharded 4x2 batch-off, sharded 4x2 batch-on. The kernels
 // preserve per-lane operation order, so every run must reproduce the
 // baseline exactly — scores, retained sets, produced counts, telemetry.
-// SJOIN_DIFF_BATCH pins all four runs to one flag value instead (see
-// DiffBatch above).
+// A config's batch pin runs all four at one flag value instead.
 
-std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
-  const bool off_flag = DiffBatch().value_or(false);
-  const bool on_flag = DiffBatch().value_or(true);
+std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
+                                             const DiffConfig& config) {
+  const bool off_flag = config.batch.value_or(false);
+  const bool on_flag = config.batch.value_or(true);
   const int variant = static_cast<int>(seed % 6);
 
   if (variant == 5) {
@@ -2333,93 +2251,129 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed) {
   return std::nullopt;
 }
 
+/// Axes every suite that runs its optimized side through RunOptimizedJoin
+/// reads.
+constexpr unsigned kJoinAxes = kAxisEntry | kAxisShards | kAxisAdaptive;
+
 const std::vector<DifferentialSuite>& Registry() {
   static const std::vector<DifferentialSuite> suites = {
       {"ecb_heeb_scoring",
        "tabulated ECB / HEEB closed forms vs from-scratch recomputation",
-       1000, &EcbHeebScoringTrial},
+       1000, 0, &EcbHeebScoringTrial},
       {"heeb_policy_join",
        "HeebJoinPolicy kDirect vs naive policy+simulator; incremental modes "
        "vs kDirect",
-       1000, &HeebPolicyJoinTrial},
+       1000, kJoinAxes, &HeebPolicyJoinTrial},
       {"min_cost_flow",
        "SolveMinCostFlow vs exhaustive matching enumeration; reused solver "
        "vs cold solves",
-       1000, &MinCostFlowTrial},
+       1000, 0, &MinCostFlowTrial},
       {"flow_expect",
        "template+pruned FlowExpectPolicy vs the rebuild-everything oracle, "
        "prefilter on and off",
-       1000, &FlowExpectTrial},
+       1000, 0, &FlowExpectTrial},
       {"offline_opt",
        "OptOfflinePolicy flow schedule vs exhaustive eviction search", 1000,
-       &OfflineOptTrial},
+       kJoinAxes, &OfflineOptTrial},
       {"join_simulator",
        "JoinSimulator and two-stream MultiJoinSimulator vs the naive "
        "simulator",
-       1000, &JoinSimulatorTrial},
+       1000, kJoinAxes, &JoinSimulatorTrial},
       {"reduction",
        "Theorem 1 caching<->joining reduction (windowed and not); "
        "CacheSimulator vs naive cache loop; caching HEEB vs naive oracle",
-       1000, &ReductionTrial},
+       1000, kJoinAxes, &ReductionTrial},
       {"sharded_engine",
        "ShardedStreamEngine at shards {1,2,4,8} x worker threads vs the "
        "serial StreamEngine: per-step retained/cache/produced traces and "
        "telemetry, bit for bit",
-       1000, &ShardedEngineTrial},
+       1000, 0, &ShardedEngineTrial},
       {"adaptive_engine",
        "skew-adaptive ShardedStreamEngine on Zipf / bursty / "
        "regime-switching workloads vs the serial StreamEngine, bit for "
        "bit, plus rerun determinism of the rebalance history",
-       1000, &AdaptiveEngineTrial},
+       1000, 0, &AdaptiveEngineTrial},
       {"multi_planner",
        "runtime probe planner on 3-way chain / 5-way star topologies x "
        "{MULTI-HEEB, MULTI-PROB, MULTI-LIFE, EDGE-BUDGET} vs the naive "
        "fixed-order engine, bit for bit, score memo off and on, plus rerun "
        "determinism of the planner statistics",
-       1000, &MultiPlannerTrial},
+       1000, kAxisMultiReruns, &MultiPlannerTrial},
       {"multi_heeb",
        "MultiHeebPolicy (prediction ring, support-bounded key kernel, "
        "RankTopK) vs the definitional NaiveMultiHeebPolicy on star / chain "
        "/ triangle topologies x independent and history-dependent "
        "processes x windows: every score and the full trace bit for bit, "
        "plus rerun replay",
-       1000, &MultiHeebOracleTrial},
+       1000, kAxisMultiReruns, &MultiHeebOracleTrial},
       {"serve_scheduler",
        "N sessions multiplexed through a serve::SessionScheduler (random "
        "quotas, weights, worker counts, chunked interleavings, watermark "
        "shedding) vs a solo StreamEngine run per session on the accepted "
        "arrivals, bit for bit, plus scheduler accounting invariants",
-       1000, &ServeSchedulerTrial},
+       1000, kAxisServeWorkers, &ServeSchedulerTrial},
       {"batch_scoring",
        "batched SoA scoring kernels vs the scalar per-tuple path across "
        "{HEEB kDirect/kTimeIncremental/kWalkTable, PROB, LIFE, caching "
        "HEEB} x serial/sharded engines, bit for bit on full traces",
-       1000, &BatchScoringTrial},
+       1000, kAxisBatch, &BatchScoringTrial},
   };
   return suites;
 }
 
+/// The config table. A row leaves every axis it does not name at the
+/// `default` value; DiffConfig::axes() reads back which ones it moves.
+const std::vector<DiffConfig>& Configs() {
+  static const std::vector<DiffConfig> configs = {
+      {.name = "default"},
+      {.name = "direct", .direct = true},
+      {.name = "s4t4", .shards = 4, .threads = 4},
+      {.name = "s4t4_adaptive", .shards = 4, .threads = 4, .adaptive = true},
+      {.name = "multi_reruns", .multi_reruns = true},
+      {.name = "serve_w4", .serve_workers = 4},
+      {.name = "batch_on", .batch = true},
+  };
+  return configs;
+}
+
 }  // namespace
 
-const std::vector<DifferentialSuite>& AllDifferentialSuites() {
-  return Registry();
+unsigned DiffConfig::axes() const {
+  unsigned moved = 0;
+  if (direct) moved |= kAxisEntry;
+  if (shards > 0 || threads > 0) moved |= kAxisShards;
+  if (adaptive) moved |= kAxisAdaptive;
+  if (multi_reruns) moved |= kAxisMultiReruns;
+  if (serve_workers > 0) moved |= kAxisServeWorkers;
+  if (batch.has_value()) moved |= kAxisBatch;
+  return moved;
 }
 
-const DifferentialSuite* FindDifferentialSuite(std::string_view name) {
+std::string DifferentialPair::name() const {
+  return std::string(suite->name) + "/" + config->name;
+}
+
+std::vector<DifferentialPair> DifferentialMatrix() {
+  std::vector<DifferentialPair> pairs;
   for (const DifferentialSuite& suite : Registry()) {
-    if (name == suite.name) return &suite;
+    for (const DiffConfig& config : Configs()) {
+      const unsigned moved = config.axes();
+      if (moved == 0 || (moved & ~suite.axes) == 0) {
+        pairs.push_back({&suite, &config});
+      }
+    }
   }
-  return nullptr;
+  return pairs;
 }
 
-DifferentialReport RunDifferentialSuite(const DifferentialSuite& suite,
-                                        std::uint64_t base_seed, int trials) {
+DifferentialReport RunDifferentialPair(const DifferentialPair& pair,
+                                       std::uint64_t base_seed, int trials) {
   SJOIN_CHECK_GE(trials, 1);
   DifferentialReport report;
-  report.suite = suite.name;
+  report.pair = pair.name();
   for (int i = 0; i < trials; ++i) {
     std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-    std::optional<std::string> failure = suite.run(seed);
+    std::optional<std::string> failure = pair.suite->run(seed, *pair.config);
     ++report.trials_run;
     if (failure.has_value()) {
       if (report.failures == 0) {
@@ -2434,12 +2388,12 @@ DifferentialReport RunDifferentialSuite(const DifferentialSuite& suite,
 
 std::string DifferentialReport::Summary() const {
   std::ostringstream out;
-  out << "suite '" << suite << "': " << trials_run << " trials, " << failures
+  out << "pair '" << pair << "': " << trials_run << " trials, " << failures
       << " failures";
   if (failures > 0) {
     out << "\n  first failure (seed " << first_failing_seed
         << "): " << first_failure << "\n  reproduce: fuzz_differential"
-        << " --suite=" << suite << " --seed=" << first_failing_seed
+        << " --suite=" << pair << " --seed=" << first_failing_seed
         << " --trials=1";
   }
   return out.str();

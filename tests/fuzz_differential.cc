@@ -1,10 +1,10 @@
 // Standalone differential fuzz driver. Runs seeded optimized-vs-oracle
-// trials from the suite registry:
+// trials over the (suite x config) matrix:
 //
-//   fuzz_differential                      # every suite, default trials
-//   fuzz_differential --suite=min_cost_flow --trials=100000
-//   fuzz_differential --suite=reduction --seed=20050613 --trials=1   # repro
-//   fuzz_differential --list
+//   fuzz_differential                      # every pair, default trials
+//   fuzz_differential --suite=min_cost_flow --trials=100000   # its pairs
+//   fuzz_differential --suite=reduction/s4t4 --seed=20050613 --trials=1
+//   fuzz_differential --list               # the pairs
 //
 // Exit status 0 iff every trial agreed. The reported first-failure line
 // contains the exact command that replays the mismatch.
@@ -23,8 +23,8 @@ namespace {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: fuzz_differential [--suite=NAME] [--seed=N] [--trials=N] "
-      "[--list]\n");
+      "usage: fuzz_differential [--suite=SUITE[/CONFIG]] [--seed=N] "
+      "[--trials=N] [--list]\n");
 }
 
 bool ParseUint64(const char* text, std::uint64_t* out) {
@@ -38,12 +38,11 @@ bool ParseUint64(const char* text, std::uint64_t* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using sjoin::testing::AllDifferentialSuites;
+  using sjoin::testing::DifferentialMatrix;
+  using sjoin::testing::DifferentialPair;
   using sjoin::testing::DifferentialReport;
-  using sjoin::testing::DifferentialSuite;
-  using sjoin::testing::FindDifferentialSuite;
   using sjoin::testing::kDifferentialBaseSeed;
-  using sjoin::testing::RunDifferentialSuite;
+  using sjoin::testing::RunDifferentialPair;
 
   std::string suite_name;
   std::uint64_t base_seed = kDifferentialBaseSeed;
@@ -65,9 +64,9 @@ int main(int argc, char** argv) {
       }
       trials = static_cast<std::int64_t>(parsed);
     } else if (std::strcmp(arg, "--list") == 0) {
-      for (const DifferentialSuite& suite : AllDifferentialSuites()) {
-        std::printf("%-18s %s (default %d trials)\n", suite.name,
-                    suite.description, suite.default_trials);
+      for (const DifferentialPair& pair : DifferentialMatrix()) {
+        std::printf("%-32s %s (default %d trials)\n", pair.name().c_str(),
+                    pair.suite->description, pair.suite->default_trials);
       }
       return 0;
     } else {
@@ -76,26 +75,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<const DifferentialSuite*> selected;
-  if (suite_name.empty()) {
-    for (const DifferentialSuite& suite : AllDifferentialSuites()) {
-      selected.push_back(&suite);
+  // --suite names one pair, or a bare suite for all of its pairs.
+  std::vector<DifferentialPair> selected;
+  for (const DifferentialPair& pair : DifferentialMatrix()) {
+    if (suite_name.empty() || suite_name == pair.name() ||
+        suite_name == pair.suite->name) {
+      selected.push_back(pair);
     }
-  } else {
-    const DifferentialSuite* suite = FindDifferentialSuite(suite_name);
-    if (suite == nullptr) {
-      std::fprintf(stderr, "unknown suite '%s'; --list shows the registry\n",
-                   suite_name.c_str());
-      return 2;
-    }
-    selected.push_back(suite);
+  }
+  if (selected.empty()) {
+    std::fprintf(stderr, "unknown suite '%s'; --list shows the pairs\n",
+                 suite_name.c_str());
+    return 2;
   }
 
   bool all_ok = true;
-  for (const DifferentialSuite* suite : selected) {
-    int count = trials > 0 ? static_cast<int>(trials) : suite->default_trials;
-    DifferentialReport report =
-        RunDifferentialSuite(*suite, base_seed, count);
+  for (const DifferentialPair& pair : selected) {
+    int count =
+        trials > 0 ? static_cast<int>(trials) : pair.suite->default_trials;
+    DifferentialReport report = RunDifferentialPair(pair, base_seed, count);
     std::printf("%s\n", report.Summary().c_str());
     std::fflush(stdout);
     all_ok = all_ok && report.ok();

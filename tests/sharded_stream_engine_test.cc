@@ -3,7 +3,7 @@
 // shard count AND any worker-team size (inline, fewer/equal/more threads
 // than shards, pinned or not) — for scored (shard-scorable) policies;
 // policies without shard scoring fall back to the serial engine through
-// the same API; the façades plumb Options::shards / threads / pool.
+// the same API; the façades plumb Options::shards / threads.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sjoin/common/rng.h"
-#include "sjoin/common/thread_pool.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/engine/sharded_stream_engine.h"
@@ -191,7 +190,7 @@ TEST(ShardedStreamEngineTest, ThreadsAreBitIdenticalAtEveryTeamSize) {
   Rng rng(53);
   // Cross worker-team sizes with both cache regimes: threads == 1 is the
   // inline path, 2 folds shards onto workers, 4 is one worker per shard,
-  // and 8 leaves idle workers. All must reproduce the serial trace
+  // and 8 is bounded back to 4. All must reproduce the serial trace
   // exactly — the parallel merge cascade and the shard slices may not
   // perturb the (score, arrival, id) order.
   for (std::size_t capacity : {std::size_t{3}, std::size_t{40}}) {
@@ -286,7 +285,7 @@ TEST(ShardedStreamEngineTest, PinnedThreadsAreBitIdentical) {
   EXPECT_EQ(serial.counted_results, pinned.counted_results);
 }
 
-TEST(ShardedStreamEngineTest, ExternalPoolIsSharedAndReusable) {
+TEST(ShardedStreamEngineTest, FacadeIsReusableWithFewerWorkersThanShards) {
   Rng rng(43);
   std::vector<Value> r = SampleValues(200, 9, rng);
   std::vector<Value> s = SampleValues(200, 9, rng);
@@ -294,14 +293,11 @@ TEST(ShardedStreamEngineTest, ExternalPoolIsSharedAndReusable) {
 
   JoinRunResult serial = JoinSimulator({.capacity = 6}).Run(r, s, prob);
 
-  // Since the persistent-worker rework the pool is a legacy thread-count
-  // hint: the engine no longer submits step work to it, but a configured
-  // pool still caps the worker-team size (here: 2 workers for 4 shards).
-  // Results stay bit-identical and the simulator stays reusable.
-  ThreadPool pool(2);
+  // 2 workers for 4 shards: results stay bit-identical and the simulator
+  // stays reusable.
   JoinSimulator::Options options{.capacity = 6};
   options.shards = 4;
-  options.pool = &pool;
+  options.threads = 2;
   JoinSimulator sim(options);
   for (int run = 0; run < 3; ++run) {
     JoinRunResult sharded = sim.Run(r, s, prob);
@@ -328,6 +324,18 @@ TEST(ShardedStreamEngineTest, DefaultThreadsIsBoundedByShards) {
   EXPECT_EQ(ShardedStreamEngine::DefaultThreads(1), 1);
   EXPECT_GE(ShardedStreamEngine::DefaultThreads(8), 1);
   EXPECT_LE(ShardedStreamEngine::DefaultThreads(8), 8);
+}
+
+TEST(ShardedStreamEngineTest, WorkerTeamIsBoundedByShards) {
+  // The team is sized at Open, so an engine that never runs starts no
+  // threads whatever `threads` asks for.
+  const ShardedStreamEngine engine(StreamTopology::Binary(),
+                                   {.shards = 4, .threads = 1 << 20});
+  EXPECT_EQ(engine.effective_threads(), 4);
+  EXPECT_EQ(engine.workers(), nullptr);
+  const ShardedStreamEngine fewer(StreamTopology::Binary(),
+                                  {.shards = 4, .threads = 2});
+  EXPECT_EQ(fewer.effective_threads(), 2);
 }
 
 // ---------------------------------------------------------------------------
