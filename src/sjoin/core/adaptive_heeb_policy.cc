@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/core/lifetime_fn.h"
 
 namespace sjoin {
@@ -38,7 +39,6 @@ void AdaptiveHeebJoinPolicy::Reset() {
   current_alpha_ =
       ExpLifetime::AlphaForAverageLifetime(options_.initial_lifetime);
   observations_ = 0;
-  cached_arrivals_.clear();
   RebuildInner();
   inner_->Reset();
 }
@@ -57,22 +57,19 @@ std::vector<TupleId> AdaptiveHeebJoinPolicy::SelectRetained(
   auto is_retained = [this](TupleId id) {
     return retained_set_.Find(id) != LaneTable<TupleId>::kNoLane;
   };
+  // A tuple is admitted in the step it arrives (the engines stamp arrivals
+  // with arrival == now), so its arrival time is its admission time.
+  for (const Tuple& tuple : *ctx.arrivals) {
+    SJOIN_VALIDATE_MSG(tuple.arrival == ctx.now,
+                       "an arrival is not stamped with the current step");
+  }
   for (const Tuple& tuple : *ctx.cached) {
     if (is_retained(tuple.id)) continue;
-    auto it = cached_arrivals_.find(tuple.id);
-    Time admitted_at = it != cached_arrivals_.end() ? it->second
-                                                    : tuple.arrival;
     double residence =
-        static_cast<double>(std::max<Time>(1, ctx.now - admitted_at));
+        static_cast<double>(std::max<Time>(1, ctx.now - tuple.arrival));
     lifetime_ema_ = (1.0 - options_.ema_weight) * lifetime_ema_ +
                     options_.ema_weight * residence;
     ++observations_;
-    if (it != cached_arrivals_.end()) cached_arrivals_.erase(it);
-  }
-  for (const Tuple& tuple : *ctx.arrivals) {
-    if (is_retained(tuple.id)) {
-      cached_arrivals_.emplace(tuple.id, ctx.now);
-    }
   }
 
   if (observations_ >= options_.min_observations) {

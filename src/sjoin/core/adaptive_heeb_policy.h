@@ -2,7 +2,6 @@
 #define SJOIN_CORE_ADAPTIVE_HEEB_POLICY_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "sjoin/core/heeb_join_policy.h"
 #include "sjoin/engine/lane_table.h"
@@ -63,8 +62,6 @@ class AdaptiveHeebJoinPolicy final : public ReplacementPolicy {
   double current_alpha_;
   int observations_ = 0;
   std::unique_ptr<HeebJoinPolicy> inner_;
-  // Tuples currently cached (admitted at some step): id -> arrival time.
-  std::unordered_map<TupleId, Time> cached_arrivals_;
   // This step's retained ids (per-step scratch).
   LaneTable<TupleId> retained_set_;
 };

@@ -25,31 +25,68 @@ MultiHeebPolicy::MultiHeebPolicy(
 void MultiHeebPolicy::Reset() {
   ring_.Reset();
   stats_ = ScoreMemo::Stats();
+  carried_ids_.clear();
+  carried_order_.clear();
 }
 
-void MultiHeebPolicy::BuildKeys() {
-  const std::size_t n = lane_values_.size();
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
+namespace {
+
+constexpr std::uint32_t kNotRetained = ~std::uint32_t{0};
+
+// Candidate lane i: cached tuples first, then arrivals.
+const MultiTuple& LaneTuple(const MultiPolicyContext& ctx, std::size_t i) {
+  const std::size_t cached = ctx.cached->size();
+  return i < cached ? (*ctx.cached)[i] : (*ctx.arrivals)[i - cached];
+}
+
+// True when ctx.cached is exactly `ids`, in order.
+bool CachedIs(const MultiPolicyContext& ctx, const std::vector<TupleId>& ids) {
+  if (ctx.cached->size() != ids.size()) return false;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if ((*ctx.cached)[i].id != ids[i]) return false;
   }
-  std::sort(order_.begin(), order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              if (lane_values_[a] != lane_values_[b]) {
-                return lane_values_[a] < lane_values_[b];
-              }
-              return lane_max_dts_[a] < lane_max_dts_[b];
-            });
+  return true;
+}
+
+}  // namespace
+
+void MultiHeebPolicy::BuildKeys(const MultiPolicyContext& ctx) {
+  const std::size_t cached = ctx.cached->size();
+  const std::size_t n = cached + ctx.arrivals->size();
+  keyed_.clear();
+  auto push = [&](std::size_t i) {
+    const MultiTuple& tuple = LaneTuple(ctx, i);
+    Time max_dt = options_.horizon;
+    if (ctx.window.has_value()) {
+      max_dt = std::min(max_dt, tuple.arrival + *ctx.window - ctx.now);
+    }
+    keyed_.push_back(
+        {tuple.value, max_dt, tuple.id, static_cast<std::uint32_t>(i)});
+  };
+  // The cached lanes in last step's key order when the cache is last
+  // step's returned list, else in lane order; the arrivals after them.
+  if (CachedIs(ctx, carried_ids_)) {
+    for (std::uint32_t i : carried_order_) push(i);
+  } else {
+    for (std::size_t i = 0; i < cached; ++i) push(i);
+  }
+  for (std::size_t i = cached; i < n; ++i) push(i);
+  RankTopK(keyed_.data(), n, n, [](const KeyedLane& a, const KeyedLane& b) {
+    if (a.value != b.value) return a.value < b.value;
+    if (a.max_dt != b.max_dt) return a.max_dt < b.max_dt;
+    return a.id < b.id;
+  });
   // Distinct keys in (value, max_dt) order, and each lane's key.
   key_values_.clear();
   key_max_dts_.clear();
-  for (std::uint32_t lane : order_) {
-    if (key_values_.empty() || key_values_.back() != lane_values_[lane] ||
-        key_max_dts_.back() != lane_max_dts_[lane]) {
-      key_values_.push_back(lane_values_[lane]);
-      key_max_dts_.push_back(lane_max_dts_[lane]);
+  lane_keys_.resize(n);
+  for (const KeyedLane& k : keyed_) {
+    if (key_values_.empty() || key_values_.back() != k.value ||
+        key_max_dts_.back() != k.max_dt) {
+      key_values_.push_back(k.value);
+      key_max_dts_.push_back(k.max_dt);
     }
-    lane_keys_[lane] = static_cast<std::uint32_t>(key_values_.size() - 1);
+    lane_keys_[k.lane] = static_cast<std::uint32_t>(key_values_.size() - 1);
   }
 }
 
@@ -61,6 +98,8 @@ void MultiHeebPolicy::ScoreKeys(Time now) {
   const Value* values = key_values_.data();
   const Time* max_dts = key_max_dts_.data();
   const double* life = lifetime_table_.data();
+  const Value first = values[0];
+  const Value last = values[keys - 1];
   const Time last_dt = *std::max_element(key_max_dts_.begin(),
                                          key_max_dts_.end());
   for (std::size_t p = 0; p < num_streams; ++p) {
@@ -75,8 +114,10 @@ void MultiHeebPolicy::ScoreKeys(Time now) {
     for (Time dt = 1; dt <= last_dt;
          ++dt, r = r + 1 == horizon ? 0 : r + 1) {
       const PredictionRing::Slot& slot = ring[r];
-      // Keys whose value lies in the pmf's support; an empty pmf
-      // (hi < lo) selects none.
+      // A pmf whose support [lo, hi] misses [first, last] (or is empty,
+      // hi < lo) adds nothing to any key.
+      if (slot.hi < slot.lo || slot.hi < first || slot.lo > last) continue;
+      // Keys whose value lies in the pmf's support.
       const auto begin = static_cast<std::size_t>(
           std::lower_bound(values, values + keys, slot.lo) - values);
       const auto end = static_cast<std::size_t>(
@@ -89,6 +130,22 @@ void MultiHeebPolicy::ScoreKeys(Time now) {
       }
     }
   }
+}
+
+void MultiHeebPolicy::CarryKeyOrder(const std::vector<TupleId>& retained) {
+  // Scatter each retained lane's returned index, then read them back in
+  // key order: next step's cached lane i is retained[i].
+  retained_at_.assign(keyed_.size(), kNotRetained);
+  for (std::size_t i = 0; i < retained.size(); ++i) {
+    retained_at_[scored_[i].lane] = static_cast<std::uint32_t>(i);
+  }
+  carried_order_.clear();
+  for (const KeyedLane& k : keyed_) {
+    if (retained_at_[k.lane] != kNotRetained) {
+      carried_order_.push_back(retained_at_[k.lane]);
+    }
+  }
+  carried_ids_ = retained;
 }
 
 std::vector<TupleId> MultiHeebPolicy::SelectRetained(
@@ -107,53 +164,52 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
   }
   ring_.Advance(processes_, *ctx.histories, ctx.now);
 
-  // Lanes in scoring order: cached, then arrivals.
-  const std::size_t n = ctx.cached->size() + ctx.arrivals->size();
-  lane_values_.resize(n);
-  lane_max_dts_.resize(n);
-  lane_keys_.resize(n);
-  auto lane = [&ctx](std::size_t i) -> const MultiTuple& {
-    const std::size_t cached = ctx.cached->size();
-    return i < cached ? (*ctx.cached)[i] : (*ctx.arrivals)[i - cached];
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const MultiTuple& tuple = lane(i);
-    Time max_dt = options_.horizon;
-    if (ctx.window.has_value()) {
-      max_dt = std::min(max_dt, tuple.arrival + *ctx.window - ctx.now);
-    }
-    lane_values_[i] = tuple.value;
-    lane_max_dts_[i] = max_dt;
-  }
-  BuildKeys();
+  BuildKeys(ctx);
   ScoreKeys(ctx.now);
 
   // Appendix C: a candidate's score sums its partners' subtotals in
-  // PartnersOf order.
+  // PartnersOf order. Key-sharing counts go to locals: served_'s byte
+  // stores may alias stats_, which would otherwise be reloaded per read.
+  const std::size_t n = ctx.cached->size() + ctx.arrivals->size();
   const std::size_t keys = key_values_.size();
   const bool count = options_.use_score_cache;
   if (count) served_.assign(partner_joined_.size() * keys, 0);
-  ranked_.clear();
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+  scored_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    const MultiTuple& tuple = lane(i);
+    const MultiTuple& tuple = LaneTuple(ctx, i);
+    const std::vector<int>& partners = simulator_->PartnersOf(tuple.stream);
+    const std::size_t key = lane_keys_[i];
     double h = 0.0;
-    for (int p : simulator_->PartnersOf(tuple.stream)) {
-      const std::size_t at =
-          static_cast<std::size_t>(p) * keys + lane_keys_[i];
-      h += key_sums_[at];
-      if (count) {
-        ++(served_[at] != 0 ? stats_.hits : stats_.misses);
-        served_[at] = 1;
+    for (int p : partners) {
+      h += key_sums_[static_cast<std::size_t>(p) * keys + key];
+    }
+    if (count) {
+      for (int p : partners) {
+        unsigned char& served =
+            served_[static_cast<std::size_t>(p) * keys + key];
+        hits += served;
+        misses += 1 - served;
+        served = 1;
       }
     }
     if (score_observer_) score_observer_(tuple, h);
-    ranked_.push_back({h, tuple.arrival, tuple.id});
+    scored_.push_back(
+        {h, tuple.arrival, tuple.id, static_cast<std::uint32_t>(i)});
   }
+  stats_.hits += hits;
+  stats_.misses += misses;
   const std::size_t keep = std::min(ctx.capacity, n);
-  RankTopK(ranked_.data(), n, keep, RankedTupleBetter);
+  RankTopK(scored_.data(), n, keep,
+           [](const ScoredLane& a, const ScoredLane& b) {
+             return RankOrderBetter(a.score, a.arrival, a.id, b.score,
+                                    b.arrival, b.id);
+           });
   std::vector<TupleId> retained;
   retained.reserve(keep);
-  for (std::size_t i = 0; i < keep; ++i) retained.push_back(ranked_[i].id);
+  for (std::size_t i = 0; i < keep; ++i) retained.push_back(scored_[i].id);
+  CarryKeyOrder(retained);
   return retained;
 }
 

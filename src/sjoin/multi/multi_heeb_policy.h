@@ -26,15 +26,26 @@
 ///   streams re-predict the horizon.
 /// * Scoring is one batched, support-bounded kernel. A partner's inner sum
 ///   depends only on the key (value, max Δt), where max Δt is the horizon
-///   cut by the candidate's remaining window. The candidates are sorted
-///   once by key and the distinct keys kept. Each joined partner walks Δt
-///   in ascending order, binary-searches the keys inside that pmf's
-///   [lo, hi] and adds masses[v − lo]·L(Δt) to those with Δt ≤ max Δt,
-///   so each (partner, key) subtotal is computed once. A
-///   candidate's score is then the sum of its partners' subtotals in
-///   PartnersOf order.
-/// * Selection is RankTopK (engine/ranked_select.h) over the cached run,
-///   which the engine keeps in last step's rank order, plus the arrivals.
+///   cut by the candidate's remaining window. The candidates are ranked by
+///   key and the distinct keys kept. Each joined partner walks Δt in
+///   ascending order, skips a slot whose support [lo, hi] misses the key
+///   span, binary-searches the keys inside [lo, hi] and adds
+///   masses[v − lo]·L(Δt) to those with Δt ≤ max Δt, so each (partner,
+///   key) subtotal is computed once. A candidate's score is then the sum
+///   of its partners' subtotals in PartnersOf order.
+/// * The key ranking is carried from step to step. A cached tuple's value
+///   never changes and its max Δt keeps its order relative to the other
+///   cached tuples', so last step's key order over the retained tuples is
+///   this step's, up to ties that the shrinking window splits. When
+///   ctx.cached is exactly last step's returned list (checked id by id),
+///   the cached lanes start in that order with the arrivals appended, and
+///   RankTopK (engine/ranked_select.h) finishes the order by insertion;
+///   otherwise (the first step, Reset, or a cache that a caller trimmed
+///   or reordered) they start in lane order and RankTopK's own fallback
+///   sorts them. The order (value, max Δt, id) is strict, so the ranked
+///   keys do not depend on where the lanes started.
+/// * Selection is RankTopK over the cached run, which the engine keeps in
+///   last step's rank order, plus the arrivals.
 ///
 /// Exactness: each subtotal adds the same products in the same Δt order as
 /// the definitional loop Σ_Δt Prob(v)·L(Δt), minus the terms whose
@@ -82,11 +93,28 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   }
 
  private:
-  /// Sorts this step's lanes by key and fills the distinct keys and each
-  /// lane's key.
-  void BuildKeys();
+  /// One lane's key under the strict order (value, max Δt, id).
+  struct KeyedLane {
+    Value value = 0;
+    Time max_dt = 0;
+    TupleId id = 0;
+    std::uint32_t lane = 0;
+  };
+  /// One lane's score under the rank_order.h order.
+  struct ScoredLane {
+    double score = 0.0;
+    Time arrival = 0;
+    TupleId id = 0;
+    std::uint32_t lane = 0;
+  };
+
+  /// Fills keyed_ with this step's lanes in key order, and the distinct
+  /// keys and each lane's key.
+  void BuildKeys(const MultiPolicyContext& ctx);
   /// key_sums_[p * keys + k] = partner p's subtotal for key k.
   void ScoreKeys(Time now);
+  /// Remembers the retained lanes' key order and ids for the next step.
+  void CarryKeyOrder(const std::vector<TupleId>& retained);
 
   std::vector<const StochasticProcess*> processes_;
   const MultiJoinSimulator* simulator_;
@@ -104,17 +132,23 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
 
   // Per-step scratch, reused so the steady state allocates nothing.
   // Lanes are the candidates in scoring order (cached, then arrivals).
-  std::vector<Value> lane_values_;
-  std::vector<Time> lane_max_dts_;
+  std::vector<KeyedLane> keyed_;
   std::vector<std::uint32_t> lane_keys_;
-  std::vector<std::uint32_t> order_;
   // Distinct (value, max_dt) keys, sorted.
   std::vector<Value> key_values_;
   std::vector<Time> key_max_dts_;
   std::vector<double> key_sums_;
   // score_cache_stats() bookkeeping: (partner, key) pairs already served.
   std::vector<unsigned char> served_;
-  std::vector<RankedTuple> ranked_;
+  std::vector<ScoredLane> scored_;
+  // [lane] = the lane's index in the returned list, or kNotRetained.
+  std::vector<std::uint32_t> retained_at_;
+
+  // Carried from the last step: the returned ids, and the indices into
+  // them in key order (next step's cached lanes, when the cache is that
+  // list). Empty before the first step and after Reset.
+  std::vector<TupleId> carried_ids_;
+  std::vector<std::uint32_t> carried_order_;
 };
 
 /// Random eviction baseline for the multi-join problem.

@@ -168,7 +168,12 @@ class SessionScheduler {
   std::size_t queued_steps(SessionId id) const;
 
   const SchedulerStats& stats() const { return stats_; }
-  /// One entry per Advance slice, in deterministic (round, session) order.
+  /// One entry per Advance slice, in a deterministic order that is not
+  /// session-id order: round by round, and within a round grouped by
+  /// worker. The i-th ready session (in id order) runs on worker
+  /// i % threads, and the workers' slices follow in worker order, each in
+  /// id order. With 2 workers and ready sessions 0-3 a round lists
+  /// 0, 2, 1, 3; with 1 worker it lists 0, 1, 2, 3.
   const std::vector<SliceLatency>& slice_latencies() const {
     return slice_latencies_;
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "sjoin/common/rng.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/policies/random_policy.h"
@@ -90,6 +94,54 @@ TEST(AdaptiveHeebTest, CompetitiveWithWellTunedFixedAlpha) {
     rand_total += sim.Run(pair.r, pair.s, rand).counted_results;
   }
   EXPECT_GT(adaptive_total, rand_total);
+}
+
+// Forwards to a policy and counts the arrivals whose stamp is not the
+// step they arrive in.
+class ArrivalStampProbe final : public ReplacementPolicy {
+ public:
+  explicit ArrivalStampProbe(ReplacementPolicy* inner) : inner_(inner) {}
+  void Reset() override { inner_->Reset(); }
+  std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override {
+    for (const Tuple& tuple : *ctx.arrivals) {
+      ++arrivals_;
+      if (tuple.arrival != ctx.now) ++misstamped_;
+    }
+    return inner_->SelectRetained(ctx);
+  }
+  const char* name() const override { return inner_->name(); }
+
+  std::int64_t arrivals() const { return arrivals_; }
+  std::int64_t misstamped() const { return misstamped_; }
+
+ private:
+  ReplacementPolicy* inner_;
+  std::int64_t arrivals_ = 0;
+  std::int64_t misstamped_ = 0;
+};
+
+TEST(AdaptiveHeebTest, AdmittedArrivalsCarryTheCurrentStep) {
+  // The policy reads a tuple's admission time from its arrival stamp, so
+  // every arrival must reach it stamped with the step it arrives in, on
+  // the serial and the sharded façade paths, with or without a window.
+  TrendPair config;
+  Rng rng(74);
+  auto pair = SampleStreamPair(config.r, config.s, 300, rng);
+  for (int shards : {1, 4}) {
+    for (std::optional<Time> window : {std::optional<Time>{},
+                                       std::optional<Time>{12}}) {
+      AdaptiveHeebJoinPolicy::Options options;
+      options.initial_lifetime = 40.0;
+      AdaptiveHeebJoinPolicy policy(&config.r, &config.s, options);
+      ArrivalStampProbe probe(&policy);
+      JoinSimulator sim({.capacity = 6, .warmup = 0, .window = window,
+                         .shards = shards, .threads = 1});
+      sim.Run(pair.r, pair.s, probe);
+      EXPECT_EQ(probe.arrivals(), 2 * 300) << shards;
+      EXPECT_EQ(probe.misstamped(), 0) << shards;
+      EXPECT_LT(policy.lifetime_estimate(), 40.0) << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "sjoin/stochastic/linear_trend_process.h"
 #include "sjoin/stochastic/random_walk_process.h"
 #include "sjoin/stochastic/stream_sampler.h"
+#include "sjoin/testing/naive_multi_heeb.h"
 
 namespace sjoin {
 namespace {
@@ -383,6 +384,113 @@ TEST(MultiHeebPolicyTest, ScoresMatchFromScratchSumBeforeAndAfterReset) {
       }
     }
   }
+}
+
+TEST(MultiHeebPolicyTest, CarriedKeyOrderIsCheckedAgainstTheCachedList) {
+  // SelectRetained starts its key ranking from last step's key order only
+  // when ctx.cached is exactly last step's returned list. Feed it caches
+  // that are not: permuted, one tuple dropped, a foreign tuple added or
+  // swapped in, the first step after Reset, and windowed steps where max
+  // Δt shifts and expired tuples leave. Every score and the retained list
+  // must match the definitional oracle bit for bit.
+  constexpr int kStreams = 5;
+  constexpr std::size_t kCapacity = 20;
+  constexpr double kAlpha = 6.0;
+  constexpr Time kHorizon = 6;
+  constexpr Time kWindow = 8;
+  std::vector<std::unique_ptr<LinearTrendProcess>> owned;
+  const auto streams = TrendingStreams(&owned, kStreams, 90, 217);
+  std::vector<const StochasticProcess*> processes;
+  for (const auto& p : owned) processes.push_back(p.get());
+  MultiJoinSimulator sim(kStreams, StarEdges(), {.capacity = kCapacity});
+  MultiHeebPolicy heeb(processes, &sim,
+                       {.alpha = kAlpha, .horizon = kHorizon,
+                        .use_score_cache = true});
+  testing::NaiveMultiHeebPolicy naive(processes, &sim.topology(), kAlpha,
+                                      kHorizon);
+
+  auto tuple_at = [&](int s, Time t) {
+    return MultiTuple{MultiTupleIdAt(kStreams, s, t), s,
+                      streams[static_cast<std::size_t>(s)]
+                             [static_cast<std::size_t>(t)],
+                      t};
+  };
+  // One step at `now` over `cached`; returns the retained tuples in
+  // returned order, which is the cache the engine would keep.
+  auto step = [&](Time now, const std::vector<MultiTuple>& cached,
+                  std::optional<Time> window, const char* label) {
+    std::vector<StreamHistory> histories;
+    std::vector<MultiTuple> arrivals;
+    for (int s = 0; s < kStreams; ++s) {
+      const auto& stream = streams[static_cast<std::size_t>(s)];
+      histories.emplace_back(
+          std::vector<Value>(stream.begin(), stream.begin() + now + 1));
+      arrivals.push_back(tuple_at(s, now));
+    }
+    MultiPolicyContext ctx;
+    ctx.now = now;
+    ctx.capacity = kCapacity;
+    ctx.cached = &cached;
+    ctx.arrivals = &arrivals;
+    ctx.histories = &histories;
+    ctx.window = window;
+    std::vector<std::pair<TupleId, double>> got;
+    std::vector<std::pair<TupleId, double>> want;
+    heeb.set_score_observer([&](const MultiTuple& tuple, double score) {
+      got.emplace_back(tuple.id, score);
+    });
+    naive.set_score_observer([&](const MultiTuple& tuple, double score) {
+      want.emplace_back(tuple.id, score);
+    });
+    const std::vector<TupleId> retained = heeb.SelectRetained(ctx);
+    EXPECT_EQ(retained, naive.SelectRetained(ctx)) << label << " @" << now;
+    EXPECT_EQ(got, want) << label << " @" << now;
+    std::vector<MultiTuple> candidates = cached;
+    candidates.insert(candidates.end(), arrivals.begin(), arrivals.end());
+    std::vector<MultiTuple> next;
+    for (TupleId id : retained) {
+      for (const MultiTuple& tuple : candidates) {
+        if (tuple.id == id) next.push_back(tuple);
+      }
+    }
+    return next;
+  };
+
+  std::vector<MultiTuple> cache;
+  Time now = 30;
+  // Fill the cache, then keep it as returned: the carried order applies.
+  for (; now < 37; ++now) cache = step(now, cache, std::nullopt, "as returned");
+  ASSERT_EQ(cache.size(), kCapacity);
+
+  std::reverse(cache.begin(), cache.end());
+  cache = step(now++, cache, std::nullopt, "permuted");
+  cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(cache.size() / 2));
+  cache = step(now++, cache, std::nullopt, "one dropped");
+  // Tuples from before any step ran, so no step has seen their ids.
+  cache.push_back(tuple_at(2, 1));
+  cache = step(now++, cache, std::nullopt, "foreign added");
+  cache[3] = tuple_at(4, 3);
+  cache = step(now++, cache, std::nullopt, "foreign swapped in");
+  cache = step(now++, cache, std::nullopt, "as returned");
+
+  heeb.Reset();
+  cache = step(now++, cache, std::nullopt, "after Reset");
+  cache = step(now++, cache, std::nullopt, "as returned");
+
+  // Windowed: a tuple's max Δt is min(horizon, arrival + window − now), so
+  // the young tuples tie at the horizon, the old ones shift each step and
+  // the expired ones (max Δt ≤ 0) score 0. The engine keeps the cache as
+  // returned; every third step a caller trims the expired tuples instead.
+  std::size_t trimmed = 0;
+  for (int i = 0; i < 12; ++i, ++now) {
+    if (i % 3 == 2) {
+      trimmed += std::erase_if(cache, [&](const MultiTuple& tuple) {
+        return tuple.arrival + kWindow - now < 1;
+      });
+    }
+    cache = step(now, cache, kWindow, i % 3 == 2 ? "trimmed" : "windowed");
+  }
+  EXPECT_GT(trimmed, 0u);
 }
 
 // --- Policy score caches (bit-identical memoization) ---------------------

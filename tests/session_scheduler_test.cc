@@ -286,6 +286,31 @@ TEST(SessionSchedulerTest, SliceOrderIgnoresOfferOrderAndThreads) {
   EXPECT_EQ(slices[2], expected);
 }
 
+TEST(SessionSchedulerTest, SliceOrderGroupsARoundByWorker) {
+  // slice_latencies() lists a round's slices worker by worker: ready
+  // session i runs on worker i % threads, so 2 workers over sessions 0-3
+  // list 0, 2, 1, 3, while 1 worker lists them in id order.
+  Rng rng(29);
+  const std::vector<Value> r = SampleValues(12, 5, rng);
+  const std::vector<Value> s = SampleValues(12, 5, rng);
+  for (int threads : {1, 2}) {
+    Harness harness(WithThreads(threads));
+    for (int i = 0; i < 4; ++i) harness.Open(3);
+    // Offers out of id order: the round still plans in id order.
+    for (SessionId id : {3, 1, 0, 2}) {
+      ASSERT_EQ(harness.Offer(id, Slice(r, 0, 6), Slice(s, 0, 6)), 6u);
+    }
+    EXPECT_EQ(harness.scheduler().RunRound(), 24);
+    const std::vector<std::pair<SessionId, Time>> expected =
+        threads == 1
+            ? std::vector<std::pair<SessionId, Time>>{{0, 6}, {1, 6},
+                                                      {2, 6}, {3, 6}}
+            : std::vector<std::pair<SessionId, Time>>{{0, 6}, {2, 6},
+                                                      {1, 6}, {3, 6}};
+    EXPECT_EQ(harness.Slices(), expected) << threads;
+  }
+}
+
 TEST(SessionSchedulerTest, OneSessionRoundTraceMatchesAcrossThreads) {
   Rng rng(23);
   const std::vector<Value> ra = SampleValues(60, 7, rng);

@@ -228,6 +228,64 @@ TEST(ShardedStreamEngineTest, ThreadsAreBitIdenticalAtEveryTeamSize) {
   }
 }
 
+/// Folds each step's retained ids, cache ids and produced count into one
+/// hash per step, for runs whose full traces would be too large to keep.
+class TraceHashObserver final : public StepObserver {
+ public:
+  void OnStep(const EngineStepView& step) override {
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ull; };
+    for (TupleId id : *step.retained) mix(static_cast<std::uint64_t>(id));
+    mix(~std::uint64_t{0});
+    for (const StreamTuple& tuple : *step.cache) {
+      mix(static_cast<std::uint64_t>(tuple.id));
+    }
+    mix(static_cast<std::uint64_t>(step.produced));
+    hashes_.push_back(h);
+    peak_cache_ = std::max(peak_cache_, step.cache->size());
+  }
+
+  const std::vector<std::uint64_t>& hashes() const { return hashes_; }
+  std::size_t peak_cache() const { return peak_cache_; }
+
+ private:
+  std::vector<std::uint64_t> hashes_;
+  std::size_t peak_cache_ = 0;
+};
+
+TEST(ShardedStreamEngineTest, ParallelMergeMatchesInlineMerge) {
+  // A merge level fans out to the workers only when it holds at least
+  // 4096 entries (kParallelMergeMinEntries), so the cache here grows past
+  // that: 4200 slots over 4 shards, filled after 2100 steps. Worker teams
+  // of 2 and 4 must reproduce the inline (threads = 1) trace exactly.
+  constexpr std::size_t kCapacity = 4200;
+  constexpr Time kLen = 2200;
+  Rng rng(59);
+  const std::vector<Value> r = SampleValues(kLen, 64, rng);
+  const std::vector<Value> s = SampleValues(kLen, 64, rng);
+  ProbPolicy prob;
+  BinaryPolicyAdapter adapter(&prob);
+
+  std::vector<std::vector<std::uint64_t>> traces;
+  std::vector<EngineRunResult> runs;
+  for (int threads : {1, 2, 4}) {
+    ShardedStreamEngine engine(
+        StreamTopology::Binary(),
+        {.capacity = kCapacity, .warmup = 20, .shards = 4,
+         .threads = threads});
+    TraceHashObserver trace;
+    runs.push_back(engine.Run({&r, &s}, adapter, {&trace}));
+    EXPECT_EQ(trace.peak_cache(), kCapacity) << threads;
+    traces.push_back(trace.hashes());
+  }
+  ASSERT_EQ(traces[0].size(), static_cast<std::size_t>(kLen));
+  for (std::size_t i = 1; i < traces.size(); ++i) {
+    EXPECT_EQ(runs[0].total_results, runs[i].total_results) << i;
+    EXPECT_EQ(runs[0].counted_results, runs[i].counted_results) << i;
+    EXPECT_EQ(traces[0], traces[i]) << i;
+  }
+}
+
 TEST(ShardedStreamEngineTest, BatchedObserverDeliveryMatchesClassic) {
   // A PerfObserver-only chain permits batched delivery (scalar views
   // buffered, flushed at batch boundaries); a TraceObserver in the chain
