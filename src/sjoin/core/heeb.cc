@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "sjoin/common/check.h"
 
@@ -51,33 +49,60 @@ double CachingHeeb(const StochasticProcess& reference,
   return h;
 }
 
+namespace {
+
+// First index of the value-sorted `lanes` whose value is >= lo, found by
+// walking from `from`. Successive steps' supports usually start within a
+// few lanes of each other (a trend shifts by its slope, a walk widens by a
+// few values); a start further away falls back to a binary search.
+std::size_t FirstLaneAtLeast(
+    std::span<const std::pair<Value, std::size_t>> lanes, std::size_t from,
+    Value lo) {
+  constexpr int kMaxWalk = 8;
+  std::size_t j = from;
+  for (int walked = 0; walked < kMaxWalk; ++walked) {
+    if (j < lanes.size() && lanes[j].first < lo) {
+      ++j;
+    } else if (j > 0 && lanes[j - 1].first >= lo) {
+      --j;
+    } else {
+      return j;
+    }
+  }
+  return static_cast<std::size_t>(
+      std::lower_bound(lanes.begin(), lanes.end(), lo,
+                       [](const std::pair<Value, std::size_t>& lane,
+                          Value v) { return lane.first < v; }) -
+      lanes.begin());
+}
+
+}  // namespace
+
 void CachingHeebBatch(const StochasticProcess& reference,
                       const StreamHistory& history, Time t0,
-                      const Value* values, std::size_t count,
-                      std::span<const double> lifetime, double* out) {
+                      std::span<const std::pair<Value, std::size_t>> lanes,
+                      std::span<const double> lifetime,
+                      DiscreteDistribution* pmf, double* survive,
+                      double* out) {
   SJOIN_CHECK_GE(lifetime.size(), 1u);
+  const std::size_t count = lanes.size();
   std::fill(out, out + count, 0.0);
-  std::vector<double> survive(count, 1.0);
-  // (value, lane) in value order: each step's support range is one
-  // contiguous run of this array.
-  std::vector<std::pair<Value, std::size_t>> lanes(count);
-  for (std::size_t i = 0; i < count; ++i) lanes[i] = {values[i], i};
-  std::sort(lanes.begin(), lanes.end());
-  DiscreteDistribution pmf;
+  std::fill(survive, survive + count, 1.0);
+  std::size_t first = 0;
   for (std::size_t k = 0; k < lifetime.size(); ++k) {
-    reference.PredictInto(history, t0 + static_cast<Time>(k) + 1, &pmf);
-    if (pmf.IsEmpty()) continue;
-    const Value lo = pmf.MinValue();
-    const Value hi = pmf.MaxValue();
-    const double* masses = pmf.masses().data();
+    reference.PredictInto(history, t0 + static_cast<Time>(k) + 1, pmf);
+    if (pmf->IsEmpty()) continue;
+    const Value lo = pmf->MinValue();
+    const Value hi = pmf->MaxValue();
+    const double* masses = pmf->masses().data();
     const double life = lifetime[k];
-    for (auto it = std::lower_bound(lanes.begin(), lanes.end(),
-                                    std::pair<Value, std::size_t>{lo, 0});
-         it != lanes.end() && it->first <= hi; ++it) {
-      const std::size_t i = it->second;
-      const double p = masses[static_cast<std::size_t>(it->first - lo)];
-      out[i] += survive[i] * p * life;
-      survive[i] *= 1.0 - p;
+    // This step's support range is one contiguous run of `lanes`.
+    first = FirstLaneAtLeast(lanes, first, lo);
+    for (std::size_t j = first; j < count && lanes[j].first <= hi; ++j) {
+      const std::size_t i = lanes[j].second;
+      const double p = masses[static_cast<std::size_t>(lanes[j].first - lo)];
+      out[i] += survive[j] * p * life;
+      survive[j] *= 1.0 - p;
     }
   }
 }

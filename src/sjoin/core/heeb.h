@@ -1,7 +1,9 @@
 #ifndef SJOIN_CORE_HEEB_H_
 #define SJOIN_CORE_HEEB_H_
 
+#include <cstddef>
 #include <span>
+#include <utility>
 
 #include "sjoin/common/types.h"
 #include "sjoin/core/ecb.h"
@@ -42,22 +44,29 @@ double CachingHeeb(const StochasticProcess& reference,
                    const StreamHistory& history, Time t0, Value v,
                    const LifetimeFn& lifetime, Time horizon);
 
-/// Batched caching form: scores `count` values against the same reference
-/// and history in one pass, truncated at horizon = lifetime.size() with
-/// lifetime[dt - 1] = L(dt) (see LifetimeTable). One predictive pmf per
-/// step is shared across every lane (PredictInto — allocation-free in
-/// steady state), and each step touches only the lanes whose value lies in
-/// that pmf's support range: the lanes are sorted by value once per call,
-/// and each step walks the sorted run from the pmf's MinValue to its
-/// MaxValue. Skipping the other lanes is exact, because a p = 0.0 step adds
-/// +0.0 to out[i] (which is never -0.0) and multiplies survive by 1.0.
-/// Each lane still accumulates in dt-ascending order with the same
-/// operations as CachingHeeb, so out[i] is bit-identical to
-/// CachingHeeb(reference, history, t0, values[i], L, lifetime.size()).
+/// Batched caching form: scores lanes 0 .. lanes.size()-1 against the same
+/// reference and history in one pass, truncated at horizon =
+/// lifetime.size() with lifetime[dt - 1] = L(dt) (see LifetimeTable).
+/// `lanes` lists every lane once as (value, lane), ordered by value; the
+/// caller keeps that order (HeebCachingPolicy carries it from step to
+/// step). One predictive pmf per step, `*pmf`, is shared across every lane
+/// (PredictInto — allocation-free once its buffer is sized), and each step
+/// touches only the lanes whose value lies in that pmf's support range: the
+/// run of `lanes` from the pmf's MinValue to its MaxValue, whose start is
+/// walked from the previous step's. Skipping the other lanes is exact,
+/// because a p = 0.0 step adds +0.0 to out[lane] (which is never -0.0) and
+/// multiplies its survival by 1.0. Each lane
+/// still accumulates in dt-ascending order with the same operations as
+/// CachingHeeb, so out[lane] is bit-identical to
+/// CachingHeeb(reference, history, t0, value, L, lifetime.size()).
+/// `survive` is caller scratch of lanes.size() doubles, indexed like
+/// `lanes`; nothing is allocated.
 void CachingHeebBatch(const StochasticProcess& reference,
                       const StreamHistory& history, Time t0,
-                      const Value* values, std::size_t count,
-                      std::span<const double> lifetime, double* out);
+                      std::span<const std::pair<Value, std::size_t>> lanes,
+                      std::span<const double> lifetime,
+                      DiscreteDistribution* pmf, double* survive,
+                      double* out);
 
 /// A horizon beyond which L_exp(α) contributions are below `epsilon` even
 /// for per-step probability 1; α ln(α/ε) rounded up, at least 1.

@@ -1,5 +1,6 @@
 #include "sjoin/core/heeb_caching_policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -65,6 +66,7 @@ HeebCachingPolicy::HeebCachingPolicy(const StochasticProcess* reference,
 void HeebCachingPolicy::Reset() {
   cached_h_.clear();
   state_time_ = -1;
+  lane_order_ = LaneOrder::kNone;
 }
 
 double HeebCachingPolicy::DirectScore(Value v,
@@ -82,8 +84,21 @@ void HeebCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
                                        double* out) {
   switch (options_.mode) {
     case Mode::kDirect:
-      CachingHeebBatch(*reference_, *ctx.history, ctx.now, batch.values,
-                       batch.size, lifetime_flat_, out);
+      if (survive_.capacity() < batch.size) {
+        // Grow the scratch by doubling, but stop at a full cache's lanes
+        // (capacity + the referenced value).
+        const std::size_t lanes =
+            std::max(batch.size,
+                     std::min(2 * survive_.capacity(), ctx.capacity + 1));
+        lanes_.reserve(lanes);
+        survive_.reserve(lanes);
+        returned_at_.reserve(lanes);
+      }
+      OrderLanes(batch, ctx);
+      survive_.resize(batch.size);
+      CachingHeebBatch(*reference_, *ctx.history, ctx.now, lanes_,
+                       lifetime_flat_, &pmf_, survive_.data(), out);
+      lane_order_ = LaneOrder::kBatch;
       return;
     case Mode::kWalkTable: {
       const OffsetTable& table = *walk_table_;
@@ -107,6 +122,64 @@ void HeebCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
       ScoredCachingPolicy::ScoreBatchInto(batch, ctx, out);
       return;
   }
+}
+
+void HeebCachingPolicy::OrderLanes(const CandidateBatch& batch,
+                                   const CachingContext& ctx) {
+  // The batch is the cached list, then the referenced value on a miss.
+  const std::size_t cached = ctx.hit ? batch.size : batch.size - 1;
+  // Verify the carried order: it holds one entry per list position, so
+  // matching every entry's value against its position proves it is this
+  // list's value order.
+  bool carried = lane_order_ == LaneOrder::kReturned && lanes_.size() == cached;
+  for (std::size_t j = 0; carried && j < cached; ++j) {
+    carried = lanes_[j].second < cached &&
+              batch.values[lanes_[j].second] == lanes_[j].first;
+  }
+  if (carried) {
+    if (!ctx.hit) {
+      const Value v = batch.values[cached];
+      lanes_.insert(
+          std::upper_bound(lanes_.begin(), lanes_.end(), v,
+                           [](Value value, const auto& lane) {
+                             return value < lane.first;
+                           }),
+          {v, cached});
+    }
+    return;
+  }
+  lanes_.resize(batch.size);
+  for (std::size_t i = 0; i < batch.size; ++i) {
+    lanes_[i] = {batch.values[i], i};
+  }
+  std::sort(lanes_.begin(), lanes_.end());
+}
+
+void HeebCachingPolicy::EndStep(
+    const CachingContext& ctx,
+    const std::vector<std::uint32_t>& retained_lanes) {
+  (void)ctx;
+  if (lane_order_ != LaneOrder::kBatch) {
+    // This step did not score through the batch kernel, so lanes_ does not
+    // describe the returned list.
+    lane_order_ = LaneOrder::kNone;
+    return;
+  }
+  // Keep the retained lanes in value order, renumbered to their index in
+  // the returned list.
+  constexpr std::uint32_t kDropped = ~std::uint32_t{0};
+  returned_at_.assign(lanes_.size(), kDropped);
+  for (std::size_t i = 0; i < retained_lanes.size(); ++i) {
+    returned_at_[retained_lanes[i]] = static_cast<std::uint32_t>(i);
+  }
+  std::size_t kept = 0;
+  for (const auto& [value, lane] : lanes_) {
+    if (returned_at_[lane] != kDropped) {
+      lanes_[kept++] = {value, returned_at_[lane]};
+    }
+  }
+  lanes_.resize(kept);
+  lane_order_ = LaneOrder::kReturned;
 }
 
 void HeebCachingPolicy::AdvanceIncremental(const CachingContext& ctx) {

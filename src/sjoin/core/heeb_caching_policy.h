@@ -1,9 +1,11 @@
 #ifndef SJOIN_CORE_HEEB_CACHING_POLICY_H_
 #define SJOIN_CORE_HEEB_CACHING_POLICY_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
@@ -87,9 +89,14 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   }
   void ScoreBatchInto(const CandidateBatch& batch, const CachingContext& ctx,
                       double* out) override;
+  /// kDirect: carries the batch's value order into the returned order.
+  void EndStep(const CachingContext& ctx,
+               const std::vector<std::uint32_t>& retained_lanes) override;
 
  private:
   double DirectScore(Value v, const CachingContext& ctx) const;
+  /// kDirect batch: fills lanes_ with the batch's lanes in value order.
+  void OrderLanes(const CandidateBatch& batch, const CachingContext& ctx);
   /// kTimeIncremental: Corollary 4 advance of every stored H from
   /// state_time_ to ctx.now, then the stale-entry sweep.
   void AdvanceIncremental(const CachingContext& ctx);
@@ -103,6 +110,20 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   std::shared_ptr<const OffsetTable> walk_table_;
   // kDirect batch kernel: L(dt) for dt = 1..horizon_ (LifetimeTable).
   std::vector<double> lifetime_flat_;
+  // kDirect batch kernel order and scratch, sized on first use. lanes_ is
+  // (value, lane) in value order: the last batch's lanes after
+  // ScoreBatchInto, that batch's returned list (lane = index in the list)
+  // after EndStep. The returned list is the next miss step's cached list
+  // unless the caller edits it, so OrderLanes only verifies the carried
+  // order and inserts the referenced value; any other list is sorted.
+  enum class LaneOrder { kNone, kBatch, kReturned };
+  LaneOrder lane_order_ = LaneOrder::kNone;
+  std::vector<std::pair<Value, std::size_t>> lanes_;
+  std::vector<double> survive_;
+  // EndStep scratch: [batch lane] = index in the returned list.
+  std::vector<std::uint32_t> returned_at_;
+  // The kernel's one predictive pmf, refilled per Δt.
+  DiscreteDistribution pmf_;
 
   // kTimeIncremental state: H per cached value at time state_time_.
   struct IncrementalState {

@@ -1,12 +1,13 @@
 #include "sjoin/core/heeb_join_policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -18,7 +19,8 @@ HeebJoinPolicy::HeebJoinPolicy(const StochasticProcess* r_process,
       options_(options),
       exp_lifetime_(options.alpha),
       horizon_(options.horizon > 0 ? options.horizon
-                                   : ExpHorizon(options.alpha)) {
+                                   : ExpHorizon(options.alpha)),
+      ring_(horizon_) {
   SJOIN_CHECK(r_process != nullptr && s_process != nullptr);
   if (options_.mode == Mode::kTimeIncremental ||
       options_.mode == Mode::kValueIncremental) {
@@ -66,46 +68,28 @@ HeebJoinPolicy::HeebJoinPolicy(const StochasticProcess* r_process,
 }
 
 void HeebJoinPolicy::Reset() {
-  predictions_[0].clear();
-  predictions_[1].clear();
+  ring_.Reset();
   predictions_time_ = -1;
-  flat_time_ = -1;
   slots_.clear();
-  slot_index_.clear();
+  lane_slot_.clear();
+  free_slots_.clear();
+  dropped_slots_.clear();
   last_step_time_ = -1;
 }
 
-HeebJoinPolicy::CachedState* HeebJoinPolicy::FindState(TupleId id) {
-  auto it = slot_index_.find(id);
-  return it == slot_index_.end() ? nullptr : &slots_[it->second];
-}
-
-void HeebJoinPolicy::InsertState(const Tuple& tuple, double h) {
-  slot_index_.emplace(tuple.id, slots_.size());
-  slots_.push_back(
-      CachedState{h, tuple.id, tuple.side, tuple.value, tuple.arrival, 0});
-}
-
-void HeebJoinPolicy::EraseState(TupleId id) {
-  auto it = slot_index_.find(id);
-  if (it == slot_index_.end()) return;
-  std::size_t pos = it->second;
-  slot_index_.erase(it);
-  if (pos + 1 != slots_.size()) {
-    // Swap-with-last; re-point the moved slot's index entry.
-    slots_[pos] = slots_.back();
-    slot_index_[slots_[pos].id] = pos;
-  }
-  slots_.pop_back();
-}
-
 void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
-  // The sharded prologue, then Corollary 3 eagerly: every cached H
-  // advanced to now (slots_ is empty outside the incremental modes). The
-  // sweep walks the flat slot array in storage order; each entry's update
-  // is independent, so the order only affects memory access, not results.
-  ShardBeginStep(ctx, nullptr);
-  for (CachedState& state : slots_) AdvanceState(&state, ctx);
+  if (options_.mode == Mode::kWalkTable) return;  // Pure lookups.
+  if (options_.mode == Mode::kDirect) {
+    EnsurePredictions(ctx);
+    return;
+  }
+  // Corollary 3 eagerly: every cached H advanced to now. The sweep walks
+  // the flat slot array in storage order; each entry's update is
+  // independent, so the order only affects memory access, not results.
+  PrepareStep(ctx);
+  for (CachedState& state : slots_) {
+    if (state.state == SlotState::kScored) AdvanceState(&state, ctx);
+  }
 }
 
 bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
@@ -117,29 +101,58 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
     return true;
   }
   // Corollary 3, lazily: each entry advances inside the parallel scoring
-  // phase (ShardScoreCached / ShardScoreCachedBatch).
-  PrepareAdvance(ctx);
+  // phase (ShardScoreCached / ShardScoreCachedBatch), which finds its lane
+  // through this read-only id table.
+  PrepareStep(ctx);
+  shard_lanes_.Reserve(lane_slot_.size());
+  shard_lanes_.Reset();
+  for (std::size_t lane = 0; lane < lane_slot_.size(); ++lane) {
+    shard_lanes_.Insert(LaneState(lane).id,
+                        static_cast<LaneTable<TupleId>::Lane>(lane));
+  }
   return true;
 }
 
-void HeebJoinPolicy::PrepareAdvance(const PolicyContext& ctx) {
+void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   SJOIN_CHECK_MSG(!ctx.window.has_value() ||
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
                   "windows; use kDirect or kTimeIncremental");
   // kTimeIncremental scores arrivals with direct sums; kValueIncremental
-  // builds the predictions only when a transfer or re-anchor needs them.
+  // advances the ring only when a transfer or re-anchor needs it.
   if (options_.mode == Mode::kTimeIncremental) EnsurePredictions(ctx);
+
+  // Map the candidate lanes to slots. The engines cache exactly last
+  // step's returned list, so the carried lane_slot_ normally matches
+  // ctx.cached id by id; otherwise (a caller trimmed, reordered or
+  // preloaded the cache) Realign maps it afresh.
+  const std::vector<Tuple>& cached = *ctx.cached;
+  bool carried = lane_slot_.size() == cached.size();
+  for (std::size_t i = 0; carried && i < cached.size(); ++i) {
+    carried = LaneState(i).id == cached[i].id;
+  }
+  if (!carried) Realign(ctx);
+  // Grow the slots by doubling, but stop at what a full cache uses
+  // (capacity + arrivals), so a full cache keeps no spare slots.
+  const std::size_t arrivals = ctx.arrivals->size();
+  if (slots_.size() + arrivals > slots_.capacity()) {
+    slots_.reserve(std::max(slots_.size() + arrivals,
+                            std::min(2 * slots_.capacity(),
+                                     ctx.capacity + arrivals)));
+  }
+  for (const Tuple& t : *ctx.arrivals) lane_slot_.push_back(NewSlot(t));
+  next_lane_ = 0;
 
   advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
   advance_e_ = std::exp(1.0 / options_.alpha);
   if (advance_gap_ > 0) {
     // Entries crossing the refresh interval re-anchor with DirectScore,
-    // which reads this step's predictions; build them up front so the
-    // parallel phase never mutates shared state.
+    // which reads this step's predictions; advance the ring up front so
+    // the parallel phase never mutates shared state.
     for (const CachedState& state : slots_) {
-      if (state.updates_since_refresh + advance_gap_ >=
-          options_.refresh_interval) {
+      if (state.state == SlotState::kScored &&
+          state.updates_since_refresh + advance_gap_ >=
+              options_.refresh_interval) {
         EnsurePredictions(ctx);
         break;
       }
@@ -149,11 +162,15 @@ void HeebJoinPolicy::PrepareAdvance(const PolicyContext& ctx) {
     for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
       StreamSide partner = Partner(side);
       auto& pmfs = advance_pmfs_[SideIndex(side)];
+      auto& slots = advance_slots_[SideIndex(side)];
       pmfs.resize(static_cast<std::size_t>(advance_gap_));
-      for (Time step = 1; step <= advance_gap_; ++step) {
-        process(partner)->PredictInto(
-            *history(partner, ctx), last_step_time_ + step,
-            &pmfs[static_cast<std::size_t>(step - 1)]);
+      slots.resize(pmfs.size());
+      for (std::size_t k = 0; k < pmfs.size(); ++k) {
+        process(partner)->PredictInto(*history(partner, ctx),
+                                      last_step_time_ + 1 +
+                                          static_cast<Time>(k),
+                                      &pmfs[k]);
+        slots[k] = PredictionRing::SlotOf(pmfs[k]);
       }
     }
   }
@@ -167,19 +184,85 @@ void HeebJoinPolicy::AdvanceState(CachedState* state,
   if (state->updates_since_refresh >= options_.refresh_interval) {
     // Re-anchor: the recurrence is an unstable iteration whose error grows
     // by e^{1/alpha} per step.
-    SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Built in PrepareAdvance.
+    SJOIN_CHECK_EQ(predictions_time_, ctx.now);  // Advanced in PrepareStep.
     Tuple proxy{0, state->side, state->value, state->arrival};
     state->h = DirectScore(proxy, ctx);
     state->updates_since_refresh = 0;
     return;
   }
   // H_t = e^{1/alpha} H_{t-1} - Pr{X^partner_t = v}, once per elapsed step.
-  const auto& pmfs = advance_pmfs_[SideIndex(state->side)];
-  for (Time step = 1; step <= advance_gap_; ++step) {
-    double p = pmfs[static_cast<std::size_t>(step - 1)].Prob(state->value);
+  const PredictionRing::Slot* slots =
+      advance_slots_[SideIndex(state->side)].data();
+  for (Time step = 0; step < advance_gap_; ++step) {
+    const double p = slots[step].Prob(state->value);
     state->h = advance_e_ * state->h - p;
     if (state->h < 0.0) state->h = 0.0;  // Guard truncation drift.
   }
+}
+
+double HeebJoinPolicy::ScoreNew(CachedState* state,
+                                const PolicyContext& ctx) {
+  const Tuple tuple{state->id, state->side, state->value, state->arrival};
+  // Still unscored, so ValueIncrementalScore's donor scan skips this slot.
+  const double h = options_.mode == Mode::kTimeIncremental
+                       ? DirectScore(tuple, ctx)
+                       : ValueIncrementalScore(tuple, ctx);
+  state->h = h;
+  state->state = SlotState::kScored;
+  return h;
+}
+
+std::uint32_t HeebJoinPolicy::NewSlot(const Tuple& tuple) {
+  const CachedState fresh{0.0,         tuple.id,
+                          tuple.side,  SlotState::kUnscored,
+                          tuple.value, tuple.arrival,
+                          0};
+  if (free_slots_.empty()) {
+    slots_.push_back(fresh);
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = fresh;
+  return slot;
+}
+
+void HeebJoinPolicy::Realign(const PolicyContext& ctx) {
+  // Each cached lane takes its tuple's slot, or a new unscored one. The
+  // slots no lane takes stay live until CarryState frees them.
+  dropped_slots_.clear();
+  placed_.assign(slots_.size(), 0);
+  carry_lanes_.clear();
+  auto holds = [&](std::uint32_t slot, TupleId id) {
+    return slots_[slot].state != SlotState::kFree && slots_[slot].id == id;
+  };
+  for (const Tuple& t : *ctx.cached) {
+    std::uint32_t slot = 0;
+    while (slot < slots_.size() && !holds(slot, t.id)) ++slot;
+    if (slot == slots_.size()) {
+      slot = NewSlot(t);
+      placed_.resize(slots_.size(), 0);
+    }
+    placed_[slot] = 1;
+    carry_lanes_.push_back(slot);
+  }
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].state != SlotState::kFree && placed_[slot] == 0) {
+      dropped_slots_.push_back(slot);
+    }
+  }
+  lane_slot_.swap(carry_lanes_);
+}
+
+std::size_t HeebJoinPolicy::LaneOf(TupleId id, std::size_t guess,
+                                   std::size_t first) const {
+  const std::size_t lanes = lane_slot_.size();
+  if (guess < lanes && slots_[lane_slot_[guess]].id == id) return guess;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const std::size_t lane = first + k < lanes ? first + k : first + k - lanes;
+    if (slots_[lane_slot_[lane]].id == id) return lane;
+  }
+  return kNoLane;
 }
 
 std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
@@ -191,11 +274,13 @@ std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
   (void)scratch;
   // Lazy Corollary 3 advance: each entry is owned by exactly one shard
   // (shards partition the value domain and an entry's value is fixed), so
-  // mutating it here is race-free; the shared pmfs and predictions are
-  // read-only during this phase.
-  CachedState* state = FindState(tuple.id);
-  SJOIN_CHECK_MSG(state != nullptr,
+  // mutating it here is race-free; the shared pmfs, predictions and lane
+  // table are read-only during this phase.
+  const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(tuple.id);
+  SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane &&
+                      LaneState(lane).state == SlotState::kScored,
                   "cached tuple without incremental HEEB state");
+  CachedState* state = &LaneState(lane);
   AdvanceState(state, ctx);
   // Same window guard as Score(); the entry advances either way, exactly
   // like the serial BeginStep sweep runs before Score's window check.
@@ -226,9 +311,11 @@ void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
   const bool windowed = ctx.window.has_value();
   const Time w = windowed ? *ctx.window : 0;
   for (std::size_t i = 0; i < batch.size; ++i) {
-    CachedState* state = FindState(batch.ids[i]);
-    SJOIN_CHECK_MSG(state != nullptr,
+    const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(batch.ids[i]);
+    SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane &&
+                        LaneState(lane).state == SlotState::kScored,
                     "cached tuple without incremental HEEB state");
+    CachedState* state = &LaneState(lane);
     AdvanceState(state, ctx);
     double score =
         windowed && ctx.now - batch.arrivals[i] > w ? 0.0 : state->h;
@@ -245,44 +332,33 @@ double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
 }
 
 void HeebJoinPolicy::EnsurePredictions(const PolicyContext& ctx) {
-  const bool want_flat =
-      options_.mode == Mode::kDirect && ScoringBatchEnabled();
-  if (predictions_time_ == ctx.now &&
-      (!want_flat || flat_time_ == ctx.now)) {
-    return;
-  }
-  for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
-    auto& preds = predictions_[SideIndex(side)];
-    // Overwrite last step's pmfs in place: PredictInto reuses each slot's
-    // mass buffer, so the rebuild is allocation-free in steady state.
-    preds.resize(static_cast<std::size_t>(horizon_));
-    for (Time dt = 1; dt <= horizon_; ++dt) {
-      process(side)->PredictInto(*history(side, ctx), ctx.now + dt,
-                                 &preds[static_cast<std::size_t>(dt - 1)]);
-    }
-  }
+  if (predictions_time_ == ctx.now) return;
+  // Stream index SideIndex: R = 0, S = 1. Independent streams predict only
+  // the times that newly enter the horizon.
+  const StochasticProcess* const processes[2] = {r_process_, s_process_};
+  const StreamHistory* const histories[2] = {ctx.history_r, ctx.history_s};
+  ring_.Advance(processes, histories, ctx.now);
   predictions_time_ = ctx.now;
-  if (want_flat) FlattenPredictions();
 }
 
-void HeebJoinPolicy::FlattenPredictions() {
-  for (int s = 0; s < 2; ++s) {
-    const auto& preds = predictions_[s];
-    FlatPmfs& fp = flat_predictions_[s];
-    fp.masses.clear();
-    fp.offset.resize(preds.size());
-    fp.min.resize(preds.size());
-    fp.size.resize(preds.size());
-    for (std::size_t k = 0; k < preds.size(); ++k) {
-      const DiscreteDistribution& pmf = preds[k];
-      fp.offset[k] = fp.masses.size();
-      fp.min[k] = pmf.IsEmpty() ? 0 : pmf.MinValue();
-      fp.size[k] = static_cast<Value>(pmf.SupportSize());
-      fp.masses.insert(fp.masses.end(), pmf.masses().begin(),
-                       pmf.masses().end());
+double HeebJoinPolicy::RingSum(StreamSide side, Value v, Time now,
+                               Time max_dt) const {
+  const PredictionRing::Slot* ring =
+      ring_.slots(SideIndex(Partner(side)));
+  const auto horizon = static_cast<std::size_t>(horizon_);
+  // Δt ascending from X_{now+1}'s ring slot, adding Prob(v) · L(Δt) only
+  // where v is in the support: elsewhere the term is +0.0, and adding it
+  // leaves h (never -0.0) unchanged.
+  double h = 0.0;
+  std::size_t r = ring_.RingIndex(now + 1);
+  for (Time dt = 1; dt <= max_dt; ++dt, r = r + 1 == horizon ? 0 : r + 1) {
+    const PredictionRing::Slot& slot = ring[r];
+    if (slot.Covers(v)) {
+      h += slot.masses[static_cast<std::size_t>(v - slot.lo)] *
+           lifetime_flat_[static_cast<std::size_t>(dt - 1)];
     }
   }
-  flat_time_ = predictions_time_;
+  return h;
 }
 
 double HeebJoinPolicy::DirectScore(const Tuple& tuple,
@@ -294,21 +370,14 @@ double HeebJoinPolicy::DirectScore(const Tuple& tuple,
     Time remaining = tuple.arrival + *ctx.window - ctx.now;
     if (remaining < max_dt) max_dt = remaining;
   }
-  const auto& partner_preds = predictions_[SideIndex(Partner(tuple.side))];
-  double h = 0.0;
-  for (Time dt = 1; dt <= max_dt; ++dt) {
-    const std::size_t k = static_cast<std::size_t>(dt - 1);
-    h += partner_preds[k].Prob(tuple.value) * lifetime_flat_[k];
-  }
-  return h;
+  return RingSum(tuple.side, tuple.value, ctx.now, max_dt);
 }
 
 void HeebJoinPolicy::DirectBatch(const CandidateBatch& batch,
                                  const PolicyContext& ctx, double* out) {
-  // BeginStep / ShardBeginStep built and flattened this step's
-  // predictions; this may run inside the parallel phase, so it must not
-  // rebuild them here.
-  SJOIN_CHECK_EQ(flat_time_, ctx.now);
+  // BeginStep / ShardBeginStep advanced the ring to this step; this may
+  // run inside the parallel phase, so it must not advance it here.
+  SJOIN_CHECK_EQ(predictions_time_, ctx.now);
   const bool windowed = ctx.window.has_value();
   const Time w = windowed ? *ctx.window : 0;
   for (std::size_t i = 0; i < batch.size; ++i) {
@@ -321,22 +390,8 @@ void HeebJoinPolicy::DirectBatch(const CandidateBatch& batch,
       Time remaining = batch.arrivals[i] + w - ctx.now;
       if (remaining < max_dt) max_dt = remaining;
     }
-    const FlatPmfs& fp = flat_predictions_[SideIndex(
-        Partner(static_cast<StreamSide>(batch.sides[i])))];
-    const Value v = batch.values[i];
-    // Same dt-ascending p * L summation as DirectScore; the gather reads
-    // the identical doubles Prob() would return (exact 0.0 off-support).
-    double h = 0.0;
-    for (Time dt = 1; dt <= max_dt; ++dt) {
-      const std::size_t k = static_cast<std::size_t>(dt - 1);
-      const Value off = v - fp.min[k];
-      const double p =
-          off >= 0 && off < fp.size[k]
-              ? fp.masses[fp.offset[k] + static_cast<std::size_t>(off)]
-              : 0.0;
-      h += p * lifetime_flat_[k];
-    }
-    out[i] = h;
+    out[i] = RingSum(static_cast<StreamSide>(batch.sides[i]),
+                     batch.values[i], ctx.now, max_dt);
   }
 }
 
@@ -389,23 +444,45 @@ void HeebJoinPolicy::ScoreBatchInto(const CandidateBatch& batch,
       return;
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental:
-      // Find-or-insert state mutation defines the per-candidate order;
-      // run the scalar path lane by lane.
-      ScoredPolicy::ScoreBatchInto(batch, ctx, out);
+      IncrementalBatch(batch, ctx, out);
       return;
+  }
+}
+
+void HeebJoinPolicy::IncrementalBatch(const CandidateBatch& batch,
+                                      const PolicyContext& ctx,
+                                      double* out) {
+  // The batch lanes are the candidate lanes PrepareStep mapped, so lane i
+  // is LaneState(i): no id lookup. Unscored slots are filled in lane
+  // order, the scalar path's order, which the Corollary 5 donor scan
+  // depends on.
+  SJOIN_CHECK_EQ(batch.size, lane_slot_.size());
+  const bool windowed = ctx.window.has_value();
+  const Time w = windowed ? *ctx.window : 0;
+  for (std::size_t i = 0; i < batch.size; ++i) {
+    CachedState& state = LaneState(i);
+    SJOIN_VALIDATE_MSG(state.id == batch.ids[i],
+                       "incremental HEEB lane maps to another tuple's slot");
+    if (windowed && ctx.now - batch.arrivals[i] > w) {
+      out[i] = 0.0;
+      continue;
+    }
+    out[i] = state.state == SlotState::kScored ? state.h
+                                               : ScoreNew(&state, ctx);
   }
 }
 
 double HeebJoinPolicy::ValueIncrementalScore(const Tuple& tuple,
                                              const PolicyContext& ctx) {
-  // Find the cached tuple of the same side with the nearest value. The
-  // argmin tie-breaks by (distance, value, id): slot storage order differs
-  // between the serial and sharded erase paths, so ties must not resolve
-  // by scan order.
+  // Find the scored tuple of the same side with the nearest value. The
+  // argmin tie-breaks by (distance, value, id), so ties do not resolve by
+  // slot order.
   const CachedState* nearest = nullptr;
   Value best_distance = 0;
   for (const CachedState& state : slots_) {
-    if (state.side != tuple.side) continue;
+    if (state.state != SlotState::kScored || state.side != tuple.side) {
+      continue;
+    }
     Value distance = std::llabs(state.value - tuple.value);
     if (nearest == nullptr || distance < best_distance ||
         (distance == best_distance &&
@@ -442,13 +519,13 @@ double HeebJoinPolicy::ValueIncrementalScore(const Tuple& tuple,
 }
 
 double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
-  if (ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window)) {
-    return 0.0;
-  }
+  const bool out_of_window =
+      ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window);
   switch (options_.mode) {
     case Mode::kDirect:
-      return DirectScore(tuple, ctx);
+      return out_of_window ? 0.0 : DirectScore(tuple, ctx);
     case Mode::kWalkTable: {
+      if (out_of_window) return 0.0;
       const StreamHistory* partner_history =
           history(Partner(tuple.side), ctx);
       const auto* walk = static_cast<const RandomWalkProcess*>(
@@ -459,12 +536,17 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
     }
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental: {
-      if (const CachedState* state = FindState(tuple.id)) return state->h;
-      double h = options_.mode == Mode::kTimeIncremental
-                     ? DirectScore(tuple, ctx)
-                     : ValueIncrementalScore(tuple, ctx);
-      InsertState(tuple, h);
-      return h;
+      // Scalar scoring visits the lanes in order, so the lane after the
+      // last one scored is almost always this tuple's. The lookup runs even
+      // for a tuple out of the window to keep that guess on track.
+      const std::size_t lane = LaneOf(tuple.id, next_lane_, 0);
+      SJOIN_CHECK_MSG(lane != kNoLane,
+                      "scored a tuple that is not a candidate");
+      next_lane_ = lane + 1;
+      if (out_of_window) return 0.0;
+      CachedState& state = LaneState(lane);
+      return state.state == SlotState::kScored ? state.h
+                                               : ScoreNew(&state, ctx);
     }
   }
   return 0.0;
@@ -474,48 +556,75 @@ void HeebJoinPolicy::ShardEndStep(const PolicyContext& ctx,
                                   const std::vector<TupleId>& retained,
                                   const std::vector<TupleId>& evicted) {
   (void)ctx;
-  (void)retained;
   if (options_.mode != Mode::kTimeIncremental &&
       options_.mode != Mode::kValueIncremental) {
     return;
   }
-  // Slot state holds exactly the candidate ids at this point (last step's
-  // retained set plus this step's scored arrivals), so erasing the evicted
-  // ids leaves precisely the retained ones — the same post-state EndStep
-  // reaches by walking every slot against a retained hash set.
-  for (TupleId id : evicted) EraseState(id);
+  auto lane_of = [&](TupleId id) {
+    const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(id);
+    SJOIN_CHECK(lane != LaneTable<TupleId>::kNoLane);
+    return lane;
+  };
+  carry_lanes_.clear();
+  for (TupleId id : retained) carry_lanes_.push_back(lane_of(id));
+  evicted_lanes_.clear();
+  for (TupleId id : evicted) evicted_lanes_.push_back(lane_of(id));
+  CarryState(evicted_lanes_);
 }
 
 void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
                              const std::vector<TupleId>& retained) {
-  (void)ctx;
   if (options_.mode != Mode::kTimeIncremental &&
       options_.mode != Mode::kValueIncremental) {
     return;
   }
-  // Drop state for evicted tuples in place — no per-step rebuild. This
-  // also erases entries created for arrivals that were scored but never
-  // retained, so they cannot accumulate across steps. Retained slots are
-  // marked through slot_index_, then one sweep compacts the kept slots to
-  // the front (slot order is arbitrary; see CachedState).
-  retained_scratch_.assign(slots_.size(), 0);
+  // Find each retained tuple's lane without a hash lookup. The returned
+  // list is last step's ranked run with the arrivals ranked in, so a
+  // retained tuple's lane is usually the one after the previous tuple's
+  // (`guess`), or else the first lane not yet placed (`resume`: where the
+  // run continues after an arrival or a tuple that moved up). Anything
+  // else is a scan of the lanes, from the arrivals on.
+  const std::size_t lanes = lane_slot_.size();
+  const std::vector<Tuple>& cached = *ctx.cached;
+  const std::size_t first_arrival = cached.size();
+  placed_.assign(lanes, 0);
+  carry_lanes_.clear();
+  std::size_t guess = 0;
+  std::size_t resume = 0;
   for (TupleId id : retained) {
-    auto it = slot_index_.find(id);
-    if (it != slot_index_.end()) retained_scratch_[it->second] = 1;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (retained_scratch_[i] == 0) {
-      slot_index_.erase(slots_[i].id);
-      continue;
+    std::size_t lane = kNoLane;
+    if (guess < first_arrival && cached[guess].id == id) {
+      lane = guess;
+    } else {
+      while (resume < lanes && placed_[resume] != 0) ++resume;
+      lane = LaneOf(id, resume, first_arrival);
+      SJOIN_CHECK_MSG(lane != kNoLane,
+                      "retained a tuple that is not a candidate");
     }
-    if (kept != i) {
-      slots_[kept] = slots_[i];
-      slot_index_[slots_[kept].id] = kept;
-    }
-    ++kept;
+    placed_[lane] = 1;
+    carry_lanes_.push_back(static_cast<std::uint32_t>(lane));
+    guess = lane + 1;
   }
-  slots_.resize(kept);
+  evicted_lanes_.clear();
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    if (placed_[lane] == 0) {
+      evicted_lanes_.push_back(static_cast<std::uint32_t>(lane));
+    }
+  }
+  CarryState(evicted_lanes_);
+}
+
+void HeebJoinPolicy::CarryState(const std::vector<std::uint32_t>& evicted) {
+  auto free_slot = [&](std::uint32_t slot) {
+    slots_[slot].state = SlotState::kFree;
+    free_slots_.push_back(slot);
+  };
+  for (std::uint32_t lane : evicted) free_slot(lane_slot_[lane]);
+  for (std::uint32_t slot : dropped_slots_) free_slot(slot);
+  dropped_slots_.clear();
+  // Next step's lane i is retained[i]: gather its slot.
+  for (std::uint32_t& lane : carry_lanes_) lane = lane_slot_[lane];
+  lane_slot_.swap(carry_lanes_);
 }
 
 }  // namespace sjoin

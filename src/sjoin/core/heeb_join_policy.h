@@ -1,12 +1,14 @@
 #ifndef SJOIN_CORE_HEEB_JOIN_POLICY_H_
 #define SJOIN_CORE_HEEB_JOIN_POLICY_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/core/precompute.h"
+#include "sjoin/engine/lane_table.h"
+#include "sjoin/engine/prediction_ring.h"
 #include "sjoin/engine/scored_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
 #include "sjoin/stochastic/process.h"
@@ -82,9 +84,9 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // score-decomposable. The incremental modes replace BeginStep's eager
   // Corollary 3 sweep with a lazy per-tuple advance inside the parallel
   // scoring phase. Both run the same AdvanceState body over the same
-  // per-(side, elapsed step) partner pmfs, which PrepareAdvance builds
-  // once per step and shares across every cached tuple of a side, so the
-  // two paths are bit-identical.
+  // per-(side, elapsed step) partner pmfs, which PrepareStep builds once
+  // per step and shares across every cached tuple of a side, so the two
+  // paths are bit-identical.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
@@ -92,14 +94,13 @@ class HeebJoinPolicy final : public ScoredPolicy {
                                            ShardScratch* scratch) override;
   /// Batched shard scoring. Direct and walk-table modes route through the
   /// stateless ScoreBatchInto kernels; the incremental modes run the same
-  /// lazy Corollary 3 advance as ShardScoreCached lane by lane over the
-  /// flat slot state (each slot is owned by exactly one shard, so the
-  /// mutation stays race-free).
+  /// lazy Corollary 3 advance as ShardScoreCached lane by lane (each slot
+  /// is owned by exactly one shard, so the mutation stays race-free).
   void ShardScoreCachedBatch(const CandidateBatch& batch,
                              const PolicyContext& ctx, ShardScratch* scratch,
                              double* score_scratch, ShardKey* out) override;
-  /// Drops incremental state for exactly the evicted ids — O(evicted),
-  /// where the serial EndStep pays an O(cache) mark-and-sweep.
+  /// Carries the retained tuples' slots into the returned order and frees
+  /// the evicted ones: the CarryState body the serial EndStep shares.
   void ShardEndStep(const PolicyContext& ctx,
                     const std::vector<TupleId>& retained,
                     const std::vector<TupleId>& evicted) override;
@@ -110,12 +111,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   void BeginStep(const PolicyContext& ctx) override;
   double Score(const Tuple& tuple, const PolicyContext& ctx) override;
   /// Batched scoring kernels. kWalkTable gathers from the per-side h1
-  /// tables with the partner anchor hoisted out of the lane loop;
-  /// kDirect walks the flattened predictions (one contiguous mass array
-  /// per side) in the same dt-ascending per-lane order as DirectScore, so
-  /// scores are bit-identical to the scalar path. The incremental modes
-  /// fall back to per-lane Score() — their find-or-insert state mutation
-  /// defines the scoring order.
+  /// tables with the partner anchor hoisted out of the lane loop; kDirect
+  /// runs DirectScore's ring sum per lane without re-checking the ring,
+  /// so scores are bit-identical to the scalar path. The incremental modes read and fill candidate lane i's
+  /// slot directly, in the scalar scoring order.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
   void EndStep(const PolicyContext& ctx,
@@ -132,20 +131,19 @@ class HeebJoinPolicy final : public ScoredPolicy {
 
   /// Direct truncated-sum H for a tuple, honoring the sliding window.
   double DirectScore(const Tuple& tuple, const PolicyContext& ctx);
+  /// Σ_{Δt=1..max_dt} Pr{X^partner_{now+Δt} = v} L(Δt) for a tuple of
+  /// `side`, read from the ring (which must be at `now`).
+  double RingSum(StreamSide side, Value v, Time now, Time max_dt) const;
 
-  /// Builds this step's predictive pmfs if not already current. In
-  /// kDirect with batch scoring enabled, also flattens them for the
-  /// batch kernel (serial call sites only; the parallel phase reads).
+  /// Advances the prediction ring to this step if it is not already there
+  /// (serial call sites only; the parallel phase reads).
   void EnsurePredictions(const PolicyContext& ctx);
 
-  /// Copies predictions_ into the contiguous per-side layout the kDirect
-  /// batch kernel gathers from.
-  void FlattenPredictions();
-
-  /// Incremental modes, once per step before any scoring: sets the elapsed
-  /// gap, builds the shared per-(side, elapsed step) partner pmfs, and
-  /// builds this step's predictions if any entry will re-anchor.
-  void PrepareAdvance(const PolicyContext& ctx);
+  /// Incremental modes, once per step before any scoring (serial): aligns
+  /// the state with this step's candidate lanes, sets the elapsed gap,
+  /// builds the shared per-(side, elapsed step) partner pmfs, and advances
+  /// the ring if any entry will re-anchor.
+  void PrepareStep(const PolicyContext& ctx);
 
   /// Probability that the partner of `side` produces `v` at time `t`,
   /// predicted into partner_pmf_ (no allocation once its buffer is sized).
@@ -155,7 +153,9 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// Corollary 5 transfer for a new arrival (kValueIncremental).
   double ValueIncrementalScore(const Tuple& tuple, const PolicyContext& ctx);
 
-  /// ScoreBatchInto bodies for the stateless modes.
+  /// ScoreBatchInto bodies.
+  void IncrementalBatch(const CandidateBatch& batch, const PolicyContext& ctx,
+                        double* out);
   void DirectBatch(const CandidateBatch& batch, const PolicyContext& ctx,
                    double* out);
   void WalkTableBatch(const CandidateBatch& batch, const PolicyContext& ctx,
@@ -167,61 +167,84 @@ class HeebJoinPolicy final : public ScoredPolicy {
   ExpLifetime exp_lifetime_;
   Time horizon_;
 
-  // kDirect / arrival scoring: partner predictive pmfs for the current
-  // step, indexed [stream][dt-1].
-  std::vector<DiscreteDistribution> predictions_[2];
+  // Partner predictive pmfs for now+1 .. now+horizon_, stream index
+  // SideIndex; advanced at most once per step (predictions_time_).
+  PredictionRing ring_;
   Time predictions_time_ = -1;
-
-  // kDirect batch kernel: predictions_ flattened to one contiguous mass
-  // array per side plus per-dt (offset, support min, support size) so the
-  // hot loop is a bounds-checked gather with no pointer chasing. Rebuilt
-  // by FlattenPredictions whenever predictions_ changes.
-  struct FlatPmfs {
-    std::vector<double> masses;       // Concatenated per-dt mass buffers.
-    std::vector<std::size_t> offset;  // Start of dt's masses, per dt.
-    std::vector<Value> min;           // Support min per dt (0 if empty).
-    std::vector<Value> size;          // Support size per dt.
-  };
-  FlatPmfs flat_predictions_[2];
-  Time flat_time_ = -1;
   // L(dt) for dt = 1..horizon_ (LifetimeTable), precomputed at
   // construction. DirectScore and the batch kernel read these instead of
   // calling lifetime.At per term; the values are the same doubles, so sums
   // stay bit-identical.
   std::vector<double> lifetime_flat_;
 
-  // Incremental modes: H values of cached tuples in a flat slot array
-  // (the hot BeginStep sweep walks contiguous memory), with a side index
-  // mapping tuple id -> slot. Erasure is swap-with-last, so slot order is
-  // arbitrary — every cross-slot decision (the Corollary 5 donor search)
-  // must therefore be order-independent.
+  // Incremental modes: H of every cached tuple. The states sit in
+  // slots_, whose positions never move while a tuple stays cached, and
+  // lane_slot_ maps candidate lanes to slots. Between steps, lane_slot_[i]
+  // is the slot of the i-th tuple in last step's returned list. The
+  // engines cache exactly that list, so it is normally this step's
+  // ctx.cached, which PrepareStep checks id by id; the arrivals' new slots
+  // then extend it to every candidate lane (cached tuples, then arrivals).
+  // A slot is kUnscored until its h exists: arrivals, and cached tuples the
+  // policy has not seen, get a slot in PrepareStep but an h only when first
+  // scored. Freed slots are reused by later arrivals.
+  enum class SlotState : std::uint8_t { kFree, kUnscored, kScored };
   struct CachedState {
     double h = 0.0;
     TupleId id = 0;
     StreamSide side = StreamSide::kR;
+    SlotState state = SlotState::kFree;
     Value value = 0;
     Time arrival = 0;
     Time updates_since_refresh = 0;
   };
-  CachedState* FindState(TupleId id);
-  /// Advances one entry's H by PrepareAdvance's gap (Corollary 3), or
+  /// Advances one entry's H by PrepareStep's gap (Corollary 3), or
   /// re-anchors it with the direct sum once the refresh interval is due.
   void AdvanceState(CachedState* state, const PolicyContext& ctx);
-  void InsertState(const Tuple& tuple, double h);
-  void EraseState(TupleId id);
+  /// Fills an unscored slot's h: the direct sum (kTimeIncremental) or the
+  /// Corollary 5 transfer (kValueIncremental).
+  double ScoreNew(CachedState* state, const PolicyContext& ctx);
+  /// A slot for a tuple without state, reusing a freed one when it can.
+  std::uint32_t NewSlot(const Tuple& tuple);
+  /// Maps ctx.cached onto slots when it is not the carried list.
+  void Realign(const PolicyContext& ctx);
+  /// The slot of candidate lane `lane`.
+  CachedState& LaneState(std::size_t lane) { return slots_[lane_slot_[lane]]; }
+  static constexpr std::size_t kNoLane = ~std::size_t{0};
+  /// Serial lookup of candidate `id`: `guess` when that lane holds it,
+  /// else a scan of the lanes from `first` (wrapping). kNoLane when absent.
+  std::size_t LaneOf(TupleId id, std::size_t guess, std::size_t first) const;
+  /// The step epilogue shared by EndStep and ShardEndStep: keeps the
+  /// slots of carry_lanes_ (the retained lanes, in returned order) as next
+  /// step's lane_slot_ and frees the slots of `evicted` lanes and of
+  /// tuples a caller dropped.
+  void CarryState(const std::vector<std::uint32_t>& evicted);
   std::vector<CachedState> slots_;
-  std::unordered_map<TupleId, std::size_t> slot_index_;
+  std::vector<std::uint32_t> lane_slot_;
+  std::vector<std::uint32_t> free_slots_;
+  // Slots no lane took this step (Realign only): a caller dropped their
+  // tuples from the cache. They still advance and donate (Corollary 5)
+  // until CarryState frees them.
+  std::vector<std::uint32_t> dropped_slots_;
+  // Score()'s guess for the next lane: scalar scoring runs in lane order.
+  std::size_t next_lane_ = 0;
   Time last_step_time_ = -1;
-  // EndStep scratch: per-slot retained marks (reused across steps).
-  std::vector<unsigned char> retained_scratch_;
+  // Step-end scratch, reused across steps: the retained lanes in returned
+  // order, the evicted lanes, and per-lane placed marks (serial EndStep).
+  std::vector<std::uint32_t> carry_lanes_;
+  std::vector<std::uint32_t> evicted_lanes_;
+  std::vector<std::uint8_t> placed_;
+  // Sharded path: candidate id -> lane, built in ShardBeginStep (serial)
+  // and only read while shards score. The serial path never sizes it.
+  LaneTable<TupleId> shard_lanes_;
 
   // Incremental advance: elapsed steps since the previous decision and the
   // shared per-(cached side, elapsed step) partner pmfs the Corollary 3
-  // advance reads. Written in PrepareAdvance (serial), read only while the
+  // advance reads. Written in PrepareStep (serial), read only while the
   // entries advance.
   Time advance_gap_ = 0;
   double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
+  std::vector<PredictionRing::Slot> advance_slots_[2];
   // kValueIncremental: PartnerProbAt's scratch pmf, refilled per transfer
   // step. Arrivals are scored serially, so one buffer suffices.
   DiscreteDistribution partner_pmf_;

@@ -6,12 +6,9 @@
 #include <vector>
 
 #include "sjoin/common/types.h"
-#include "sjoin/stochastic/process.h"
-#include "sjoin/stochastic/stream_history.h"
 
 /// \file
-/// Per-step memo of per-partner score subtotals, and the shared ring of
-/// partner predictions those subtotals are computed from (DESIGN.md §2f).
+/// Per-step memo of per-partner score subtotals (DESIGN.md §2f).
 ///
 /// Every multi-way policy scores a candidate as a *sum over its partner
 /// streams* of a per-partner subtotal that depends only on (partner,
@@ -32,9 +29,8 @@
 /// it back is exact — cached-on and cached-off runs score every tuple
 /// bit-identically, which the multi_planner differential suite checks.
 ///
-/// The subtotals read partner predictions for now+1 .. now+horizon.
-/// PredictionRing keeps those across steps, so a history-independent
-/// stream pays one new prediction per step instead of `horizon`.
+/// The subtotals read partner predictions for now+1 .. now+horizon from
+/// the shared PredictionRing (engine/prediction_ring.h).
 
 namespace sjoin {
 
@@ -73,89 +69,6 @@ class ScoreMemo {
   std::uint64_t epoch_ = 0;
   std::vector<std::unordered_map<Value, Entry>> memo_;
   Stats stats_;
-};
-
-/// Per-stream predictive pmfs for the times now+1 .. now+horizon, kept in
-/// a ring of `horizon` slots per stream keyed by absolute time t mod
-/// horizon, with each slot's support bounds cached next to it. Shared by
-/// every policy that scores against partner predictions (MultiHeebPolicy,
-/// EdgeBudgetPolicy).
-///
-/// For a stream whose process IsIndependent(), Predict ignores the
-/// history, so the pmf of X_t does not change as now advances
-/// (Corollaries 3–4): moving from now to now + d re-predicts only the d
-/// slots that newly enter the horizon, and every other slot is reused as
-/// is. Dependent streams re-predict the whole ring every step. The first
-/// Advance after construction or Reset, a `now` that moves backwards, and
-/// a jump of at least the horizon rebuild everything. A slot is therefore
-/// always exactly PredictInto(history, t) for the current histories, which
-/// SJOIN_VALIDATE builds re-check on one slot per Advance.
-class PredictionRing {
- public:
-  /// One slot's pmf, flattened: masses[v - lo] = Pr{X_t = v} for v in
-  /// [lo, hi]; an empty pmf has hi < lo.
-  struct Slot {
-    const double* masses = nullptr;
-    Value lo = 1;
-    Value hi = 0;
-  };
-
-  /// Allocates nothing; the first Advance sizes the ring.
-  explicit PredictionRing(Time horizon);
-
-  /// Forgets every slot; the next Advance rebuilds the whole ring.
-  void Reset() { valid_ = false; }
-
-  /// Brings stream s's slots to X_{now+1} .. X_{now+horizon} of
-  /// processes[s] given histories[s].
-  void Advance(const std::vector<const StochasticProcess*>& processes,
-               const std::vector<StreamHistory>& histories, Time now);
-
-  /// Stream `stream`'s pmf of X_t, for t in now+1 .. now+horizon of the
-  /// last Advance.
-  const DiscreteDistribution& pmf(int stream, Time t) const {
-    return pmfs_[Index(stream, t)];
-  }
-  /// Stream `stream`'s slots in ring order: X_t sits at RingIndex(t), so
-  /// times t, t+1, ... walk the ring forwards with wrap-around (kernels
-  /// step through it without a division per Δt).
-  const Slot* slots(int stream) const {
-    return slots_.data() + static_cast<std::size_t>(stream) *
-                               static_cast<std::size_t>(horizon_);
-  }
-
-  /// t mod horizon, in [0, horizon).
-  std::size_t RingIndex(Time t) const {
-    Time r = t % horizon_;
-    if (r < 0) r += horizon_;
-    return static_cast<std::size_t>(r);
-  }
-
-  Time horizon() const { return horizon_; }
-
-  /// PredictInto calls made so far (tests assert the incremental path).
-  std::int64_t predictions() const { return predictions_; }
-
- private:
-  std::size_t Index(int stream, Time t) const {
-    return static_cast<std::size_t>(stream) *
-               static_cast<std::size_t>(horizon_) +
-           RingIndex(t);
-  }
-
-  /// Predicts X_t of `stream` into its slot and refreshes the bounds.
-  void PredictSlot(const StochasticProcess& process,
-                   const StreamHistory& history, int stream, Time t);
-
-  Time horizon_;
-  bool valid_ = false;
-  Time now_ = 0;
-  std::int64_t predictions_ = 0;
-  /// [stream * horizon + t mod horizon].
-  std::vector<DiscreteDistribution> pmfs_;
-  std::vector<Slot> slots_;
-  /// SJOIN_VALIDATE re-prediction scratch.
-  DiscreteDistribution check_;
 };
 
 }  // namespace sjoin

@@ -14,10 +14,14 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
   struct Candidate {
     double score;
     bool is_referenced;
+    std::uint32_t lane;
     Value value;
   };
   std::vector<Candidate> candidates;
   candidates.reserve(ctx.cached->size() + 1);
+  // Candidate lanes in scoring order: cached values, then the referenced
+  // value on a miss.
+  auto lane = [&] { return static_cast<std::uint32_t>(candidates.size()); };
   // Observer branch hoisted out of the loop, as in ScoredPolicy: observer
   // runs stay on the scalar path, observer-free runs use the batch kernel
   // when the subclass has one.
@@ -25,12 +29,12 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     for (Value v : *ctx.cached) {
       double score = Score(v, ctx);
       score_observer_(v, score);
-      candidates.push_back({score, v == ctx.referenced, v});
+      candidates.push_back({score, v == ctx.referenced, lane(), v});
     }
     if (!ctx.hit) {
       double score = Score(ctx.referenced, ctx);
       score_observer_(ctx.referenced, score);
-      candidates.push_back({score, true, ctx.referenced});
+      candidates.push_back({score, true, lane(), ctx.referenced});
     }
   } else if (ScoringBatchEnabled() && BatchScorable()) {
     // Values-only SoA batch: cached values in cache order, then the
@@ -44,18 +48,20 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     ScoreBatchInto(batch, ctx, batch_scores_.data());
     for (std::size_t i = 0; i < ctx.cached->size(); ++i) {
       candidates.push_back(
-          {batch_scores_[i], batch_values_[i] == ctx.referenced,
+          {batch_scores_[i], batch_values_[i] == ctx.referenced, lane(),
            batch_values_[i]});
     }
     if (!ctx.hit) {
-      candidates.push_back({batch_scores_.back(), true, ctx.referenced});
+      candidates.push_back(
+          {batch_scores_.back(), true, lane(), ctx.referenced});
     }
   } else {
     for (Value v : *ctx.cached) {
-      candidates.push_back({Score(v, ctx), v == ctx.referenced, v});
+      candidates.push_back({Score(v, ctx), v == ctx.referenced, lane(), v});
     }
     if (!ctx.hit) {
-      candidates.push_back({Score(ctx.referenced, ctx), true, ctx.referenced});
+      candidates.push_back(
+          {Score(ctx.referenced, ctx), true, lane(), ctx.referenced});
     }
   }
   auto better = [](const Candidate& a, const Candidate& b) {
@@ -72,9 +78,13 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
   RankTopK(candidates.data(), candidates.size(), keep, better);
   std::vector<Value> retained;
   retained.reserve(keep);
+  retained_lanes_.clear();
+  retained_lanes_.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
     retained.push_back(candidates[i].value);
+    retained_lanes_.push_back(candidates[i].lane);
   }
+  EndStep(ctx, retained_lanes_);
   return retained;
 }
 

@@ -1,6 +1,7 @@
 #ifndef SJOIN_ENGINE_SCORED_CACHING_POLICY_H_
 #define SJOIN_ENGINE_SCORED_CACHING_POLICY_H_
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -59,12 +60,24 @@ class ScoredCachingPolicy : public CachingPolicy {
   virtual void ScoreBatchInto(const CandidateBatch& batch,
                               const CachingContext& ctx, double* out);
 
+  /// Called after every selection with the retained candidates' lanes in
+  /// returned order (lane i < ctx.cached->size() is cached value i; on a
+  /// miss the last lane is the referenced value). The returned list is the
+  /// next step's ctx.cached unless the caller edits it, so a subclass can
+  /// carry per-lane state into that order.
+  virtual void EndStep(const CachingContext& ctx,
+                       const std::vector<std::uint32_t>& retained_lanes) {
+    (void)ctx;
+    (void)retained_lanes;
+  }
+
  private:
   ScoreObserver score_observer_;
   // Per-call scratch reused across SelectRetained calls: the candidate
   // value lanes (cached ∪ {referenced on a miss}) and their scores.
   std::vector<Value> batch_values_;
   std::vector<double> batch_scores_;
+  std::vector<std::uint32_t> retained_lanes_;
 };
 
 }  // namespace sjoin

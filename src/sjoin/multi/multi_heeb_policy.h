@@ -9,6 +9,7 @@
 #include "sjoin/common/rng.h"
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/engine/ranked_select.h"
+#include "sjoin/engine/prediction_ring.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/multi/multi_join_simulator.h"
 #include "sjoin/stochastic/process.h"
@@ -21,7 +22,7 @@
 ///
 /// A step pays only for what changed since the last one:
 ///
-/// * Partner predictions live in a PredictionRing (engine/score_memo.h):
+/// * Partner predictions live in a PredictionRing (engine/prediction_ring.h):
 ///   history-independent streams predict one new time per step, dependent
 ///   streams re-predict the horizon.
 /// * Scoring is one batched, support-bounded kernel. A partner's inner sum

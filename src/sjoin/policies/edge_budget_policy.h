@@ -9,6 +9,7 @@
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/ranked_select.h"
+#include "sjoin/engine/prediction_ring.h"
 #include "sjoin/engine/score_memo.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/stochastic/process.h"

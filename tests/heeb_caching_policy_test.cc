@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sjoin/common/rng.h"
+#include "sjoin/core/heeb.h"
 #include "sjoin/core/precompute.h"
 #include "sjoin/engine/cache_simulator.h"
+#include "sjoin/engine/reduction.h"
+#include "sjoin/engine/scoring_batch.h"
+#include "sjoin/engine/step_observer.h"
+#include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/lfd_policy.h"
 #include "sjoin/policies/lfu_policy.h"
 #include "sjoin/stochastic/ar1_process.h"
+#include "sjoin/stochastic/linear_trend_process.h"
 #include "sjoin/stochastic/offline_process.h"
 #include "sjoin/stochastic/random_walk_process.h"
 #include "sjoin/stochastic/stationary_process.h"
@@ -162,6 +171,165 @@ TEST(HeebCachingPolicyTest, Ar1SurfacePolicyBeatsLfuOnWanderingStream) {
   auto heeb_result = sim.Run(refs, heeb);
   auto lfu_result = sim.Run(refs, lfu);
   EXPECT_GT(heeb_result.counted_hits, lfu_result.counted_hits);
+}
+
+// --- kDirect batch kernel over the carried value order ------------------
+//
+// HeebCachingPolicy carries last step's returned list in value order and
+// only verifies it (plus inserting the referenced value) when the next
+// list is that list; any other list is sorted afresh. With a capacity
+// above the candidate count, SelectRetained returns every candidate ranked
+// by (score, is-referenced, value), so a kernel that read a lane under the
+// wrong value would misrank it.
+
+/// Every candidate ranked by the scalar CachingHeeb scores under the
+/// selection order.
+std::vector<Value> ScalarRanking(const StochasticProcess& reference,
+                                 const StreamHistory& history, Time now,
+                                 const std::vector<Value>& cached,
+                                 Value referenced, bool hit, double alpha,
+                                 Time horizon) {
+  struct Ranked {
+    double score;
+    int referenced;
+    Value value;
+  };
+  std::vector<Ranked> ranked;
+  const ExpLifetime lifetime(alpha);
+  for (Value v : cached) {
+    ranked.push_back({CachingHeeb(reference, history, now, v, lifetime,
+                                  horizon),
+                      v == referenced ? 1 : 0, v});
+  }
+  if (!hit) {
+    ranked.push_back({CachingHeeb(reference, history, now, referenced,
+                                  lifetime, horizon),
+                      1, referenced});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.referenced != b.referenced) {
+                return a.referenced > b.referenced;
+              }
+              return a.value > b.value;
+            });
+  std::vector<Value> values;
+  for (const Ranked& r : ranked) values.push_back(r.value);
+  return values;
+}
+
+TEST(HeebCachingPolicyTest, CarriedValueOrderMatchesScalarRanking) {
+  constexpr double kAlpha = 8.0;
+  constexpr Time kHorizon = 60;
+  // A drifting trend: the reference's support moves one value per step,
+  // so the kernel's per-step run of lanes shifts with it.
+  LinearTrendProcess reference(
+      1.0, 0.0,
+      DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 3.0, -9, 9));
+  HeebCachingPolicy::Options options;
+  options.mode = HeebCachingPolicy::Mode::kDirect;
+  options.alpha = kAlpha;
+  options.horizon = kHorizon;
+  HeebCachingPolicy policy(&reference, options);
+  Rng rng(71);
+  StreamHistory history;
+  std::vector<Value> cached;
+  int steps = 0;
+  auto step = [&](Time now, Value referenced, bool hit) {
+    CachingContext ctx;
+    ctx.now = now;
+    ctx.capacity = 1000;
+    ctx.cached = &cached;
+    ctx.referenced = referenced;
+    ctx.hit = hit;
+    ctx.history = &history;
+    const std::vector<Value> want = ScalarRanking(
+        reference, history, now, cached, referenced, hit, kAlpha, kHorizon);
+    cached = policy.SelectRetained(ctx);
+    ASSERT_EQ(cached, want) << "now " << now;
+    ++steps;
+  };
+  // Referenced values are distinct from the cached ones (a miss) except
+  // on the hit steps, which skip SelectRetained as the reduction does.
+  Value next = -20;
+  for (Time now = 0; now < 120; ++now) {
+    history.Append(now);
+    if (now % 9 == 4) continue;  // A hit: the list stays as it was.
+    if (now % 13 == 6 && cached.size() > 3) {
+      // The caller permutes the list: same values, other positions.
+      std::rotate(cached.begin(), cached.begin() + 1, cached.end());
+      std::swap(cached[0], cached[2]);
+    }
+    if (now % 17 == 8 && cached.size() > 3) {
+      // The caller trims the list.
+      cached.erase(cached.begin() + 2);
+      cached.pop_back();
+    }
+    if (now == 70) {
+      policy.Reset();
+      cached.resize(5);
+    }
+    step(now, next, false);
+    next += 1 + static_cast<Value>(rng.UniformInt(0, 2));
+    // Now and then a hit-flagged call (the list is unchanged and no value
+    // is demand-fetched).
+    if (now % 10 == 7) step(now, cached.front(), true);
+  }
+  EXPECT_GT(steps, 100);
+}
+
+/// Hashes each step's retained ids (the reduction's supply tuples).
+class RetainedHashObserver final : public StepObserver {
+ public:
+  void OnStep(const EngineStepView& step) override {
+    std::uint64_t h = 1469598103934665603ull;
+    for (TupleId id : *step.retained) {
+      h = (h ^ static_cast<std::uint64_t>(id)) * 1099511628211ull;
+    }
+    hashes_.push_back(h);
+  }
+  const std::vector<std::uint64_t>& hashes() const { return hashes_; }
+
+ private:
+  std::vector<std::uint64_t> hashes_;
+};
+
+TEST(HeebCachingPolicyTest, BatchKernelMatchesScalarThroughReduction) {
+  // The Theorem 1 reduction feeds the caching policy the engine's cache:
+  // the returned list on a plain miss, the same list on a hit, and the
+  // list with the expired referenced value dropped on a windowed miss.
+  // The batch kernel (carried order) and the scalar per-value path must
+  // retain the same supply tuples at every step.
+  LinearTrendProcess reference(
+      1.0, 0.0,
+      DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 1.5, -6, 6));
+  Rng rng(83);
+  std::vector<Value> refs = SampleRealization(reference, 600, rng);
+  // Re-reference recent values often, so hits and windowed misses occur.
+  for (std::size_t t = 5; t < refs.size(); t += 3) refs[t] = refs[t - 4];
+  const CachingReduction reduction(refs);
+  for (std::optional<Time> window :
+       {std::optional<Time>{}, std::optional<Time>{6}}) {
+    std::vector<std::vector<std::uint64_t>> traces;
+    for (bool batch : {true, false}) {
+      ScopedScoringBatch scoped(batch);
+      HeebCachingPolicy::Options options;
+      options.mode = HeebCachingPolicy::Mode::kDirect;
+      options.alpha = 10.0;
+      options.horizon = 80;
+      HeebCachingPolicy policy(&reference, options);
+      ReductionJoinPolicy join(&reduction, &policy);
+      BinaryPolicyAdapter adapter(&join);
+      StreamEngine engine(StreamTopology::Binary(),
+                          {.capacity = 24, .warmup = 0, .window = window});
+      RetainedHashObserver trace;
+      engine.Run({&reduction.r_stream(), &reduction.s_stream()}, adapter,
+                 {&trace});
+      traces.push_back(trace.hashes());
+    }
+    EXPECT_EQ(traces[0], traces[1]) << window.has_value();
+  }
 }
 
 }  // namespace

@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sjoin/common/rng.h"
+#include "sjoin/common/validate.h"
+#include "sjoin/core/heeb.h"
 #include "sjoin/engine/join_simulator.h"
+#include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/prob_policy.h"
@@ -353,6 +360,362 @@ TEST(HeebJoinPolicyTest, BeatsProbOnTrendingStreams) {
     prob_total += sim.Run(pair.r, pair.s, prob).total_results;
   }
   EXPECT_GT(heeb_total, prob_total);
+}
+
+// --- Ring-fed predictions and the carried incremental state -------------
+//
+// HeebJoinPolicy reads partner pmfs from a PredictionRing: an independent
+// stream predicts one new time per step, while a dependent stream, Reset,
+// and a `now` that jumps a whole horizon or goes back rebuild the ring.
+
+/// Forwards to another process and counts the predictions asked of it.
+class CountingProcess final : public StochasticProcess {
+ public:
+  explicit CountingProcess(const StochasticProcess* inner) : inner_(inner) {}
+
+  DiscreteDistribution Predict(const StreamHistory& history,
+                               Time t) const override {
+    ++predictions_;
+    return inner_->Predict(history, t);
+  }
+  void PredictInto(const StreamHistory& history, Time t,
+                   DiscreteDistribution* out) const override {
+    ++predictions_;
+    inner_->PredictInto(history, t, out);
+  }
+  bool IsIndependent() const override { return inner_->IsIndependent(); }
+  std::unique_ptr<StochasticProcess> Clone() const override {
+    return std::make_unique<CountingProcess>(inner_);
+  }
+
+  std::int64_t predictions() const { return predictions_; }
+
+ private:
+  const StochasticProcess* inner_;
+  mutable std::int64_t predictions_ = 0;
+};
+
+/// Drives a policy one step at a time the way the engines do: step t's
+/// arrivals are R tuple 2t and S tuple 2t+1 (arrival t), appended to the
+/// histories before the policy runs, and the cache is last step's returned
+/// list. `now` may jump or go back.
+class StepDriver {
+ public:
+  StepDriver(std::vector<Value> r, std::vector<Value> s)
+      : r_(std::move(r)), s_(std::move(s)) {}
+
+  void Step(HeebJoinPolicy& policy, Time now, std::size_t capacity,
+            std::optional<Time> window = std::nullopt) {
+    const auto i = static_cast<std::size_t>(now);
+    history_r_.Append(r_[i]);
+    history_s_.Append(s_[i]);
+    const auto id = static_cast<TupleId>(2 * now);
+    std::vector<Tuple> arrivals = {{id, StreamSide::kR, r_[i], now},
+                                   {id + 1, StreamSide::kS, s_[i], now}};
+    PolicyContext ctx;
+    ctx.now = now;
+    ctx.capacity = capacity;
+    ctx.cached = &cached_;
+    ctx.arrivals = &arrivals;
+    ctx.history_r = &history_r_;
+    ctx.history_s = &history_s_;
+    ctx.window = window;
+    std::vector<Tuple> next;
+    for (TupleId id : policy.SelectRetained(ctx)) {
+      for (const std::vector<Tuple>* from : {&cached_, &arrivals}) {
+        for (const Tuple& t : *from) {
+          if (t.id == id) next.push_back(t);
+        }
+      }
+    }
+    cached_ = std::move(next);
+  }
+
+  const StreamHistory& history(StreamSide side) const {
+    return side == StreamSide::kR ? history_r_ : history_s_;
+  }
+  std::vector<Tuple>& cached() { return cached_; }
+
+ private:
+  std::vector<Value> r_;
+  std::vector<Value> s_;
+  StreamHistory history_r_;
+  StreamHistory history_s_;
+  std::vector<Tuple> cached_;
+};
+
+// SJOIN_VALIDATE builds re-predict one ring slot per Advance as a check.
+constexpr std::int64_t kCheck = kValidationEnabled ? 1 : 0;
+
+HeebJoinPolicy::Options RingOptions(HeebJoinPolicy::Mode mode, Time horizon) {
+  HeebJoinPolicy::Options options;
+  options.mode = mode;
+  options.alpha = ExpLifetime::AlphaForAverageLifetime(12.0);
+  options.horizon = horizon;
+  return options;
+}
+
+// Predictions per step, for `steps` engine-style steps at now = 0, 1, ...
+std::vector<std::int64_t> PredictionsPerStep(HeebJoinPolicy::Mode mode,
+                                             Time horizon, Time steps) {
+  TrendConfig config;
+  CountingProcess r(&config.r);
+  CountingProcess s(&config.s);
+  HeebJoinPolicy policy(&r, &s, RingOptions(mode, horizon));
+  Rng rng(5);
+  auto pair = SampleStreamPair(config.r, config.s, steps, rng);
+  StepDriver driver(pair.r, pair.s);
+  std::vector<std::int64_t> per_step;
+  std::int64_t before = 0;
+  for (Time t = 0; t < steps; ++t) {
+    driver.Step(policy, t, 20);
+    const std::int64_t total = r.predictions() + s.predictions();
+    per_step.push_back(total - before);
+    before = total;
+  }
+  return per_step;
+}
+
+TEST(HeebJoinPolicyRingTest, IndependentStreamsPredictOneTimePerStep) {
+  // After the first step builds the ring (horizon predictions per
+  // stream), a step predicts the one new time per stream; the
+  // time-incremental mode adds one Corollary 3 advance pmf per side.
+  // Neither count grows with the horizon.
+  for (auto [mode, per_step] :
+       {std::pair{HeebJoinPolicy::Mode::kDirect, 2},
+        std::pair{HeebJoinPolicy::Mode::kTimeIncremental, 4}}) {
+    for (Time horizon : {40, 150}) {
+      const auto counts = PredictionsPerStep(mode, horizon, 60);
+      EXPECT_EQ(counts[0], 2 * horizon + kCheck) << horizon;
+      for (std::size_t t = 1; t < counts.size(); ++t) {
+        EXPECT_EQ(counts[t], per_step + kCheck)
+            << "horizon " << horizon << " t " << t;
+      }
+    }
+  }
+}
+
+TEST(HeebJoinPolicyRingTest, DependentStreamsResetAndJumpsRebuild) {
+  constexpr Time kHorizon = 30;
+  Rng rng(8);
+  // Random walks depend on the history: every step re-predicts the whole
+  // ring for both streams.
+  {
+    RandomWalkProcess walk(DiscreteDistribution::DiscretizedNormal(0.0, 1.0),
+                           0);
+    CountingProcess r(&walk);
+    CountingProcess s(&walk);
+    HeebJoinPolicy policy(
+        &r, &s, RingOptions(HeebJoinPolicy::Mode::kDirect, kHorizon));
+    auto pair = SampleStreamPair(walk, walk, 20, rng);
+    StepDriver driver(pair.r, pair.s);
+    for (Time t = 0; t < 20; ++t) {
+      const std::int64_t before = r.predictions() + s.predictions();
+      driver.Step(policy, t, 6);
+      EXPECT_EQ(r.predictions() + s.predictions() - before,
+                2 * kHorizon + kCheck)
+          << t;
+    }
+  }
+  // Independent streams: Reset, a jump of a whole horizon and a step back
+  // rebuild; a shorter jump predicts only the times it uncovers.
+  TrendConfig config;
+  CountingProcess r(&config.r);
+  CountingProcess s(&config.s);
+  HeebJoinPolicy policy(
+      &r, &s, RingOptions(HeebJoinPolicy::Mode::kTimeIncremental, kHorizon));
+  auto pair = SampleStreamPair(config.r, config.s, 200, rng);
+  auto ring_predictions = [&](StepDriver& driver, Time now) {
+    const std::int64_t before = r.predictions() + s.predictions();
+    driver.Step(policy, now, 6);
+    return r.predictions() + s.predictions() - before;
+  };
+  StepDriver driver(pair.r, pair.s);
+  EXPECT_EQ(ring_predictions(driver, 0), 2 * kHorizon + kCheck);
+  EXPECT_EQ(ring_predictions(driver, 1), 2 + 2 + kCheck);
+  // A jump of kHorizon - 1 keeps one slot; the advance predicts one pmf
+  // per side and elapsed step.
+  EXPECT_EQ(ring_predictions(driver, kHorizon),
+            2 * (kHorizon - 1) + 2 * (kHorizon - 1) + kCheck);
+  EXPECT_EQ(ring_predictions(driver, 2 * kHorizon),
+            2 * kHorizon + 2 * kHorizon + kCheck);
+  policy.Reset();
+  StepDriver fresh(pair.r, pair.s);
+  EXPECT_EQ(ring_predictions(fresh, 3), 2 * kHorizon + kCheck);
+  EXPECT_EQ(ring_predictions(fresh, 4), 2 + 2 + kCheck);
+  // Back in time.
+  EXPECT_EQ(ring_predictions(fresh, 2), 2 * kHorizon + kCheck);
+}
+
+TEST(HeebJoinPolicyRingTest, ScoresMatchJoiningHeebBitForBit) {
+  // Every kDirect score (and every arrival's time-incremental score, which
+  // is the direct sum) equals JoiningHeeb over the partner's predictions,
+  // truncated at the window when it cuts the horizon. Independent and
+  // history-dependent partners, with and without a window.
+  constexpr Time kHorizon = 150;
+  TrendConfig trend;
+  RandomWalkProcess walk(DiscreteDistribution::DiscretizedNormal(0.0, 2.0),
+                         0);
+  const StochasticProcess* trend_pair[2] = {&trend.r, &trend.s};
+  const StochasticProcess* walk_pair[2] = {&walk, &walk};
+  for (const auto& processes : {trend_pair, walk_pair}) {
+    for (std::optional<Time> window :
+         {std::optional<Time>{}, std::optional<Time>{12}}) {
+      for (auto mode : {HeebJoinPolicy::Mode::kDirect,
+                        HeebJoinPolicy::Mode::kTimeIncremental}) {
+        if (mode == HeebJoinPolicy::Mode::kTimeIncremental &&
+            !processes[0]->IsIndependent()) {
+          continue;
+        }
+        const auto options = RingOptions(mode, kHorizon);
+        HeebJoinPolicy policy(processes[0], processes[1], options);
+        Rng rng(17);
+        auto pair =
+            SampleStreamPair(*processes[0], *processes[1], 80, rng);
+        StepDriver driver(pair.r, pair.s);
+        std::vector<std::pair<Tuple, double>> scores;
+        policy.set_score_observer([&](const Tuple& tuple, double score) {
+          scores.emplace_back(tuple, score);
+        });
+        const ExpLifetime lifetime(options.alpha);
+        std::int64_t checked = 0;
+        for (Time now = 0; now < 80; ++now) {
+          scores.clear();
+          driver.Step(policy, now, 15, window);
+          for (const auto& [tuple, score] : scores) {
+            if (mode == HeebJoinPolicy::Mode::kTimeIncremental &&
+                tuple.arrival != now) {
+              continue;  // Carried by the Corollary 3 recurrence.
+            }
+            Time max_dt = kHorizon;
+            if (window.has_value()) {
+              max_dt = std::min(max_dt, tuple.arrival + *window - now);
+            }
+            const StreamSide partner = Partner(tuple.side);
+            const double want =
+                max_dt < 1 ? 0.0
+                           : JoiningHeeb(*processes[SideIndex(partner)],
+                                         driver.history(partner), now,
+                                         tuple.value, lifetime, max_dt);
+            ASSERT_EQ(score, want) << "now " << now << " id " << tuple.id;
+            ++checked;
+          }
+        }
+        EXPECT_GT(checked, 80);
+      }
+    }
+  }
+}
+
+TEST(HeebJoinPolicyRingTest, CallerEditedCacheKeepsEachTuplesState) {
+  // The incremental state follows the returned list; a cache the caller
+  // reverses or trims is mapped afresh. A time-incremental H depends only
+  // on the tuple itself (its direct sum at arrival, then Corollary 3 and
+  // re-anchors on its own schedule), so every tuple the edited run scores
+  // must score exactly as in an unedited run that keeps every tuple.
+  TrendConfig config;
+  Rng rng(23);
+  auto pair = SampleStreamPair(config.r, config.s, 60, rng);
+  auto options = RingOptions(HeebJoinPolicy::Mode::kTimeIncremental, 120);
+  options.refresh_interval = 8;
+  HeebJoinPolicy edited(&config.r, &config.s, options);
+  HeebJoinPolicy keep_all(&config.r, &config.s, options);
+  std::vector<std::pair<TupleId, double>> edited_scores;
+  std::vector<std::unordered_map<TupleId, double>> keep_all_scores(60);
+  Time now = 0;
+  edited.set_score_observer([&](const Tuple& tuple, double score) {
+    edited_scores.emplace_back(tuple.id, score);
+  });
+  keep_all.set_score_observer([&](const Tuple& tuple, double score) {
+    keep_all_scores[static_cast<std::size_t>(now)][tuple.id] = score;
+  });
+  StepDriver edited_driver(pair.r, pair.s);
+  StepDriver keep_all_driver(pair.r, pair.s);
+  std::int64_t checked = 0;
+  for (now = 0; now < 60; ++now) {
+    std::vector<Tuple>& cache = edited_driver.cached();
+    if (now % 7 == 3) std::reverse(cache.begin(), cache.end());
+    if (now % 11 == 5 && cache.size() > 2) {
+      cache.erase(cache.begin() + 1);
+      cache.pop_back();
+    }
+    edited_scores.clear();
+    edited_driver.Step(edited, now, 12);
+    keep_all_driver.Step(keep_all, now, 1000);
+    for (const auto& [id, score] : edited_scores) {
+      const auto& want = keep_all_scores[static_cast<std::size_t>(now)];
+      ASSERT_EQ(want.count(id), 1u) << "now " << now << " id " << id;
+      EXPECT_EQ(score, want.at(id)) << "now " << now << " id " << id;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500);
+}
+
+/// Folds each step's retained ids into one hash per step.
+class RetainedHashObserver final : public StepObserver {
+ public:
+  void OnStep(const EngineStepView& step) override {
+    std::uint64_t h = 1469598103934665603ull;
+    for (TupleId id : *step.retained) {
+      h = (h ^ static_cast<std::uint64_t>(id)) * 1099511628211ull;
+    }
+    hashes_.push_back(h);
+  }
+  const std::vector<std::uint64_t>& hashes() const { return hashes_; }
+
+ private:
+  std::vector<std::uint64_t> hashes_;
+};
+
+TEST(HeebJoinPolicyRingTest, ShardWorkersMatchInlineSteps) {
+  // The ring and the lane table are built serially in ShardBeginStep and
+  // only read while 4 worker threads score the shards; the per-slot state
+  // each shard advances is its own. Every step's retained list must match
+  // the inline (threads = 1) run and the serial engine. Registered with
+  // PROCESSORS 4 and run under TSan in CI.
+  TrendConfig config;
+  Rng rng(41);
+  auto pair = SampleStreamPair(config.r, config.s, 400, rng);
+  for (auto mode : {HeebJoinPolicy::Mode::kDirect,
+                    HeebJoinPolicy::Mode::kTimeIncremental,
+                    HeebJoinPolicy::Mode::kValueIncremental}) {
+    for (std::optional<Time> window :
+         {std::optional<Time>{}, std::optional<Time>{25}}) {
+      if (mode == HeebJoinPolicy::Mode::kValueIncremental &&
+          window.has_value()) {
+        continue;
+      }
+      auto options = RingOptions(mode, 150);
+      options.refresh_interval = 16;
+      std::vector<std::vector<std::uint64_t>> traces;
+      {
+        HeebJoinPolicy policy(&config.r, &config.s, options);
+        BinaryPolicyAdapter adapter(&policy);
+        StreamEngine engine(StreamTopology::Binary(),
+                            {.capacity = 48, .warmup = 0, .window = window});
+        RetainedHashObserver trace;
+        engine.Run({&pair.r, &pair.s}, adapter, {&trace});
+        traces.push_back(trace.hashes());
+      }
+      for (int threads : {1, 4}) {
+        HeebJoinPolicy policy(&config.r, &config.s, options);
+        BinaryPolicyAdapter adapter(&policy);
+        ShardedStreamEngine engine(StreamTopology::Binary(),
+                                   {.capacity = 48,
+                                    .warmup = 0,
+                                    .window = window,
+                                    .shards = 4,
+                                    .threads = threads});
+        RetainedHashObserver trace;
+        engine.Run({&pair.r, &pair.s}, adapter, {&trace});
+        traces.push_back(trace.hashes());
+      }
+      ASSERT_EQ(traces[0].size(), pair.r.size());
+      EXPECT_EQ(traces[0], traces[1]) << static_cast<int>(mode);
+      EXPECT_EQ(traces[0], traces[2]) << static_cast<int>(mode);
+    }
+  }
 }
 
 }  // namespace

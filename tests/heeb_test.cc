@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sjoin/common/rng.h"
@@ -190,9 +192,17 @@ std::vector<double> BatchScores(const StochasticProcess& reference,
                                 const StreamHistory& history, Time t0,
                                 const std::vector<Value>& values,
                                 const LifetimeFn& lifetime, Time horizon) {
+  std::vector<std::pair<Value, std::size_t>> lanes;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    lanes.push_back({values[i], i});
+  }
+  std::sort(lanes.begin(), lanes.end());
+  std::vector<double> survive(values.size());
+  DiscreteDistribution pmf;
   std::vector<double> out(values.size(), -1.0);
-  CachingHeebBatch(reference, history, t0, values.data(), values.size(),
-                   LifetimeTable(lifetime, horizon), out.data());
+  CachingHeebBatch(reference, history, t0, lanes,
+                   LifetimeTable(lifetime, horizon), &pmf, survive.data(),
+                   out.data());
   return out;
 }
 
@@ -290,8 +300,10 @@ TEST(CachingHeebBatchTest, ZeroLanesWriteNothing) {
   StationaryProcess reference(DiscreteDistribution::BoundedUniform(0, 3));
   StreamHistory history({0});
   double sentinel = -7.0;
-  CachingHeebBatch(reference, history, 0, nullptr, 0,
-                   LifetimeTable(ExpLifetime(5.0), 20), &sentinel);
+  DiscreteDistribution pmf;
+  CachingHeebBatch(reference, history, 0, {},
+                   LifetimeTable(ExpLifetime(5.0), 20), &pmf, nullptr,
+                   &sentinel);
   EXPECT_EQ(sentinel, -7.0);
 }
 

@@ -4,7 +4,7 @@
 // the first Advance, Reset, a backwards `now` and a jump of a whole
 // horizon re-predict everything. Every slot must equal a fresh Predict().
 
-#include "sjoin/engine/score_memo.h"
+#include "sjoin/engine/prediction_ring.h"
 
 #include <gtest/gtest.h>
 
