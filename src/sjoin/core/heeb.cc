@@ -49,35 +49,6 @@ double CachingHeeb(const StochasticProcess& reference,
   return h;
 }
 
-namespace {
-
-// First index of the value-sorted `lanes` whose value is >= lo, found by
-// walking from `from`. Successive steps' supports usually start within a
-// few lanes of each other (a trend shifts by its slope, a walk widens by a
-// few values); a start further away falls back to a binary search.
-std::size_t FirstLaneAtLeast(
-    std::span<const std::pair<Value, std::size_t>> lanes, std::size_t from,
-    Value lo) {
-  constexpr int kMaxWalk = 8;
-  std::size_t j = from;
-  for (int walked = 0; walked < kMaxWalk; ++walked) {
-    if (j < lanes.size() && lanes[j].first < lo) {
-      ++j;
-    } else if (j > 0 && lanes[j - 1].first >= lo) {
-      --j;
-    } else {
-      return j;
-    }
-  }
-  return static_cast<std::size_t>(
-      std::lower_bound(lanes.begin(), lanes.end(), lo,
-                       [](const std::pair<Value, std::size_t>& lane,
-                          Value v) { return lane.first < v; }) -
-      lanes.begin());
-}
-
-}  // namespace
-
 void CachingHeebBatch(const StochasticProcess& reference,
                       const StreamHistory& history, Time t0,
                       std::span<const std::pair<Value, std::size_t>> lanes,
@@ -96,8 +67,12 @@ void CachingHeebBatch(const StochasticProcess& reference,
     const Value hi = pmf->MaxValue();
     const double* masses = pmf->masses().data();
     const double life = lifetime[k];
-    // This step's support range is one contiguous run of `lanes`.
-    first = FirstLaneAtLeast(lanes, first, lo);
+    // This step's support range is one contiguous run of `lanes`. Its
+    // start is walked from the previous step's: the walks of one call cost
+    // as many lanes as that start moves in all, which is about the lane
+    // count for a drifting or widening support.
+    while (first < count && lanes[first].first < lo) ++first;
+    while (first > 0 && lanes[first - 1].first >= lo) --first;
     for (std::size_t j = first; j < count && lanes[j].first <= hi; ++j) {
       const std::size_t i = lanes[j].second;
       const double p = masses[static_cast<std::size_t>(lanes[j].first - lo)];

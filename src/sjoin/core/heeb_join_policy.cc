@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "sjoin/common/check.h"
-#include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
 
@@ -95,20 +94,13 @@ void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
 bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
                                     std::vector<TupleId>* decided) {
   (void)decided;
-  if (options_.mode == Mode::kWalkTable) return true;  // Pure lookups.
-  if (options_.mode == Mode::kDirect) {
-    EnsurePredictions(ctx);
-    return true;
-  }
-  // Corollary 3, lazily: each entry advances inside the parallel scoring
-  // phase (ShardScoreCached / ShardScoreCachedBatch), which finds its lane
-  // through this read-only id table.
-  PrepareStep(ctx);
-  shard_lanes_.Reserve(lane_slot_.size());
-  shard_lanes_.Reset();
-  for (std::size_t lane = 0; lane < lane_slot_.size(); ++lane) {
-    shard_lanes_.Insert(LaneState(lane).id,
-                        static_cast<LaneTable<TupleId>::Lane>(lane));
+  if (options_.mode == Mode::kTimeIncremental ||
+      options_.mode == Mode::kValueIncremental) {
+    // Corollary 3, lazily: each entry advances inside the parallel scoring
+    // phase (ShardScoreCached).
+    PrepareStep(ctx);
+  } else {
+    BeginStep(ctx);
   }
   return true;
 }
@@ -141,7 +133,13 @@ void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
                                      ctx.capacity + arrivals)));
   }
   for (const Tuple& t : *ctx.arrivals) lane_slot_.push_back(NewSlot(t));
-  next_lane_ = 0;
+  // Candidate id -> lane, the one lookup Score, ShardScoreCached and
+  // EndStep use. Built here, serially, so the parallel phase only reads it.
+  lanes_.Reserve(lane_slot_.size());
+  lanes_.Reset();
+  LaneTable<TupleId>::Lane lane = 0;
+  for (const Tuple& t : cached) lanes_.Insert(t.id, lane++);
+  for (const Tuple& t : *ctx.arrivals) lanes_.Insert(t.id, lane++);
 
   advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
   advance_e_ = std::exp(1.0 / options_.alpha);
@@ -229,7 +227,7 @@ std::uint32_t HeebJoinPolicy::NewSlot(const Tuple& tuple) {
 
 void HeebJoinPolicy::Realign(const PolicyContext& ctx) {
   // Each cached lane takes its tuple's slot, or a new unscored one. The
-  // slots no lane takes stay live until CarryState frees them.
+  // slots no lane takes stay live until EndStep frees them.
   dropped_slots_.clear();
   placed_.assign(slots_.size(), 0);
   carry_lanes_.clear();
@@ -254,17 +252,6 @@ void HeebJoinPolicy::Realign(const PolicyContext& ctx) {
   lane_slot_.swap(carry_lanes_);
 }
 
-std::size_t HeebJoinPolicy::LaneOf(TupleId id, std::size_t guess,
-                                   std::size_t first) const {
-  const std::size_t lanes = lane_slot_.size();
-  if (guess < lanes && slots_[lane_slot_[guess]].id == id) return guess;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    const std::size_t lane = first + k < lanes ? first + k : first + k - lanes;
-    if (slots_[lane_slot_[lane]].id == id) return lane;
-  }
-  return kNoLane;
-}
-
 std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
     const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
   if (options_.mode != Mode::kTimeIncremental &&
@@ -276,11 +263,9 @@ std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
   // (shards partition the value domain and an entry's value is fixed), so
   // mutating it here is race-free; the shared pmfs, predictions and lane
   // table are read-only during this phase.
-  const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(tuple.id);
-  SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane &&
-                      LaneState(lane).state == SlotState::kScored,
+  CachedState* state = &LaneState(LaneOf(tuple.id));
+  SJOIN_CHECK_MSG(state->state == SlotState::kScored,
                   "cached tuple without incremental HEEB state");
-  CachedState* state = &LaneState(lane);
   AdvanceState(state, ctx);
   // Same window guard as Score(); the entry advances either way, exactly
   // like the serial BeginStep sweep runs before Score's window check.
@@ -289,39 +274,6 @@ std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
           ? 0.0
           : state->h;
   return ShardKey{score, tuple.arrival, static_cast<std::int64_t>(tuple.id)};
-}
-
-void HeebJoinPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
-                                           const PolicyContext& ctx,
-                                           ShardScratch* scratch,
-                                           double* score_scratch,
-                                           ShardKey* out) {
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
-    ScoredPolicy::ShardScoreCachedBatch(batch, ctx, scratch, score_scratch,
-                                        out);
-    return;
-  }
-  (void)scratch;
-  (void)score_scratch;
-  // The lane loop is ShardScoreCached's body over the shard's cached run:
-  // advance-in-place, then window-guard the advanced h. Lane order matches
-  // the scalar per-tuple order, and every slot is touched by exactly one
-  // shard, so the advance stays race-free and bit-identical.
-  const bool windowed = ctx.window.has_value();
-  const Time w = windowed ? *ctx.window : 0;
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(batch.ids[i]);
-    SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane &&
-                        LaneState(lane).state == SlotState::kScored,
-                    "cached tuple without incremental HEEB state");
-    CachedState* state = &LaneState(lane);
-    AdvanceState(state, ctx);
-    double score =
-        windowed && ctx.now - batch.arrivals[i] > w ? 0.0 : state->h;
-    out[i] = ShardKey{score, batch.arrivals[i],
-                      static_cast<std::int64_t>(batch.ids[i])};
-  }
 }
 
 double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
@@ -373,31 +325,12 @@ double HeebJoinPolicy::DirectScore(const Tuple& tuple,
   return RingSum(tuple.side, tuple.value, ctx.now, max_dt);
 }
 
-void HeebJoinPolicy::DirectBatch(const CandidateBatch& batch,
-                                 const PolicyContext& ctx, double* out) {
-  // BeginStep / ShardBeginStep advanced the ring to this step; this may
-  // run inside the parallel phase, so it must not advance it here.
-  SJOIN_CHECK_EQ(predictions_time_, ctx.now);
-  const bool windowed = ctx.window.has_value();
-  const Time w = windowed ? *ctx.window : 0;
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    if (windowed && ctx.now - batch.arrivals[i] > w) {
-      out[i] = 0.0;
-      continue;
-    }
-    Time max_dt = horizon_;
-    if (windowed) {
-      Time remaining = batch.arrivals[i] + w - ctx.now;
-      if (remaining < max_dt) max_dt = remaining;
-    }
-    out[i] = RingSum(static_cast<StreamSide>(batch.sides[i]),
-                     batch.values[i], ctx.now, max_dt);
+void HeebJoinPolicy::ScoreBatchInto(const CandidateBatch& batch,
+                                    const PolicyContext& ctx, double* out) {
+  if (options_.mode != Mode::kWalkTable) {
+    ScoredPolicy::ScoreBatchInto(batch, ctx, out);
+    return;
   }
-}
-
-void HeebJoinPolicy::WalkTableBatch(const CandidateBatch& batch,
-                                    const PolicyContext& ctx,
-                                    double* out) const {
   // Hoist the per-side table spans and partner anchors out of the lane
   // loop; Score() re-derives the anchor per tuple.
   const double* data[2];
@@ -430,45 +363,6 @@ void HeebJoinPolicy::WalkTableBatch(const CandidateBatch& batch,
     out[i] = off >= 0 && off < size[s]
                  ? data[s][static_cast<std::size_t>(off)]
                  : 0.0;
-  }
-}
-
-void HeebJoinPolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                    const PolicyContext& ctx, double* out) {
-  switch (options_.mode) {
-    case Mode::kDirect:
-      DirectBatch(batch, ctx, out);
-      return;
-    case Mode::kWalkTable:
-      WalkTableBatch(batch, ctx, out);
-      return;
-    case Mode::kTimeIncremental:
-    case Mode::kValueIncremental:
-      IncrementalBatch(batch, ctx, out);
-      return;
-  }
-}
-
-void HeebJoinPolicy::IncrementalBatch(const CandidateBatch& batch,
-                                      const PolicyContext& ctx,
-                                      double* out) {
-  // The batch lanes are the candidate lanes PrepareStep mapped, so lane i
-  // is LaneState(i): no id lookup. Unscored slots are filled in lane
-  // order, the scalar path's order, which the Corollary 5 donor scan
-  // depends on.
-  SJOIN_CHECK_EQ(batch.size, lane_slot_.size());
-  const bool windowed = ctx.window.has_value();
-  const Time w = windowed ? *ctx.window : 0;
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    CachedState& state = LaneState(i);
-    SJOIN_VALIDATE_MSG(state.id == batch.ids[i],
-                       "incremental HEEB lane maps to another tuple's slot");
-    if (windowed && ctx.now - batch.arrivals[i] > w) {
-      out[i] = 0.0;
-      continue;
-    }
-    out[i] = state.state == SlotState::kScored ? state.h
-                                               : ScoreNew(&state, ctx);
   }
 }
 
@@ -536,15 +430,8 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
     }
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental: {
-      // Scalar scoring visits the lanes in order, so the lane after the
-      // last one scored is almost always this tuple's. The lookup runs even
-      // for a tuple out of the window to keep that guess on track.
-      const std::size_t lane = LaneOf(tuple.id, next_lane_, 0);
-      SJOIN_CHECK_MSG(lane != kNoLane,
-                      "scored a tuple that is not a candidate");
-      next_lane_ = lane + 1;
       if (out_of_window) return 0.0;
-      CachedState& state = LaneState(lane);
+      CachedState& state = LaneState(LaneOf(tuple.id));
       return state.state == SlotState::kScored ? state.h
                                                : ScoreNew(&state, ctx);
     }
@@ -552,78 +439,33 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
   return 0.0;
 }
 
-void HeebJoinPolicy::ShardEndStep(const PolicyContext& ctx,
-                                  const std::vector<TupleId>& retained,
-                                  const std::vector<TupleId>& evicted) {
+void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
+                             const std::vector<TupleId>& retained) {
   (void)ctx;
   if (options_.mode != Mode::kTimeIncremental &&
       options_.mode != Mode::kValueIncremental) {
     return;
   }
-  auto lane_of = [&](TupleId id) {
-    const LaneTable<TupleId>::Lane lane = shard_lanes_.Find(id);
-    SJOIN_CHECK(lane != LaneTable<TupleId>::kNoLane);
-    return lane;
-  };
-  carry_lanes_.clear();
-  for (TupleId id : retained) carry_lanes_.push_back(lane_of(id));
-  evicted_lanes_.clear();
-  for (TupleId id : evicted) evicted_lanes_.push_back(lane_of(id));
-  CarryState(evicted_lanes_);
-}
-
-void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
-                             const std::vector<TupleId>& retained) {
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
-    return;
-  }
-  // Find each retained tuple's lane without a hash lookup. The returned
-  // list is last step's ranked run with the arrivals ranked in, so a
-  // retained tuple's lane is usually the one after the previous tuple's
-  // (`guess`), or else the first lane not yet placed (`resume`: where the
-  // run continues after an arrival or a tuple that moved up). Anything
-  // else is a scan of the lanes, from the arrivals on.
+  // Next step's lane i is retained[i]: gather its slot. The lanes nobody
+  // retained were evicted, and the slots no lane took were dropped by the
+  // caller; both are freed.
   const std::size_t lanes = lane_slot_.size();
-  const std::vector<Tuple>& cached = *ctx.cached;
-  const std::size_t first_arrival = cached.size();
   placed_.assign(lanes, 0);
   carry_lanes_.clear();
-  std::size_t guess = 0;
-  std::size_t resume = 0;
   for (TupleId id : retained) {
-    std::size_t lane = kNoLane;
-    if (guess < first_arrival && cached[guess].id == id) {
-      lane = guess;
-    } else {
-      while (resume < lanes && placed_[resume] != 0) ++resume;
-      lane = LaneOf(id, resume, first_arrival);
-      SJOIN_CHECK_MSG(lane != kNoLane,
-                      "retained a tuple that is not a candidate");
-    }
+    const std::uint32_t lane = LaneOf(id);
     placed_[lane] = 1;
-    carry_lanes_.push_back(static_cast<std::uint32_t>(lane));
-    guess = lane + 1;
+    carry_lanes_.push_back(lane_slot_[lane]);
   }
-  evicted_lanes_.clear();
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (placed_[lane] == 0) {
-      evicted_lanes_.push_back(static_cast<std::uint32_t>(lane));
-    }
-  }
-  CarryState(evicted_lanes_);
-}
-
-void HeebJoinPolicy::CarryState(const std::vector<std::uint32_t>& evicted) {
   auto free_slot = [&](std::uint32_t slot) {
     slots_[slot].state = SlotState::kFree;
     free_slots_.push_back(slot);
   };
-  for (std::uint32_t lane : evicted) free_slot(lane_slot_[lane]);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    if (placed_[lane] == 0) free_slot(lane_slot_[lane]);
+  }
   for (std::uint32_t slot : dropped_slots_) free_slot(slot);
   dropped_slots_.clear();
-  // Next step's lane i is retained[i]: gather its slot.
-  for (std::uint32_t& lane : carry_lanes_) lane = lane_slot_[lane];
   lane_slot_.swap(carry_lanes_);
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "sjoin/common/check.h"
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/core/precompute.h"
 #include "sjoin/engine/lane_table.h"
@@ -86,35 +87,25 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // scoring phase. Both run the same AdvanceState body over the same
   // per-(side, elapsed step) partner pmfs, which PrepareStep builds once
   // per step and shares across every cached tuple of a side, so the two
-  // paths are bit-identical.
+  // paths are bit-identical. Both paths end in the same EndStep.
   bool ShardBeginStep(const PolicyContext& ctx,
                       std::vector<TupleId>* decided) override;
   std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
                                            const PolicyContext& ctx,
                                            ShardScratch* scratch) override;
-  /// Batched shard scoring. Direct and walk-table modes route through the
-  /// stateless ScoreBatchInto kernels; the incremental modes run the same
-  /// lazy Corollary 3 advance as ShardScoreCached lane by lane (each slot
-  /// is owned by exactly one shard, so the mutation stays race-free).
-  void ShardScoreCachedBatch(const CandidateBatch& batch,
-                             const PolicyContext& ctx, ShardScratch* scratch,
-                             double* score_scratch, ShardKey* out) override;
-  /// Carries the retained tuples' slots into the returned order and frees
-  /// the evicted ones: the CarryState body the serial EndStep shares.
-  void ShardEndStep(const PolicyContext& ctx,
-                    const std::vector<TupleId>& retained,
-                    const std::vector<TupleId>& evicted) override;
 
  protected:
   bool ShardScorable() const override { return true; }
-  bool BatchScorable() const override { return true; }
+  /// Only kWalkTable has a batch kernel. The other modes score each tuple
+  /// from the prediction ring or the incremental state, which a batch
+  /// gather would only copy.
+  bool BatchScorable() const override {
+    return options_.mode == Mode::kWalkTable;
+  }
   void BeginStep(const PolicyContext& ctx) override;
   double Score(const Tuple& tuple, const PolicyContext& ctx) override;
-  /// Batched scoring kernels. kWalkTable gathers from the per-side h1
-  /// tables with the partner anchor hoisted out of the lane loop; kDirect
-  /// runs DirectScore's ring sum per lane without re-checking the ring,
-  /// so scores are bit-identical to the scalar path. The incremental modes read and fill candidate lane i's
-  /// slot directly, in the scalar scoring order.
+  /// kWalkTable kernel: gathers from the per-side h1 tables with the
+  /// partner anchor hoisted out of the lane loop.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
   void EndStep(const PolicyContext& ctx,
@@ -153,14 +144,6 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// Corollary 5 transfer for a new arrival (kValueIncremental).
   double ValueIncrementalScore(const Tuple& tuple, const PolicyContext& ctx);
 
-  /// ScoreBatchInto bodies.
-  void IncrementalBatch(const CandidateBatch& batch, const PolicyContext& ctx,
-                        double* out);
-  void DirectBatch(const CandidateBatch& batch, const PolicyContext& ctx,
-                   double* out);
-  void WalkTableBatch(const CandidateBatch& batch, const PolicyContext& ctx,
-                      double* out) const;
-
   const StochasticProcess* r_process_;
   const StochasticProcess* s_process_;
   Options options_;
@@ -172,9 +155,8 @@ class HeebJoinPolicy final : public ScoredPolicy {
   PredictionRing ring_;
   Time predictions_time_ = -1;
   // L(dt) for dt = 1..horizon_ (LifetimeTable), precomputed at
-  // construction. DirectScore and the batch kernel read these instead of
-  // calling lifetime.At per term; the values are the same doubles, so sums
-  // stay bit-identical.
+  // construction. DirectScore reads these instead of calling lifetime.At
+  // per term; the values are the same doubles, so sums stay bit-identical.
   std::vector<double> lifetime_flat_;
 
   // Incremental modes: H of every cached tuple. The states sit in
@@ -183,7 +165,8 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // is the slot of the i-th tuple in last step's returned list. The
   // engines cache exactly that list, so it is normally this step's
   // ctx.cached, which PrepareStep checks id by id; the arrivals' new slots
-  // then extend it to every candidate lane (cached tuples, then arrivals).
+  // then extend it to every candidate lane (cached tuples, then arrivals),
+  // and lanes_ maps each candidate id to its lane for the step.
   // A slot is kUnscored until its h exists: arrivals, and cached tuples the
   // policy has not seen, get a slot in PrepareStep but an h only when first
   // scored. Freed slots are reused by later arrivals.
@@ -209,33 +192,29 @@ class HeebJoinPolicy final : public ScoredPolicy {
   void Realign(const PolicyContext& ctx);
   /// The slot of candidate lane `lane`.
   CachedState& LaneState(std::size_t lane) { return slots_[lane_slot_[lane]]; }
-  static constexpr std::size_t kNoLane = ~std::size_t{0};
-  /// Serial lookup of candidate `id`: `guess` when that lane holds it,
-  /// else a scan of the lanes from `first` (wrapping). kNoLane when absent.
-  std::size_t LaneOf(TupleId id, std::size_t guess, std::size_t first) const;
-  /// The step epilogue shared by EndStep and ShardEndStep: keeps the
-  /// slots of carry_lanes_ (the retained lanes, in returned order) as next
-  /// step's lane_slot_ and frees the slots of `evicted` lanes and of
-  /// tuples a caller dropped.
-  void CarryState(const std::vector<std::uint32_t>& evicted);
+  /// The lane of candidate `id` this step.
+  std::uint32_t LaneOf(TupleId id) const {
+    const LaneTable<TupleId>::Lane lane = lanes_.Find(id);
+    SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane,
+                    "incremental HEEB looked up a tuple that is not a "
+                    "candidate");
+    return lane;
+  }
   std::vector<CachedState> slots_;
   std::vector<std::uint32_t> lane_slot_;
   std::vector<std::uint32_t> free_slots_;
   // Slots no lane took this step (Realign only): a caller dropped their
   // tuples from the cache. They still advance and donate (Corollary 5)
-  // until CarryState frees them.
+  // until EndStep frees them.
   std::vector<std::uint32_t> dropped_slots_;
-  // Score()'s guess for the next lane: scalar scoring runs in lane order.
-  std::size_t next_lane_ = 0;
+  // Candidate id -> lane, built in PrepareStep (serial) on both paths and
+  // only read while shards score.
+  LaneTable<TupleId> lanes_;
   Time last_step_time_ = -1;
-  // Step-end scratch, reused across steps: the retained lanes in returned
-  // order, the evicted lanes, and per-lane placed marks (serial EndStep).
+  // Scratch reused across steps: next step's lane_slot_ (EndStep) or the
+  // realigned one (Realign), and per-slot or per-lane placed marks.
   std::vector<std::uint32_t> carry_lanes_;
-  std::vector<std::uint32_t> evicted_lanes_;
   std::vector<std::uint8_t> placed_;
-  // Sharded path: candidate id -> lane, built in ShardBeginStep (serial)
-  // and only read while shards score. The serial path never sizes it.
-  LaneTable<TupleId> shard_lanes_;
 
   // Incremental advance: elapsed steps since the previous decision and the
   // shared per-(cached side, elapsed step) partner pmfs the Corollary 3

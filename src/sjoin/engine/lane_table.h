@@ -22,21 +22,25 @@
 /// map pays one allocation and one free per key for that; LaneTable keeps
 /// its slots in one open-addressed, linearly probed power-of-two array
 /// that is sized once and never rehashed. Reset() clears it in O(1) by
-/// bumping a 64-bit stamp: a slot is live only while its stamp equals the
+/// bumping a stamp: a slot is live only while its stamp equals the
 /// table's, so entries from earlier steps are invisible without being
-/// touched. At one Reset per step a 64-bit stamp never wraps, so there is
-/// no wrap-around path.
+/// touched. The stamp is 32-bit by default, which keeps a slot at 16
+/// bytes; the Reset that wraps it clears every slot, so an entry from an
+/// earlier step never reads as live again.
 
 namespace sjoin {
 
 /// Open-addressed Key -> lane map with O(1) Reset. Key is a 64-bit integer
 /// (TupleId or Value; negative keys are fine). The table holds at least
 /// twice as many slots as the entry count it was reserved for, so probe
-/// chains stay short and every lookup terminates on an empty slot.
-template <typename Key>
+/// chains stay short and every lookup terminates on an empty slot. Stamp
+/// is the unsigned Reset counter (a narrower one lets tests reach the
+/// wrap).
+template <typename Key, typename Stamp = std::uint32_t>
 class LaneTable {
   static_assert(std::is_integral_v<Key> && sizeof(Key) == 8,
                 "LaneTable keys are 64-bit integers");
+  static_assert(std::is_unsigned_v<Stamp>, "LaneTable stamps are unsigned");
 
  public:
   using Lane = std::uint32_t;
@@ -56,10 +60,14 @@ class LaneTable {
     size_ = 0;
   }
 
-  /// Forgets every entry in O(1).
+  /// Forgets every entry; O(1) except on the Reset that wraps the stamp,
+  /// which clears the slots so that no old stamp reads as live.
   void Reset() {
-    ++stamp_;
     size_ = 0;
+    if (++stamp_ == 0) {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      stamp_ = 1;
+    }
   }
 
   /// Maps `key` to `lane`. Returns false, keeping the existing mapping,
@@ -71,7 +79,7 @@ class LaneTable {
       if (slot.stamp != stamp_) {
         SJOIN_CHECK_MSG(size_ < max_entries_,
                         "lane table holds more keys than it was reserved for");
-        slot = {stamp_, key, lane};
+        slot = {key, lane, stamp_};
         ++size_;
         return true;
       }
@@ -104,15 +112,15 @@ class LaneTable {
 
  private:
   struct Slot {
-    /// Live iff equal to the table's stamp_; 0 never is.
-    std::uint64_t stamp = 0;
     Key key = 0;
     Lane lane = 0;
+    /// Live iff equal to the table's stamp_; 0 never is.
+    Stamp stamp = 0;
   };
 
   std::vector<Slot> slots_;
   int shift_ = 63;
-  std::uint64_t stamp_ = 1;
+  Stamp stamp_ = 1;
   std::size_t size_ = 0;
   std::size_t max_entries_ = 0;
 };

@@ -176,6 +176,24 @@ TEST(LaneTableTest, GrowingReserveDropsEntriesAndKeepsWorking) {
   }
 }
 
+TEST(LaneTableTest, StampWrapClearsEveryEntry) {
+  // An 8-bit stamp wraps after 255 Resets. The wrapping Reset must clear
+  // the slots: otherwise key 7's slot, stamped 1, reads as live again once
+  // the stamp comes back round to 1.
+  LaneTable<TupleId, std::uint8_t> table;
+  table.Reserve(2);
+  table.Reset();
+  ASSERT_TRUE(table.Insert(7, 3));
+  for (int resets = 1; resets <= 600; ++resets) {
+    table.Reset();
+    ASSERT_EQ(table.Find(7), IdTable::kNoLane) << "after " << resets;
+  }
+  EXPECT_TRUE(table.Insert(7, 4));
+  EXPECT_TRUE(table.Insert(8, 5));
+  EXPECT_EQ(table.Find(7), 4u);
+  EXPECT_EQ(table.Find(8), 5u);
+}
+
 TEST(LaneTableDeathTest, InsertingPastTheReservedCountAborts) {
   ValueTable table;
   table.Reserve(2);
