@@ -321,7 +321,9 @@ struct SessionState {
   bool batch_scoring = false;
 
   // The join state proper: the cache selected at the previous step, each
-  // stream's value history, and the Phase-1 acceleration structures.
+  // stream's value history (its last StreamHistory::kTail values, so the
+  // session does not grow with the steps it serves), and the Phase-1
+  // acceleration structures.
   std::vector<StreamTuple> cache;
   std::vector<StreamHistory> histories;
   /// Value -> cached-tuple count, per (partition, stream).

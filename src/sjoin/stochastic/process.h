@@ -21,6 +21,11 @@ namespace sjoin {
 
 /// Abstract stream model. Implementations are immutable and cheap to share;
 /// a policy and a simulator may hold the same process object.
+///
+/// Predict, PredictInto and SampleNext may read only the history's size()
+/// and its last StreamHistory::kTail values (at() aborts on anything
+/// older); a model that conditions on a longer past must carry its own
+/// summary of it.
 class StochasticProcess {
  public:
   virtual ~StochasticProcess() = default;
