@@ -72,6 +72,42 @@ std::string Ar1SurfaceKey(const Ar1Process& reference, double alpha,
   return key;
 }
 
+// Payload bytes per artifact type: the element bytes of its vectors.
+template <typename T>
+std::int64_t VectorBytes(const std::vector<T>& v) {
+  return static_cast<std::int64_t>(v.size() * sizeof(T));
+}
+
+std::int64_t PayloadBytes(const OffsetTable& table) {
+  return VectorBytes(table.values());
+}
+
+std::int64_t PayloadBytes(const HeebSurfaceTable& surface) {
+  std::int64_t bytes = 0;
+  for (std::size_t i = 0; i < surface.num_columns(); ++i) {
+    bytes += VectorBytes(surface.column(i));
+  }
+  return bytes;
+}
+
+std::int64_t PayloadBytes(const BicubicSurface& bicubic) {
+  return static_cast<std::int64_t>(bicubic.nx()) * bicubic.ny() *
+         static_cast<std::int64_t>(sizeof(double));
+}
+
+std::int64_t PayloadBytes(const FlowSliceSkeleton& skeleton) {
+  std::int64_t bytes = VectorBytes(skeleton.source_arcs) +
+                       VectorBytes(skeleton.det_arcs) +
+                       VectorBytes(skeleton.undet_arcs);
+  for (NodeId node = 0; node < skeleton.graph.NumNodes(); ++node) {
+    bytes += VectorBytes(skeleton.graph.AdjacencyOf(node));
+  }
+  return bytes;
+}
+
+// A fitted AR(1) process is four scalars and owns no vector.
+std::int64_t PayloadBytes(const Ar1Process&) { return 0; }
+
 }  // namespace
 
 ModelRepo& ModelRepo::Global() {
@@ -94,6 +130,7 @@ std::shared_ptr<const T> ModelRepo::GetOrBuild(
   // blocks and then hits, which is what makes construction once-per-key.
   auto built = std::make_shared<const T>(build());
   ++stats_.builds;
+  stats_.bytes += PayloadBytes(*built);
   int& count = build_counts_[key];
   ++count;
   if constexpr (kValidationEnabled) {
@@ -132,14 +169,27 @@ std::shared_ptr<const Ar1Process> ModelRepo::Ar1ProcessFor(
 
 std::shared_ptr<const OffsetTable> ModelRepo::WalkJoinHeebTable(
     const RandomWalkProcess& partner, double alpha, Time horizon) {
-  std::string key = "walk-join-h1";
-  AppendWalkStep(&key, partner);
+  std::string step_key;
+  AppendWalkStep(&step_key, partner);
+  std::string key = "walk-join-h1" + step_key;
   key += "|alpha=";
   AppendDouble(&key, alpha);
   key += "|h=";
   AppendInt(&key, horizon);
+  // The build runs under mu_ (GetOrBuild), which guards walk_ladders_.
   return OffsetTableFor(key, [&] {
-    return PrecomputeWalkJoinHeeb(partner, ExpLifetime(alpha), horizon);
+    WalkLadder& ladder =
+        walk_ladders_
+            .try_emplace(step_key,
+                         WalkLadder{RandomWalkProcess(partner.step(), 0)})
+            .first->second;
+    // Grow the ladder here rather than inside the precompute, so the
+    // bytes of each new power are counted once.
+    for (; ladder.depth < horizon; ++ladder.depth) {
+      stats_.bytes +=
+          VectorBytes(ladder.walk.StepSum(ladder.depth + 1).masses());
+    }
+    return PrecomputeWalkJoinHeeb(ladder.walk, ExpLifetime(alpha), horizon);
   });
 }
 
@@ -213,6 +263,7 @@ void ModelRepo::Clear() {
   bicubics_.clear();
   flow_skeletons_.clear();
   ar1_processes_.clear();
+  walk_ladders_.clear();
 }
 
 }  // namespace sjoin

@@ -30,6 +30,14 @@
 /// to borrow-from-repo; a policy with a custom (non-introspectable)
 /// lifetime function simply builds privately, outside the repo.
 ///
+/// Ingredients shared by several artifacts are built once per repo too.
+/// Every walk-join h1 table reads the convolution ladder S_1..S_H of its
+/// step pmf, which depends on the step pmf alone, so the repo keeps one
+/// ladder per step pmf, grows it to the longest horizon asked for, and
+/// builds each (alpha, horizon) table from it. Ladders are not artifacts:
+/// `builds` and BuildCount count tables only, while `bytes` counts the
+/// ladders too.
+///
 /// Thread safety: all methods are safe to call concurrently. The repo
 /// holds its mutex across a build, so two sessions racing to construct
 /// the same model key serialize and the loser gets the winner's table —
@@ -65,6 +73,9 @@ class ModelRepo {
     std::int64_t lookups = 0;  // GetOrBuild-style calls.
     std::int64_t hits = 0;     // Lookups answered from the cache.
     std::int64_t builds = 0;   // Artifacts constructed; == distinct keys.
+    // Payload of every resident artifact plus the walk ladders: the
+    // element bytes of their vectors (size(), not capacity()).
+    std::int64_t bytes = 0;
   };
 
   ModelRepo() = default;
@@ -96,7 +107,8 @@ class ModelRepo {
   // parameters.
 
   /// h1 for the joining problem against a random-walk partner
-  /// (PrecomputeWalkJoinHeeb with L_exp(alpha)).
+  /// (PrecomputeWalkJoinHeeb with L_exp(alpha)). Built from the repo's
+  /// ladder for the partner's step pmf; `partner` itself is not touched.
   std::shared_ptr<const OffsetTable> WalkJoinHeebTable(
       const RandomWalkProcess& partner, double alpha, Time horizon);
 
@@ -127,8 +139,8 @@ class ModelRepo {
 
   Stats stats() const;
 
-  /// Drops every cached artifact and every counter. Outstanding borrows
-  /// stay valid (shared_ptr). Test-only.
+  /// Drops every cached artifact, every walk ladder and every counter.
+  /// Outstanding borrows stay valid (shared_ptr). Test-only.
   void Clear();
 
  private:
@@ -136,6 +148,14 @@ class ModelRepo {
   std::shared_ptr<const T> GetOrBuild(
       std::unordered_map<std::string, std::shared_ptr<const T>>* map,
       const std::string& key, const std::function<T()>& build);
+
+  // The convolution powers of one step pmf: `walk`'s memoized StepSum,
+  // grown to `depth`. The walk's initial value is irrelevant (both walk
+  // precomputations are offset-based).
+  struct WalkLadder {
+    RandomWalkProcess walk;
+    Time depth = 0;
+  };
 
   mutable std::mutex mu_;
   Stats stats_;
@@ -150,6 +170,9 @@ class ModelRepo {
       flow_skeletons_;
   std::unordered_map<std::string, std::shared_ptr<const Ar1Process>>
       ar1_processes_;
+  // Keyed by AppendWalkStep's step-pmf string. Grown only under mu_,
+  // inside a walk-join build.
+  std::unordered_map<std::string, WalkLadder> walk_ladders_;
 };
 
 }  // namespace sjoin

@@ -121,10 +121,14 @@ struct RankedTuple {
   TupleId id = 0;
 };
 
-/// The rank_order.h strict total order over RankedTuples.
-inline bool RankedTupleBetter(const RankedTuple& a, const RankedTuple& b) {
+/// The rank_order.h strict total order over RankedTuples. A lambda object
+/// rather than a function: passed to RankTopK or std::sort it is a type
+/// the compiler inlines, where a function decays to a pointer that stays
+/// an out-of-line call per comparison.
+inline constexpr auto RankedTupleBetter = [](const RankedTuple& a,
+                                             const RankedTuple& b) {
   return RankOrderBetter(a.score, a.arrival, a.id, b.score, b.arrival, b.id);
-}
+};
 
 /// Best `capacity` ids, ranked by (score desc, arrival desc, id desc),
 /// selected by RankTopK.

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +144,172 @@ TEST(ModelRepoTest, ClearDropsEntriesButBorrowsSurvive) {
       repo.WalkJoinHeebTable(walk, 10.0, 60);
   EXPECT_NE(borrow.get(), rebuilt.get());
   EXPECT_EQ(rebuilt->values(), values);
+}
+
+// The WALK configuration's step pmf (bench/harness/configs.cc, perfbench's
+// serve-model walk sessions).
+RandomWalkProcess WalkConfigWalk() {
+  return RandomWalkProcess(DiscreteDistribution::DiscretizedNormal(0.0, 1.0),
+                           0);
+}
+
+std::int64_t Bytes(const std::vector<double>& v) {
+  return static_cast<std::int64_t>(v.size() * sizeof(double));
+}
+
+// Bytes of the convolution ladder S_1..S_horizon of `walk`'s step pmf,
+// grown on a private copy so `walk` is left as it was.
+std::int64_t LadderBytes(const RandomWalkProcess& walk, Time horizon) {
+  const RandomWalkProcess copy(walk.step(), 0);
+  std::int64_t bytes = 0;
+  for (Time n = 1; n <= horizon; ++n) {
+    bytes += Bytes(copy.StepSum(n).masses());
+  }
+  return bytes;
+}
+
+// Bitwise equality against a per-process PrecomputeWalkJoinHeeb on a fresh
+// copy of the walk (its own ladder, the pre-repo-ladder construction).
+void ExpectBitIdenticalToPerProcess(const OffsetTable& table,
+                                    const RandomWalkProcess& walk,
+                                    double alpha, Time horizon) {
+  const RandomWalkProcess own(walk.step(), walk.initial_value());
+  const OffsetTable direct =
+      PrecomputeWalkJoinHeeb(own, ExpLifetime(alpha), horizon);
+  ASSERT_EQ(table.min_offset(), direct.min_offset());
+  ASSERT_EQ(table.values().size(), direct.values().size());
+  EXPECT_EQ(std::memcmp(table.values().data(), direct.values().data(),
+                        table.values().size() * sizeof(double)),
+            0)
+      << "alpha=" << alpha << " horizon=" << horizon;
+}
+
+TEST(ModelRepoTest, BytesCountOneLadderPerStepPmfPlusEachTable) {
+  ModelRepo repo;
+  const RandomWalkProcess walk = TestWalk();
+  EXPECT_EQ(repo.stats().bytes, 0);
+
+  // Support -5..5 (11 masses): S_n has 10n + 1, so S_1..S_60 hold
+  // 18360 doubles and the table spans S_60's 601 offsets.
+  std::shared_ptr<const OffsetTable> first =
+      repo.WalkJoinHeebTable(walk, 10.0, 60);
+  EXPECT_EQ(LadderBytes(walk, 60), 18360 * 8);
+  EXPECT_EQ(Bytes(first->values()), 601 * 8);
+  EXPECT_EQ(repo.stats().bytes, (18360 + 601) * 8);
+
+  // A second and third alpha on the same step run no convolution: each
+  // adds exactly its own table.
+  std::shared_ptr<const OffsetTable> second =
+      repo.WalkJoinHeebTable(walk, 20.0, 60);
+  std::shared_ptr<const OffsetTable> third =
+      repo.WalkJoinHeebTable(walk, 30.0, 60);
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 60) +
+                                    Bytes(first->values()) +
+                                    Bytes(second->values()) +
+                                    Bytes(third->values()));
+  EXPECT_EQ(repo.stats().builds, 3);
+
+  // A hit adds nothing.
+  repo.WalkJoinHeebTable(walk, 20.0, 60);
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 60) +
+                                    Bytes(first->values()) +
+                                    Bytes(second->values()) +
+                                    Bytes(third->values()));
+
+  repo.Clear();
+  EXPECT_EQ(repo.stats().bytes, 0);
+  // Clear dropped the ladder too: the next build pays for it again.
+  std::shared_ptr<const OffsetTable> rebuilt =
+      repo.WalkJoinHeebTable(walk, 10.0, 60);
+  EXPECT_EQ(repo.stats().bytes,
+            LadderBytes(walk, 60) + Bytes(rebuilt->values()));
+}
+
+TEST(ModelRepoTest, WalkTablesFromTheSharedLadderAreBitIdentical) {
+  ModelRepo repo;
+  const RandomWalkProcess walk = WalkConfigWalk();
+  constexpr double kAlphas[] = {150.0, 200.0, 250.0, 300.0};
+  std::int64_t table_bytes = 0;
+  for (double alpha : kAlphas) {
+    std::shared_ptr<const OffsetTable> table =
+        repo.WalkJoinHeebTable(walk, alpha, 80);
+    ExpectBitIdenticalToPerProcess(*table, walk, alpha, 80);
+    table_bytes += Bytes(table->values());
+  }
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 80) + table_bytes);
+
+  // A longer horizon grows the one ladder from S_80 to S_150 in place.
+  std::shared_ptr<const OffsetTable> longer =
+      repo.WalkJoinHeebTable(walk, 200.0, 150);
+  ExpectBitIdenticalToPerProcess(*longer, walk, 200.0, 150);
+  table_bytes += Bytes(longer->values());
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 150) + table_bytes);
+  // A shorter horizon after the growth reads a prefix of the ladder.
+  std::shared_ptr<const OffsetTable> shorter =
+      repo.WalkJoinHeebTable(walk, 175.0, 40);
+  ExpectBitIdenticalToPerProcess(*shorter, walk, 175.0, 40);
+  table_bytes += Bytes(shorter->values());
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 150) + table_bytes);
+  EXPECT_EQ(repo.stats().builds, 6);
+}
+
+TEST(ModelRepoTest, ADriftedStepPmfGetsItsOwnLadder) {
+  ModelRepo repo;
+  const RandomWalkProcess walk = WalkConfigWalk();
+  // Same support bounds, different masses: only the full pmf tells the
+  // two ladders apart.
+  const RandomWalkProcess drift(
+      DiscreteDistribution::TruncatedDiscretizedNormal(
+          0.5, 1.0, walk.step().MinValue(), walk.step().MaxValue()),
+      0);
+  ASSERT_EQ(drift.step().MinValue(), walk.step().MinValue());
+  ASSERT_EQ(drift.step().MaxValue(), walk.step().MaxValue());
+
+  std::shared_ptr<const OffsetTable> flat =
+      repo.WalkJoinHeebTable(walk, 200.0, 80);
+  std::shared_ptr<const OffsetTable> drifted =
+      repo.WalkJoinHeebTable(drift, 200.0, 80);
+  ExpectBitIdenticalToPerProcess(*flat, walk, 200.0, 80);
+  ExpectBitIdenticalToPerProcess(*drifted, drift, 200.0, 80);
+  EXPECT_NE(flat->values(), drifted->values());
+  EXPECT_EQ(repo.stats().bytes, LadderBytes(walk, 80) +
+                                    LadderBytes(drift, 80) +
+                                    Bytes(flat->values()) +
+                                    Bytes(drifted->values()));
+}
+
+TEST(ModelRepoTest, ConcurrentAlphasOnOneStepShareTheLadder) {
+  const RandomWalkProcess walk = WalkConfigWalk();
+  constexpr double kAlphas[] = {150.0, 200.0, 250.0, 300.0};
+
+  ModelRepo serial;
+  std::vector<std::shared_ptr<const OffsetTable>> expected;
+  for (double alpha : kAlphas) {
+    expected.push_back(serial.WalkJoinHeebTable(walk, alpha, 80));
+  }
+
+  ModelRepo repo;
+  std::vector<std::shared_ptr<const OffsetTable>> tables(std::size(kAlphas));
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < std::size(kAlphas); ++i) {
+    threads.emplace_back([&, i] {
+      tables[i] = repo.WalkJoinHeebTable(walk, kAlphas[i], 80);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ModelRepo::Stats stats = repo.stats();
+  EXPECT_EQ(stats.builds, 4);
+  EXPECT_EQ(stats.bytes, serial.stats().bytes);
+  for (std::size_t i = 0; i < std::size(kAlphas); ++i) {
+    ASSERT_EQ(tables[i]->min_offset(), expected[i]->min_offset());
+    ASSERT_EQ(tables[i]->values().size(), expected[i]->values().size());
+    EXPECT_EQ(std::memcmp(tables[i]->values().data(),
+                          expected[i]->values().data(),
+                          tables[i]->values().size() * sizeof(double)),
+              0)
+        << "alpha=" << kAlphas[i];
+  }
 }
 
 TEST(ModelRepoTest, GlobalIsOneRepo) {
