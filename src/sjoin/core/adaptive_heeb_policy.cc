@@ -32,6 +32,7 @@ void AdaptiveHeebJoinPolicy::RebuildInner() {
   inner_options.horizon = options_.horizon;
   inner_ = std::make_unique<HeebJoinPolicy>(r_process_, s_process_,
                                             inner_options);
+  inner_fresh_ = true;
 }
 
 void AdaptiveHeebJoinPolicy::Reset() {
@@ -45,7 +46,17 @@ void AdaptiveHeebJoinPolicy::Reset() {
 
 std::vector<TupleId> AdaptiveHeebJoinPolicy::SelectRetained(
     const PolicyContext& ctx) {
-  std::vector<TupleId> retained = inner_->SelectRetained(ctx);
+  // A rebuilt inner policy returned no list yet, so it sees no carried
+  // cache on its first step.
+  PolicyContext inner_ctx = ctx;
+  EngineStep inner_step;
+  if (ctx.step != nullptr) {
+    inner_step = *ctx.step;
+    inner_step.carried = ctx.step->carried && !inner_fresh_;
+    inner_ctx.step = &inner_step;
+  }
+  inner_fresh_ = false;
+  std::vector<TupleId> retained = inner_->SelectRetained(inner_ctx);
 
   // Observe residence times of evicted tuples (tuples that were admitted
   // at some earlier step and are not retained now). Arrivals discarded

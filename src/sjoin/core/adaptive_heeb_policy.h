@@ -62,6 +62,8 @@ class AdaptiveHeebJoinPolicy final : public ReplacementPolicy {
   double current_alpha_;
   int observations_ = 0;
   std::unique_ptr<HeebJoinPolicy> inner_;
+  /// True until the current inner policy has decided a step.
+  bool inner_fresh_ = true;
   // This step's retained ids (per-step scratch).
   LaneTable<TupleId> retained_set_;
 };

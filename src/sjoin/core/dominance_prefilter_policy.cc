@@ -25,6 +25,7 @@ DominancePrefilterPolicy::DominancePrefilterPolicy(
 
 void DominancePrefilterPolicy::Reset() {
   fallback_->Reset();
+  fallback_decided_last_ = false;
   decisions_by_dominance_ = 0;
   total_decisions_ = 0;
 }
@@ -35,6 +36,10 @@ std::vector<TupleId> DominancePrefilterPolicy::SelectRetained(
   candidates.reserve(ctx.cached->size() + ctx.arrivals->size());
   for (const Tuple& t : *ctx.cached) candidates.push_back(t);
   for (const Tuple& t : *ctx.arrivals) candidates.push_back(t);
+  // A step this policy decides itself makes the next cache a list the
+  // fallback did not return, so the fallback then sees no carried cache.
+  const bool fallback_carried = fallback_decided_last_;
+  fallback_decided_last_ = false;
   if (candidates.size() <= ctx.capacity) {
     std::vector<TupleId> all;
     for (const Tuple& t : candidates) all.push_back(t.id);
@@ -78,7 +83,15 @@ std::vector<TupleId> DominancePrefilterPolicy::SelectRetained(
     }
     return retained;
   }
-  return fallback_->SelectRetained(ctx);
+  PolicyContext fallback_ctx = ctx;
+  EngineStep fallback_step;
+  if (ctx.step != nullptr) {
+    fallback_step = *ctx.step;
+    fallback_step.carried = ctx.step->carried && fallback_carried;
+    fallback_ctx.step = &fallback_step;
+  }
+  fallback_decided_last_ = true;
+  return fallback_->SelectRetained(fallback_ctx);
 }
 
 }  // namespace sjoin

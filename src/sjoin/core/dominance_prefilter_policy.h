@@ -54,6 +54,8 @@ class DominancePrefilterPolicy final : public ReplacementPolicy {
   const StochasticProcess* s_process_;
   ReplacementPolicy* fallback_;
   Options options_;
+  /// True when the fallback decided the last step.
+  bool fallback_decided_last_ = false;
   std::int64_t decisions_by_dominance_ = 0;
   std::int64_t total_decisions_ = 0;
 };

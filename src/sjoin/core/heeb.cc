@@ -60,6 +60,7 @@ void CachingHeebBatch(const StochasticProcess& reference,
   std::fill(out, out + count, 0.0);
   std::fill(survive, survive + count, 1.0);
   std::size_t first = 0;
+  bool started = false;
   for (std::size_t k = 0; k < lifetime.size(); ++k) {
     reference.PredictInto(history, t0 + static_cast<Time>(k) + 1, pmf);
     if (pmf->IsEmpty()) continue;
@@ -67,10 +68,19 @@ void CachingHeebBatch(const StochasticProcess& reference,
     const Value hi = pmf->MaxValue();
     const double* masses = pmf->masses().data();
     const double life = lifetime[k];
-    // This step's support range is one contiguous run of `lanes`. Its
-    // start is walked from the previous step's: the walks of one call cost
-    // as many lanes as that start moves in all, which is about the lane
-    // count for a drifting or widening support.
+    // This step's support range is one contiguous run of `lanes`, which
+    // starts at the first lane whose value is >= lo. The first support's
+    // start is found by binary search, since it can lie anywhere in the
+    // order; each later one is walked from the previous step's, which
+    // costs as many lanes as the start moves.
+    if (!started) {
+      first = static_cast<std::size_t>(
+          std::lower_bound(lanes.begin(), lanes.end(), lo,
+                           [](const std::pair<Value, std::size_t>& lane,
+                              Value value) { return lane.first < value; }) -
+          lanes.begin());
+      started = true;
+    }
     while (first < count && lanes[first].first < lo) ++first;
     while (first > 0 && lanes[first - 1].first >= lo) --first;
     for (std::size_t j = first; j < count && lanes[j].first <= hi; ++j) {

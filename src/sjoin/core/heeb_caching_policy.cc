@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
 #include "sjoin/stochastic/random_walk_process.h"
@@ -128,15 +129,18 @@ void HeebCachingPolicy::OrderLanes(const CandidateBatch& batch,
                                    const CachingContext& ctx) {
   // The batch is the cached list, then the referenced value on a miss.
   const std::size_t cached = ctx.hit ? batch.size : batch.size - 1;
-  // Verify the carried order: it holds one entry per list position, so
-  // matching every entry's value against its position proves it is this
-  // list's value order.
-  bool carried = lane_order_ == LaneOrder::kReturned && lanes_.size() == cached;
-  for (std::size_t j = 0; carried && j < cached; ++j) {
-    carried = lanes_[j].second < cached &&
-              batch.values[lanes_[j].second] == lanes_[j].first;
-  }
-  if (carried) {
+  // The carried order holds one entry per position of the list this
+  // policy returned; when ctx.cached is that list, it is this list's value
+  // order.
+  if (ctx.carried && lane_order_ == LaneOrder::kReturned &&
+      lanes_.size() == cached) {
+    if constexpr (kValidationEnabled) {
+      for (const auto& [value, lane] : lanes_) {
+        SJOIN_VALIDATE_MSG(lane < cached && batch.values[lane] == value,
+                           "the carried-cache flag is set, but the cache is "
+                           "not the list caching HEEB returned");
+      }
+    }
     if (!ctx.hit) {
       const Value v = batch.values[cached];
       lanes_.insert(

@@ -113,9 +113,9 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   // kDirect batch kernel order and scratch, sized on first use. lanes_ is
   // (value, lane) in value order: the last batch's lanes after
   // ScoreBatchInto, that batch's returned list (lane = index in the list)
-  // after EndStep. The returned list is the next miss step's cached list
-  // unless the caller edits it, so OrderLanes only verifies the carried
-  // order and inserts the referenced value; any other list is sorted.
+  // after EndStep. When ctx.carried says the returned list is this miss
+  // step's cached list, OrderLanes only inserts the referenced value into
+  // the carried order; any other list is sorted.
   enum class LaneOrder { kNone, kBatch, kReturned };
   LaneOrder lane_order_ = LaneOrder::kNone;
   std::vector<std::pair<Value, std::size_t>> lanes_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/core/model_repo.h"
 
@@ -85,7 +86,7 @@ void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
   // Corollary 3 eagerly: every cached H advanced to now. The sweep walks
   // the flat slot array in storage order; each entry's update is
   // independent, so the order only affects memory access, not results.
-  PrepareStep(ctx);
+  PrepareStep(ctx, /*index_ids=*/false);
   for (CachedState& state : slots_) {
     if (state.state == SlotState::kScored) AdvanceState(&state, ctx);
   }
@@ -98,14 +99,14 @@ bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
       options_.mode == Mode::kValueIncremental) {
     // Corollary 3, lazily: each entry advances inside the parallel scoring
     // phase (ShardScoreCached).
-    PrepareStep(ctx);
+    PrepareStep(ctx, /*index_ids=*/true);
   } else {
     BeginStep(ctx);
   }
   return true;
 }
 
-void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
+void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx, bool index_ids) {
   SJOIN_CHECK_MSG(!ctx.window.has_value() ||
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
@@ -114,16 +115,22 @@ void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   // advances the ring only when a transfer or re-anchor needs it.
   if (options_.mode == Mode::kTimeIncremental) EnsurePredictions(ctx);
 
-  // Map the candidate lanes to slots. The engines cache exactly last
-  // step's returned list, so the carried lane_slot_ normally matches
-  // ctx.cached id by id; otherwise (a caller trimmed, reordered or
-  // preloaded the cache) Realign maps it afresh.
+  // Map the candidate lanes to slots. When ctx.cached is last step's
+  // returned list, the carried lane_slot_ already does; otherwise (a
+  // caller trimmed, reordered or preloaded the cache) Realign maps it
+  // afresh.
   const std::vector<Tuple>& cached = *ctx.cached;
-  bool carried = lane_slot_.size() == cached.size();
-  for (std::size_t i = 0; carried && i < cached.size(); ++i) {
-    carried = LaneState(i).id == cached[i].id;
+  if (ctx.carried() && lane_slot_.size() == cached.size()) {
+    if constexpr (kValidationEnabled) {
+      for (std::size_t i = 0; i < cached.size(); ++i) {
+        SJOIN_VALIDATE_MSG(LaneState(i).id == cached[i].id,
+                           "the carried-cache flag is set, but the cache is "
+                           "not the list incremental HEEB returned");
+      }
+    }
+  } else {
+    Realign(ctx);
   }
-  if (!carried) Realign(ctx);
   // Grow the slots by doubling, but stop at what a full cache uses
   // (capacity + arrivals), so a full cache keeps no spare slots.
   const std::size_t arrivals = ctx.arrivals->size();
@@ -133,13 +140,14 @@ void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
                                      ctx.capacity + arrivals)));
   }
   for (const Tuple& t : *ctx.arrivals) lane_slot_.push_back(NewSlot(t));
-  // Candidate id -> lane, the one lookup Score, ShardScoreCached and
-  // EndStep use. Built here, serially, so the parallel phase only reads it.
-  lanes_.Reserve(lane_slot_.size());
-  lanes_.Reset();
-  LaneTable<TupleId>::Lane lane = 0;
-  for (const Tuple& t : cached) lanes_.Insert(t.id, lane++);
-  for (const Tuple& t : *ctx.arrivals) lanes_.Insert(t.id, lane++);
+  if (index_ids) {
+    // Built here, serially, so the parallel phase only reads it.
+    lanes_.Reserve(lane_slot_.size());
+    lanes_.Reset();
+    LaneTable<TupleId>::Lane lane = 0;
+    for (const Tuple& t : cached) lanes_.Insert(t.id, lane++);
+    for (const Tuple& t : *ctx.arrivals) lanes_.Insert(t.id, lane++);
+  }
 
   advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
   advance_e_ = std::exp(1.0 / options_.alpha);
@@ -412,7 +420,8 @@ double HeebJoinPolicy::ValueIncrementalScore(const Tuple& tuple,
   return h;
 }
 
-double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
+double HeebJoinPolicy::Score(const Tuple& tuple, std::uint32_t lane,
+                             const PolicyContext& ctx) {
   const bool out_of_window =
       ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window);
   switch (options_.mode) {
@@ -431,7 +440,10 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental: {
       if (out_of_window) return 0.0;
-      CachedState& state = LaneState(LaneOf(tuple.id));
+      CachedState& state =
+          LaneState(lane != kNoLane ? lane : LaneOf(tuple.id));
+      SJOIN_VALIDATE_MSG(state.id == tuple.id,
+                         "incremental HEEB scored a lane of another tuple");
       return state.state == SlotState::kScored ? state.h
                                                : ScoreNew(&state, ctx);
     }
@@ -440,7 +452,8 @@ double HeebJoinPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
 }
 
 void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
-                             const std::vector<TupleId>& retained) {
+                             const std::vector<TupleId>& retained,
+                             std::span<const RankedTuple> ranked) {
   (void)ctx;
   if (options_.mode != Mode::kTimeIncremental &&
       options_.mode != Mode::kValueIncremental) {
@@ -452,8 +465,9 @@ void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
   const std::size_t lanes = lane_slot_.size();
   placed_.assign(lanes, 0);
   carry_lanes_.clear();
-  for (TupleId id : retained) {
-    const std::uint32_t lane = LaneOf(id);
+  for (std::size_t i = 0; i < retained.size(); ++i) {
+    const std::uint32_t lane =
+        ranked.empty() ? LaneOf(retained[i]) : ranked[i].lane;
     placed_[lane] = 1;
     carry_lanes_.push_back(lane_slot_[lane]);
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sjoin/common/check.h"
@@ -103,13 +104,14 @@ class HeebJoinPolicy final : public ScoredPolicy {
     return options_.mode == Mode::kWalkTable;
   }
   void BeginStep(const PolicyContext& ctx) override;
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
   /// kWalkTable kernel: gathers from the per-side h1 tables with the
   /// partner anchor hoisted out of the lane loop.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
-  void EndStep(const PolicyContext& ctx,
-               const std::vector<TupleId>& retained) override;
+  void EndStep(const PolicyContext& ctx, const std::vector<TupleId>& retained,
+               std::span<const RankedTuple> ranked) override;
 
  private:
   const StochasticProcess* process(StreamSide side) const {
@@ -133,8 +135,10 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// Incremental modes, once per step before any scoring (serial): aligns
   /// the state with this step's candidate lanes, sets the elapsed gap,
   /// builds the shared per-(side, elapsed step) partner pmfs, and advances
-  /// the ring if any entry will re-anchor.
-  void PrepareStep(const PolicyContext& ctx);
+  /// the ring if any entry will re-anchor. `index_ids` also fills lanes_,
+  /// which the sharded protocol needs because its calls name tuples, not
+  /// lanes.
+  void PrepareStep(const PolicyContext& ctx, bool index_ids);
 
   /// Probability that the partner of `side` produces `v` at time `t`,
   /// predicted into partner_pmf_ (no allocation once its buffer is sized).
@@ -163,10 +167,11 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // slots_, whose positions never move while a tuple stays cached, and
   // lane_slot_ maps candidate lanes to slots. Between steps, lane_slot_[i]
   // is the slot of the i-th tuple in last step's returned list. The
-  // engines cache exactly that list, so it is normally this step's
-  // ctx.cached, which PrepareStep checks id by id; the arrivals' new slots
-  // then extend it to every candidate lane (cached tuples, then arrivals),
-  // and lanes_ maps each candidate id to its lane for the step.
+  // engines cache exactly that list and say so (ctx.carried()); the
+  // arrivals' new slots then extend it to every candidate lane (cached
+  // tuples, then arrivals). The serial path hands each lane to Score and
+  // EndStep; on the sharded path lanes_ maps each candidate id to its
+  // lane for the step.
   // A slot is kUnscored until its h exists: arrivals, and cached tuples the
   // policy has not seen, get a slot in PrepareStep but an h only when first
   // scored. Freed slots are reused by later arrivals.
@@ -207,8 +212,8 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // tuples from the cache. They still advance and donate (Corollary 5)
   // until EndStep frees them.
   std::vector<std::uint32_t> dropped_slots_;
-  // Candidate id -> lane, built in PrepareStep (serial) on both paths and
-  // only read while shards score.
+  // Candidate id -> lane, built in ShardBeginStep (serial) and only read
+  // while shards score.
   LaneTable<TupleId> lanes_;
   Time last_step_time_ = -1;
   // Scratch reused across steps: next step's lane_slot_ (EndStep) or the

@@ -30,6 +30,10 @@ struct CachingContext {
   bool hit = false;
   /// Observed reference stream, inclusive of time `now`.
   const StreamHistory* history = nullptr;
+  /// True when `cached` is exactly the list this policy's SelectRetained
+  /// returned last, in that order (hits in between keep the list). The
+  /// Theorem 1 reduction sets it; any other caller leaves it false.
+  bool carried = false;
 };
 
 /// A cache replacement policy for the caching problem.

@@ -126,10 +126,11 @@ class LaneTable {
 };
 
 /// One step's commit view of the candidates: lane i < cached.size() is
-/// cached[i], the remaining lanes are the arrivals in order. Maps each
-/// candidate id to its lane and marks the lanes a policy retains, which
-/// is all the serial and decided-step commits need to validate the
-/// retained ids and split the candidates into kept and evicted.
+/// cached[i], the remaining lanes are the arrivals in order. Marks the
+/// lanes a policy retains and, on demand, maps candidate ids to lanes,
+/// which is all the serial and decided-step commits need to validate the
+/// retained ids and split the candidates into kept and evicted. A policy
+/// that reports its retained lanes spares the commit the id map.
 class CandidateLanes {
  public:
   using Lane = LaneTable<TupleId>::Lane;
@@ -142,18 +143,22 @@ class CandidateLanes {
   }
 
   /// Rebinds to this step's candidates (both vectors are borrowed until
-  /// the next Build) and clears every taken mark.
-  void Build(const std::vector<StreamTuple>& cached,
-             const std::vector<StreamTuple>& arrivals) {
+  /// the next Bind) and clears every taken mark. Find needs IndexIds.
+  void Bind(const std::vector<StreamTuple>& cached,
+            const std::vector<StreamTuple>& arrivals) {
     cached_ = &cached;
     arrivals_ = &arrivals;
+    taken_.assign(cached.size() + arrivals.size(), 0);
+  }
+
+  /// Maps every bound candidate id to its lane.
+  void IndexIds() {
     ids_.Reset();
     Lane lane = 0;
     // Ids are unique across the candidates: the commit never caches an id
     // twice, and arrival ids are minted this step.
-    for (const StreamTuple& tuple : cached) ids_.Insert(tuple.id, lane++);
-    for (const StreamTuple& tuple : arrivals) ids_.Insert(tuple.id, lane++);
-    taken_.assign(lane, 0);
+    for (const StreamTuple& tuple : *cached_) ids_.Insert(tuple.id, lane++);
+    for (const StreamTuple& tuple : *arrivals_) ids_.Insert(tuple.id, lane++);
   }
 
   std::size_t size() const { return taken_.size(); }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -114,11 +115,13 @@ bool RankTopK(T* data, std::size_t n, std::size_t keep, Better better) {
   return within_budget;
 }
 
-/// One scored retention candidate.
+/// One scored retention candidate. `lane` is its candidate lane (cached
+/// then arrivals) where the ranking site reports one; the order ignores it.
 struct RankedTuple {
   double score = 0.0;
   Time arrival = 0;
   TupleId id = 0;
+  std::uint32_t lane = 0;
 };
 
 /// The rank_order.h strict total order over RankedTuples. A lambda object

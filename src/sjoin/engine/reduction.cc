@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 
 namespace sjoin {
 
@@ -43,6 +44,25 @@ std::pair<Value, std::int64_t> CachingReduction::Decode(Value encoded) const {
 void ReductionJoinPolicy::Reset() {
   caching_policy_->Reset();
   reference_history_ = StreamHistory();
+  values_carried_ = false;
+  caching_carried_ = false;
+}
+
+void ReductionJoinPolicy::DecodeCached(const PolicyContext& ctx,
+                                       std::vector<Value>* values) {
+  cached_lanes_.Reserve(ctx.capacity);
+  cached_lanes_.Reset();
+  values->clear();
+  for (std::size_t lane = 0; lane < ctx.cached->size(); ++lane) {
+    const Tuple& tuple = (*ctx.cached)[lane];
+    SJOIN_CHECK_MSG(tuple.side == StreamSide::kS,
+                    "reasonable policy never caches reference tuples");
+    const Value v = reduction_->Decode(tuple.value).first;
+    SJOIN_CHECK_MSG(
+        cached_lanes_.Insert(v, static_cast<LaneTable<Value>::Lane>(lane)),
+        "multiple supply tuples cached for one value");
+    values->push_back(v);
+  }
 }
 
 void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
@@ -56,36 +76,36 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   }
   SJOIN_CHECK(r_arrival != nullptr && s_arrival != nullptr);
   s_arrival_id_ = s_arrival->id;
+  s_arrival_lane_ = static_cast<std::uint32_t>(
+      ctx.cached->size() + (s_arrival - ctx.arrivals->data()));
 
-  auto [ref_value, ref_occurrence] = reduction_->Decode(r_arrival->value);
-  (void)ref_occurrence;
-  ref_value_ = ref_value;
+  ref_value_ = reduction_->Decode(r_arrival->value).first;
   reference_history_.Append(ref_value_);
 
-  // Decode the cached supply tuples: original value -> cached lane. A
-  // reasonable policy keeps at most one supply tuple per original value.
-  cached_ = ctx.cached;
-  cached_lanes_.Reserve(ctx.capacity);
-  cached_lanes_.Reset();
-  cached_values_.clear();
-  cached_values_.reserve(ctx.cached->size());
-  for (std::size_t lane = 0; lane < ctx.cached->size(); ++lane) {
-    const Tuple& tuple = (*ctx.cached)[lane];
-    SJOIN_CHECK_MSG(tuple.side == StreamSide::kS,
-                    "reasonable policy never caches reference tuples");
-    auto [v, occurrence] = reduction_->Decode(tuple.value);
-    (void)occurrence;
-    SJOIN_CHECK_MSG(
-        cached_lanes_.Insert(v, static_cast<LaneTable<Value>::Lane>(lane)),
-        "multiple supply tuples cached for one value");
-    cached_values_.push_back(v);
+  // The cached supply tuples' original values. When the cache is the list
+  // this policy returned last step, they are the values it carried from
+  // then; otherwise every tuple is decoded.
+  if (!ctx.carried() || !values_carried_ ||
+      cached_values_.size() != ctx.cached->size()) {
+    DecodeCached(ctx, &cached_values_);
+    caching_carried_ = false;
+  } else if constexpr (kValidationEnabled) {
+    DecodeCached(ctx, &next_values_);
+    SJOIN_VALIDATE_MSG(next_values_ == cached_values_,
+                       "the carried-cache flag is set, but the cache is not "
+                       "the list the reduction returned");
   }
+  const auto ref = std::find(cached_values_.begin(), cached_values_.end(),
+                             ref_value_);
+  ref_lane_ = ref == cached_values_.end()
+                  ? kNoLane
+                  : static_cast<std::uint32_t>(ref - cached_values_.begin());
 
   // A windowed hit additionally requires the cached supply tuple to still
   // be inside the window — the same predicate the engine's Phase-1 probe
   // applies, so Theorem 1's hits == results stays exact under windows.
-  const Tuple* cached_ref = CachedFor(ref_value_);
-  hit_ = cached_ref != nullptr && InWindow(*cached_ref, ctx.now, ctx.window);
+  hit_ = ref_lane_ != kNoLane &&
+         InWindow((*ctx.cached)[ref_lane_], ctx.now, ctx.window);
 
   // On a windowed miss the referenced value may still sit in the cache as
   // an expired entry. Expiry is monotone (only a hit refreshes, and an
@@ -93,19 +113,22 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   // from the candidate set so the policy sees the referenced value once —
   // as the demand-fetched candidate — never as cached and referenced at
   // the same time.
+  const bool drop = !hit_ && ref_lane_ != kNoLane;
   dropped_id_ = -1;
-  if (!hit_ && cached_ref != nullptr) {
-    dropped_id_ = cached_ref->id;
-    cached_values_.erase(std::find(cached_values_.begin(),
-                                   cached_values_.end(), ref_value_));
+  caching_ctx_.cached = &cached_values_;
+  if (drop) {
+    dropped_id_ = (*ctx.cached)[ref_lane_].id;
+    undropped_values_.assign(cached_values_.begin(), cached_values_.end());
+    undropped_values_.erase(undropped_values_.begin() + ref_lane_);
+    caching_ctx_.cached = &undropped_values_;
   }
 
   caching_ctx_.now = ctx.now;
   caching_ctx_.capacity = ctx.capacity;
-  caching_ctx_.cached = &cached_values_;
   caching_ctx_.referenced = ref_value_;
   caching_ctx_.hit = hit_;
   caching_ctx_.history = &reference_history_;
+  caching_ctx_.carried = caching_carried_ && !drop;
   caching_policy_->Observe(caching_ctx_);
 }
 
@@ -113,38 +136,63 @@ std::vector<TupleId> ReductionJoinPolicy::SelectRetained(
     const PolicyContext& ctx) {
   PrepareStep(ctx);
 
-  std::vector<Value> retained_values;
+  // The retained candidates as join lanes, and on a miss their values,
+  // which the next step's cache carries.
+  join_lanes_.clear();
   if (hit_) {
     // Cache state is unchanged in the caching problem; in the joining
     // problem the dead tuple s_(v,i) is swapped for fresh s_(v,i+1).
-    retained_values = cached_values_;
+    for (std::uint32_t lane = 0; lane < cached_values_.size(); ++lane) {
+      join_lanes_.push_back(lane == ref_lane_ ? s_arrival_lane_ : lane);
+    }
   } else {
-    retained_values = caching_policy_->SelectRetained(caching_ctx_);
+    const std::vector<Value>& candidates = *caching_ctx_.cached;
+    const std::vector<std::uint32_t>* lanes = &caching_lanes_;
+    if (scored_caching_ != nullptr) {
+      lanes = &scored_caching_->SelectRetainedLanes(caching_ctx_);
+    } else {
+      // A policy that only returns values: find each one's lane. The
+      // referenced value's is one past the cached ones.
+      caching_lanes_.clear();
+      for (Value v : caching_policy_->SelectRetained(caching_ctx_)) {
+        const auto lane = static_cast<std::uint32_t>(
+            v == ref_value_
+                ? candidates.size()
+                : std::find(candidates.begin(), candidates.end(), v) -
+                      candidates.begin());
+        SJOIN_CHECK_MSG(v == ref_value_ || lane < candidates.size(),
+                        "policy retained a value that is not a candidate");
+        caching_lanes_.push_back(lane);
+      }
+    }
+    next_values_.clear();
+    for (std::uint32_t lane : *lanes) {
+      join_lanes_.push_back(JoinLane(lane));
+      next_values_.push_back(lane < candidates.size() ? candidates[lane]
+                                                      : ref_value_);
+    }
+    cached_values_.swap(next_values_);
+    caching_carried_ = true;
   }
+  values_carried_ = true;
 
   std::vector<TupleId> retained_ids;
-  retained_ids.reserve(retained_values.size());
-  for (Value v : retained_values) {
-    if (v == ref_value_) {
-      // The freshest supply tuple for the referenced value is the arrival.
-      retained_ids.push_back(s_arrival_id_);
-    } else {
-      const Tuple* cached = CachedFor(v);
-      SJOIN_CHECK_MSG(cached != nullptr,
-                      "policy retained a value that is not a candidate");
-      retained_ids.push_back(cached->id);
-    }
+  retained_ids.reserve(join_lanes_.size());
+  for (std::uint32_t lane : join_lanes_) {
+    retained_ids.push_back(lane < ctx.cached->size() ? (*ctx.cached)[lane].id
+                                                     : s_arrival_id_);
+  }
+  if (std::vector<std::uint32_t>* lanes = ctx.retained_lanes()) {
+    lanes->assign(join_lanes_.begin(), join_lanes_.end());
   }
   return retained_ids;
 }
 
 PolicyShardScoring* ReductionJoinPolicy::shard_scoring() {
-  auto* scored = dynamic_cast<ScoredCachingPolicy*>(caching_policy_);
-  if (scored == nullptr || !scored->ShardScorable() ||
-      scored->has_score_observer()) {
+  if (scored_caching_ == nullptr || !scored_caching_->ShardScorable() ||
+      scored_caching_->has_score_observer()) {
     return nullptr;
   }
-  shard_caching_ = scored;
   return this;
 }
 
@@ -156,9 +204,10 @@ bool ReductionJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
   // swaps the dead tuple s_(v,i) for the fresh arrival s_(v,i+1). Nothing
   // is ranked, so the whole step is decided here.
   decided->clear();
-  decided->reserve(cached_values_.size());
-  for (Value v : cached_values_) {
-    decided->push_back(v == ref_value_ ? s_arrival_id_ : CachedFor(v)->id);
+  decided->reserve(ctx.cached->size());
+  for (std::uint32_t lane = 0; lane < ctx.cached->size(); ++lane) {
+    decided->push_back(lane == ref_lane_ ? s_arrival_id_
+                                         : (*ctx.cached)[lane].id);
   }
   return false;
 }
@@ -174,7 +223,7 @@ std::optional<ShardKey> ReductionJoinPolicy::ShardScoreCached(
   // candidates are never the referenced value on the miss path, so
   // is-referenced (the major tie-break) is always 0 here.
   Value v = reduction_->Decode(tuple.value).first;
-  return ShardKey{shard_caching_->ShardScore(v, caching_ctx_), 0, v};
+  return ShardKey{scored_caching_->ShardScore(v, caching_ctx_), 0, v};
 }
 
 std::optional<ShardKey> ReductionJoinPolicy::ShardScoreArrival(
@@ -183,7 +232,7 @@ std::optional<ShardKey> ReductionJoinPolicy::ShardScoreArrival(
   // Reference tuples are never cached (the "reasonable policy" rule);
   // the supply arrival carries the demand-fetched referenced value.
   if (tuple.side == StreamSide::kR) return std::nullopt;
-  return ShardKey{shard_caching_->ShardScore(ref_value_, caching_ctx_), 1,
+  return ShardKey{scored_caching_->ShardScore(ref_value_, caching_ctx_), 1,
                   ref_value_};
 }
 
@@ -191,8 +240,12 @@ void ReductionJoinPolicy::ShardEndStep(const PolicyContext& ctx,
                                        const std::vector<TupleId>& retained,
                                        const std::vector<TupleId>& evicted) {
   (void)ctx;
-  (void)retained;  // SelectRetained has no epilogue to mirror.
+  (void)retained;
   (void)evicted;
+  // The merged list's values are not decoded here, so the next step
+  // decodes the cache, and the caching policy's last list is stale.
+  values_carried_ = false;
+  caching_carried_ = false;
 }
 
 }  // namespace sjoin

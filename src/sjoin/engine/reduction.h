@@ -74,7 +74,9 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
   /// Neither pointer is owned; both must outlive the policy.
   ReductionJoinPolicy(const CachingReduction* reduction,
                       CachingPolicy* caching_policy)
-      : reduction_(reduction), caching_policy_(caching_policy) {}
+      : reduction_(reduction),
+        caching_policy_(caching_policy),
+        scored_caching_(dynamic_cast<ScoredCachingPolicy*>(caching_policy)) {}
 
   void Reset() override;
 
@@ -101,37 +103,66 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
   const char* name() const override { return "REDUCED"; }
 
  private:
+  static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
+
   /// Shared step prefix of SelectRetained and ShardBeginStep: decodes the
-  /// arrivals and the cached supply tuples, determines hit/miss, drops the
-  /// dead expired copy on a windowed miss, and notifies the caching policy
-  /// — leaving the members below describing the step.
+  /// arrivals, takes the cached supply tuples' original values (carried
+  /// from the list this policy returned last step when ctx.cached is that
+  /// list, decoded otherwise), determines hit/miss, drops the dead expired
+  /// copy on a windowed miss, and notifies the caching policy — leaving
+  /// the members below describing the step.
   void PrepareStep(const PolicyContext& ctx);
 
-  /// This step's cached supply tuple for original value `v`, or null.
-  const Tuple* CachedFor(Value v) const {
-    const LaneTable<Value>::Lane lane = cached_lanes_.Find(v);
-    return lane == LaneTable<Value>::kNoLane ? nullptr : &(*cached_)[lane];
+  /// Decodes ctx.cached's original values into `values`, checking the
+  /// reasonable-policy rules (supply tuples only, one per value).
+  void DecodeCached(const PolicyContext& ctx, std::vector<Value>* values);
+
+  /// Join lane of a miss step's caching candidate `lane` (an index into
+  /// caching_ctx_.cached, or one past it for the referenced value). A
+  /// miss's ref_lane_ is the dropped copy's, which the caching list skips.
+  std::uint32_t JoinLane(std::uint32_t lane) const {
+    if (lane == caching_ctx_.cached->size()) return s_arrival_lane_;
+    return lane < ref_lane_ ? lane : lane + 1;
   }
 
   const CachingReduction* reduction_;
   CachingPolicy* caching_policy_;
+  /// The caching policy when it ranks by score: its retained lanes map
+  /// straight to join lanes, with no value lookups.
+  ScoredCachingPolicy* scored_caching_;
   StreamHistory reference_history_;
 
-  // Step state filled by PrepareStep (reused across steps).
-  /// Original value -> lane in `*cached_` (the step's ctx.cached).
-  LaneTable<Value> cached_lanes_;
-  const std::vector<Tuple>* cached_ = nullptr;
+  /// Original value of each cached supply tuple, in cache order. After
+  /// SelectRetained it holds the returned list's values, which the next
+  /// step's cache is when ctx.carried() holds (values_carried_).
   std::vector<Value> cached_values_;
+  bool values_carried_ = false;
+  /// True when the caching policy's last returned list is cached_values_,
+  /// so its carried state lines up (CachingContext::carried).
+  bool caching_carried_ = false;
+
+  // Step state filled by PrepareStep (reused across steps).
   CachingContext caching_ctx_;
   Value ref_value_ = 0;
   bool hit_ = false;
   TupleId s_arrival_id_ = 0;
+  std::uint32_t s_arrival_lane_ = 0;
+  /// Lane of the cached copy of the referenced value, or kNoLane.
+  std::uint32_t ref_lane_ = kNoLane;
   /// Id of the expired cached copy dropped from the candidate set on a
   /// windowed miss; -1 when none.
   TupleId dropped_id_ = -1;
-  /// Caching policy when it supports sharded scoring (set by
-  /// shard_scoring()).
-  ScoredCachingPolicy* shard_caching_ = nullptr;
+  /// The caching candidates without the dropped copy (windowed misses).
+  std::vector<Value> undropped_values_;
+
+  // Scratch: the retained join lanes, the caching lanes of a policy that
+  // returns values, the retained list's values (also the decoded list a
+  // validating build compares with the carried one), and original value
+  // -> cached lane for DecodeCached's one-per-value check.
+  std::vector<std::uint32_t> join_lanes_;
+  std::vector<std::uint32_t> caching_lanes_;
+  std::vector<Value> next_values_;
+  LaneTable<Value> cached_lanes_;
 };
 
 }  // namespace sjoin

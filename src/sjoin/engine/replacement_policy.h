@@ -22,6 +22,26 @@
 
 namespace sjoin {
 
+/// What an engine step hands a policy beyond K, N and H. Every field is a
+/// shortcut the policy may ignore. Borrowed for the SelectRetained call.
+struct EngineStep {
+  /// SoA view of this step's candidates in scalar scoring order (cached
+  /// then arrivals), or null when the engine did not build one.
+  const CandidateBatch* batch = nullptr;
+  /// True when the cached tuples are exactly the list this policy
+  /// returned at the previous step, in that order, so state the policy
+  /// carried in that order still lines up. The engines set it on every
+  /// step but a session's first: their commit caches the retained ids in
+  /// returned order.
+  bool carried = false;
+  /// Where a policy may report the lane of each id it returns, in
+  /// returned order (lane i < cached->size() is the i-th cached tuple, the
+  /// rest are the arrivals), so the commit need not find the ids again.
+  /// Engine-owned and empty on entry, or null; leaving it empty is always
+  /// valid.
+  std::vector<std::uint32_t>* retained_lanes = nullptr;
+};
+
 /// Everything a policy may inspect when making the decision at one step.
 struct PolicyContext {
   /// Time of the new arrivals.
@@ -38,10 +58,17 @@ struct PolicyContext {
   /// Sliding-window length w (Section 7): a tuple that arrived at time a
   /// participates in joins only while now - a <= w. nullopt = regular join.
   std::optional<Time> window;
-  /// SoA view of this step's candidates in scalar scoring order (cached
-  /// then arrivals), or null when the engine did not build one. Borrowed;
-  /// valid only for the duration of the SelectRetained call.
-  const CandidateBatch* batch = nullptr;
+  /// The engine's hand-offs for this step, or null when the caller is not
+  /// an engine. One pointer, so that a hand-off does not grow the
+  /// context, which every BinaryPolicyAdapter holds.
+  const EngineStep* step = nullptr;
+
+  /// EngineStep::carried; false without an engine step.
+  bool carried() const { return step != nullptr && step->carried; }
+  /// EngineStep::retained_lanes; null without an engine step.
+  std::vector<std::uint32_t>* retained_lanes() const {
+    return step != nullptr ? step->retained_lanes : nullptr;
+  }
 };
 
 /// Merge key of one candidate tuple under sharded execution.

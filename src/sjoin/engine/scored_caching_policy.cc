@@ -11,17 +11,23 @@ namespace sjoin {
 
 std::vector<Value> ScoredCachingPolicy::SelectRetained(
     const CachingContext& ctx) {
-  struct Candidate {
-    double score;
-    bool is_referenced;
-    std::uint32_t lane;
-    Value value;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(ctx.cached->size() + 1);
+  const std::vector<std::uint32_t>& lanes = SelectRetainedLanes(ctx);
+  std::vector<Value> retained;
+  retained.reserve(lanes.size());
+  for (std::uint32_t lane : lanes) {
+    retained.push_back(lane < ctx.cached->size() ? (*ctx.cached)[lane]
+                                                 : ctx.referenced);
+  }
+  return retained;
+}
+
+const std::vector<std::uint32_t>& ScoredCachingPolicy::SelectRetainedLanes(
+    const CachingContext& ctx) {
+  candidates_.clear();
+  candidates_.reserve(ctx.cached->size() + 1);
   // Candidate lanes in scoring order: cached values, then the referenced
   // value on a miss.
-  auto lane = [&] { return static_cast<std::uint32_t>(candidates.size()); };
+  auto lane = [&] { return static_cast<std::uint32_t>(candidates_.size()); };
   // Observer branch hoisted out of the loop, as in ScoredPolicy: observer
   // runs stay on the scalar path, observer-free runs use the batch kernel
   // when the subclass has one.
@@ -29,12 +35,12 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     for (Value v : *ctx.cached) {
       double score = Score(v, ctx);
       score_observer_(v, score);
-      candidates.push_back({score, v == ctx.referenced, lane(), v});
+      candidates_.push_back({score, v == ctx.referenced, lane(), v});
     }
     if (!ctx.hit) {
       double score = Score(ctx.referenced, ctx);
       score_observer_(ctx.referenced, score);
-      candidates.push_back({score, true, lane(), ctx.referenced});
+      candidates_.push_back({score, true, lane(), ctx.referenced});
     }
   } else if (ScoringBatchEnabled() && BatchScorable()) {
     // Values-only SoA batch: cached values in cache order, then the
@@ -47,20 +53,20 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
     batch.values = batch_values_.data();
     ScoreBatchInto(batch, ctx, batch_scores_.data());
     for (std::size_t i = 0; i < ctx.cached->size(); ++i) {
-      candidates.push_back(
+      candidates_.push_back(
           {batch_scores_[i], batch_values_[i] == ctx.referenced, lane(),
            batch_values_[i]});
     }
     if (!ctx.hit) {
-      candidates.push_back(
+      candidates_.push_back(
           {batch_scores_.back(), true, lane(), ctx.referenced});
     }
   } else {
     for (Value v : *ctx.cached) {
-      candidates.push_back({Score(v, ctx), v == ctx.referenced, lane(), v});
+      candidates_.push_back({Score(v, ctx), v == ctx.referenced, lane(), v});
     }
     if (!ctx.hit) {
-      candidates.push_back(
+      candidates_.push_back(
           {Score(ctx.referenced, ctx), true, lane(), ctx.referenced});
     }
   }
@@ -74,18 +80,14 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
   // RankTopK (ranked_select.h): the order is strict and total (values are
   // unique within cached ∪ {referenced}), so the ranked prefix equals a
   // full sort's prefix.
-  const std::size_t keep = std::min(ctx.capacity, candidates.size());
-  RankTopK(candidates.data(), candidates.size(), keep, better);
-  std::vector<Value> retained;
-  retained.reserve(keep);
+  const std::size_t keep = std::min(ctx.capacity, candidates_.size());
+  RankTopK(candidates_.data(), candidates_.size(), keep, better);
   retained_lanes_.clear();
-  retained_lanes_.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) {
-    retained.push_back(candidates[i].value);
-    retained_lanes_.push_back(candidates[i].lane);
+    retained_lanes_.push_back(candidates_[i].lane);
   }
   EndStep(ctx, retained_lanes_);
-  return retained;
+  return retained_lanes_;
 }
 
 void ScoredCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,

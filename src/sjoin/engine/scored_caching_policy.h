@@ -21,6 +21,14 @@ class ScoredCachingPolicy : public CachingPolicy {
  public:
   std::vector<Value> SelectRetained(const CachingContext& ctx) final;
 
+  /// SelectRetained without building the value list: the retained
+  /// candidates' lanes in returned order (lane i < ctx.cached->size() is
+  /// cached value i; on a miss the last lane is the referenced value).
+  /// Valid until the next call. The Theorem 1 reduction maps these
+  /// straight to join lanes.
+  const std::vector<std::uint32_t>& SelectRetainedLanes(
+      const CachingContext& ctx);
+
   /// Sharded-execution opt-in mirroring ScoredPolicy::ShardScorable: true
   /// when Score() is safe to call concurrently for distinct values between
   /// two Observe()/SelectRetained() calls. The Theorem 1 reduction adapter
@@ -72,11 +80,20 @@ class ScoredCachingPolicy : public CachingPolicy {
   }
 
  private:
+  struct Candidate {
+    double score;
+    bool is_referenced;
+    std::uint32_t lane;
+    Value value;
+  };
+
   ScoreObserver score_observer_;
-  // Per-call scratch reused across SelectRetained calls: the candidate
-  // value lanes (cached ∪ {referenced on a miss}) and their scores.
+  // Per-call scratch reused across calls, so a step allocates nothing:
+  // the candidate value lanes (cached ∪ {referenced on a miss}), their
+  // scores, the ranked candidates and the retained lanes.
   std::vector<Value> batch_values_;
   std::vector<double> batch_scores_;
+  std::vector<Candidate> candidates_;
   std::vector<std::uint32_t> retained_lanes_;
 };
 

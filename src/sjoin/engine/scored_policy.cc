@@ -13,39 +13,42 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
   const std::size_t total = ctx.cached->size() + ctx.arrivals->size();
   ranked_scratch_.clear();
   ranked_scratch_.reserve(total);
+  // Each candidate keeps its lane (cached, then arrivals) through the
+  // ranking, so EndStep and the engine's commit need not find it by id.
   // The observer branch is hoisted out of the candidate loop: an
   // observer-installed run takes the scalar per-tuple path (the observer
   // contract is every score, in serial step order), an observer-free run
   // takes the batch kernel when one is available, and the remaining scalar
   // loop carries no branch per candidate.
+  std::uint32_t lane = 0;
   if (score_observer_) {
-    for (const Tuple& t : *ctx.cached) {
-      double score = Score(t, ctx);
-      score_observer_(t, score);
-      ranked_scratch_.push_back({score, t.arrival, t.id});
+    for (const std::vector<Tuple>* tuples : {ctx.cached, ctx.arrivals}) {
+      for (const Tuple& t : *tuples) {
+        double score = Score(t, lane, ctx);
+        score_observer_(t, score);
+        ranked_scratch_.push_back({score, t.arrival, t.id, lane++});
+      }
     }
-    for (const Tuple& t : *ctx.arrivals) {
-      double score = Score(t, ctx);
-      score_observer_(t, score);
-      ranked_scratch_.push_back({score, t.arrival, t.id});
-    }
-  } else if (ctx.batch != nullptr && ScoringBatchEnabled() &&
-             BatchScorable()) {
+  } else if (ctx.step != nullptr && ctx.step->batch != nullptr &&
+             ScoringBatchEnabled() && BatchScorable()) {
     // One fused kernel call over the SoA view; lane order is the scalar
     // scoring order, so the scores are bitwise equal to the loops below.
-    SJOIN_CHECK_EQ(ctx.batch->size, total);
+    const CandidateBatch& batch = *ctx.step->batch;
+    SJOIN_CHECK_EQ(batch.size, total);
     score_scratch_.resize(total);
-    ScoreBatchInto(*ctx.batch, ctx, score_scratch_.data());
-    for (std::size_t i = 0; i < total; ++i) {
-      ranked_scratch_.push_back(
-          {score_scratch_[i], ctx.batch->arrivals[i], ctx.batch->ids[i]});
+    ScoreBatchInto(batch, ctx, score_scratch_.data());
+    for (; lane < total; ++lane) {
+      ranked_scratch_.push_back({score_scratch_[lane], batch.arrivals[lane],
+                                 batch.ids[lane], lane});
     }
   } else {
     for (const Tuple& t : *ctx.cached) {
-      ranked_scratch_.push_back({Score(t, ctx), t.arrival, t.id});
+      ranked_scratch_.push_back({Score(t, lane, ctx), t.arrival, t.id, lane});
+      ++lane;
     }
     for (const Tuple& t : *ctx.arrivals) {
-      ranked_scratch_.push_back({Score(t, ctx), t.arrival, t.id});
+      ranked_scratch_.push_back({Score(t, lane, ctx), t.arrival, t.id, lane});
+      ++lane;
     }
   }
   // Top-k selection over last step's ranked run plus the arrivals
@@ -59,7 +62,12 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
   for (std::size_t i = 0; i < keep; ++i) {
     retained.push_back(ranked_scratch_[i].id);
   }
-  EndStep(ctx, retained);
+  if (std::vector<std::uint32_t>* lanes = ctx.retained_lanes()) {
+    for (std::size_t i = 0; i < keep; ++i) {
+      lanes->push_back(ranked_scratch_[i].lane);
+    }
+  }
+  EndStep(ctx, retained, {ranked_scratch_.data(), keep});
   return retained;
 }
 
@@ -78,13 +86,13 @@ bool ScoredPolicy::ShardBeginStep(const PolicyContext& ctx,
 std::optional<ShardKey> ScoredPolicy::ShardScoreCached(
     const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
   (void)scratch;
-  return ShardKey{Score(tuple, ctx), tuple.arrival,
+  return ShardKey{Score(tuple, kNoLane, ctx), tuple.arrival,
                   static_cast<std::int64_t>(tuple.id)};
 }
 
 std::optional<ShardKey> ScoredPolicy::ShardScoreArrival(
     const Tuple& tuple, const PolicyContext& ctx) {
-  return ShardKey{Score(tuple, ctx), tuple.arrival,
+  return ShardKey{Score(tuple, kNoLane, ctx), tuple.arrival,
                   static_cast<std::int64_t>(tuple.id)};
 }
 
@@ -92,7 +100,7 @@ void ScoredPolicy::ShardEndStep(const PolicyContext& ctx,
                                 const std::vector<TupleId>& retained,
                                 const std::vector<TupleId>& evicted) {
   (void)evicted;
-  EndStep(ctx, retained);
+  EndStep(ctx, retained, {});
 }
 
 void ScoredPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
@@ -113,7 +121,8 @@ void ScoredPolicy::ScoreBatchInto(const CandidateBatch& batch,
   for (std::size_t i = 0; i < batch.size; ++i) {
     Tuple tuple{batch.ids[i], static_cast<StreamSide>(batch.sides[i]),
                 batch.values[i], batch.arrivals[i]};
-    out[i] = Score(tuple, ctx);
+    // A shard run's batch lanes are not candidate lanes.
+    out[i] = Score(tuple, kNoLane, ctx);
   }
 }
 

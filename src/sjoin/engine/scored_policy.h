@@ -1,7 +1,9 @@
 #ifndef SJOIN_ENGINE_SCORED_POLICY_H_
 #define SJOIN_ENGINE_SCORED_POLICY_H_
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -84,8 +86,14 @@ class ScoredPolicy : public ReplacementPolicy, public PolicyShardScoring {
   /// per-step state (frequency tables, incremental HEEB values, ...).
   virtual void BeginStep(const PolicyContext& ctx) { (void)ctx; }
 
-  /// Desirability of keeping `tuple`; higher is better.
-  virtual double Score(const Tuple& tuple, const PolicyContext& ctx) = 0;
+  /// Lane passed to Score where the caller has none (sharded scoring).
+  static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
+
+  /// Desirability of keeping `tuple`; higher is better. `lane` is the
+  /// tuple's candidate lane this step (cached then arrivals) on the serial
+  /// path, kNoLane on the sharded one.
+  virtual double Score(const Tuple& tuple, std::uint32_t lane,
+                       const PolicyContext& ctx) = 0;
 
   /// Batched-kernel opt-in: return true when ScoreBatchInto() produces
   /// scores bit-identical to per-lane Score() calls in lane order.
@@ -100,11 +108,15 @@ class ScoredPolicy : public ReplacementPolicy, public PolicyShardScoring {
                               const PolicyContext& ctx, double* out);
 
   /// Called with the final retained set; lets subclasses drop state for
-  /// evicted tuples.
+  /// evicted tuples. On the serial path `ranked` holds the retained
+  /// candidates in retained order, each with its lane; on the sharded path
+  /// only the ids are known and it is empty.
   virtual void EndStep(const PolicyContext& ctx,
-                       const std::vector<TupleId>& retained) {
+                       const std::vector<TupleId>& retained,
+                       std::span<const RankedTuple> ranked) {
     (void)ctx;
     (void)retained;
+    (void)ranked;
   }
 
  private:

@@ -534,6 +534,10 @@ void ShardedStreamEngine::AdvanceSharded(
     ctx.arrivals = &arrivals_;
     ctx.histories = &histories_;
     ctx.window = options_.window;
+    // Both commits below cache the retained ids in returned order.
+    EngineStep step;
+    step.carried = t > 0;
+    ctx.step = &step;
 
     decided_.clear();
     const bool scored_step = scoring.ShardBeginStep(ctx, &decided_);
@@ -696,7 +700,8 @@ void ShardedStreamEngine::AdvanceSharded(
         }
       }
       SJOIN_CHECK_LE(decided_.size(), options_.capacity);
-      lanes_.Build(cache_, arrivals_);
+      lanes_.Bind(cache_, arrivals_);
+      lanes_.IndexIds();
       for (TupleId id : decided_) {
         const CandidateLanes::Lane lane = lanes_.Find(id);
         SJOIN_CHECK_MSG(lane != CandidateLanes::kNoLane,

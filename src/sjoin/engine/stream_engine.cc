@@ -192,6 +192,7 @@ void StreamEngine::Advance(
   // Sessions bind their own capacity; this only grows the table when a
   // session's candidate count exceeds every earlier one.
   lanes_.Reserve(opts.capacity + static_cast<std::size_t>(n));
+  retained_lanes_.reserve(opts.capacity);
 
   for (Time i = 0; i < steps; ++i) {
     const Time t = session.now;
@@ -280,6 +281,14 @@ void StreamEngine::Advance(
     ctx.arrivals = &arrivals_;
     ctx.histories = &session.histories;
     ctx.window = opts.window;
+    // The commit below caches the retained ids in returned order, so on
+    // every step after the session's first the cache is exactly the list
+    // the policy returned last.
+    EngineStep step;
+    step.carried = t > 0;
+    retained_lanes_.clear();
+    step.retained_lanes = &retained_lanes_;
+    ctx.step = &step;
     CandidateBatch batch_view;
     if (session.batch_scoring) {
       // Gather the step's candidates into SoA lanes, in the scalar
@@ -311,19 +320,28 @@ void StreamEngine::Advance(
       batch_view.arrivals = batch_arrivals_.data();
       batch_view.sides = batch_sides_.data();
       batch_view.ids = batch_ids_.data();
-      ctx.batch = &batch_view;
+      step.batch = &batch_view;
     }
     std::vector<TupleId> retained = policy.SelectRetained(ctx);
     SJOIN_CHECK_LE(retained.size(), opts.capacity);
 
-    // Commit: map candidate ids to lanes (cache, then arrivals), mark the
-    // retained lanes, and copy them out in retained order.
-    lanes_.Build(session.cache, arrivals_);
+    // Commit: mark the retained lanes (cache, then arrivals) and copy them
+    // out in retained order. The lanes are the policy's report, checked
+    // against the ids; a policy that reported none has its ids mapped.
+    lanes_.Bind(session.cache, arrivals_);
     const std::size_t num_candidates = lanes_.size();
+    if (retained_lanes_.empty() && !retained.empty()) {
+      lanes_.IndexIds();
+      for (TupleId id : retained) retained_lanes_.push_back(lanes_.Find(id));
+    }
+    SJOIN_CHECK_MSG(retained_lanes_.size() == retained.size(),
+                    "policy reported a different number of retained lanes "
+                    "than retained ids");
     new_cache_.clear();
-    for (TupleId id : retained) {
-      const CandidateLanes::Lane lane = lanes_.Find(id);
-      SJOIN_CHECK_MSG(lane != CandidateLanes::kNoLane,
+    for (std::size_t i = 0; i < retained.size(); ++i) {
+      const CandidateLanes::Lane lane = retained_lanes_[i];
+      SJOIN_CHECK_MSG(lane < num_candidates &&
+                          lanes_.tuple(lane).id == retained[i],
                       "policy retained a tuple that is not a candidate");
       SJOIN_CHECK_MSG(lanes_.Take(lane),
                       "policy retained the same tuple twice");
@@ -498,9 +516,10 @@ void BinaryPolicyAdapter::BuildBinaryContext(const EngineContext& ctx) {
   binary_ctx_.history_r = &(*ctx.histories)[0];
   binary_ctx_.history_s = &(*ctx.histories)[1];
   binary_ctx_.window = ctx.window;
-  // The SoA lanes pass through unchanged: stream index == SideIndex for
-  // binary topologies, and the mirrors above preserve candidate order.
-  binary_ctx_.batch = ctx.batch;
+  // The step's hand-offs pass through unchanged: stream index ==
+  // SideIndex for binary topologies, the mirrors above preserve candidate
+  // order, and the wrapped policy's returned list is the adapter's.
+  binary_ctx_.step = ctx.step;
 }
 
 std::vector<TupleId> BinaryPolicyAdapter::SelectRetained(

@@ -85,10 +85,16 @@ struct EngineContext {
   const std::vector<StreamTuple>* arrivals = nullptr;  // One per stream.
   const std::vector<StreamHistory>* histories = nullptr;
   std::optional<Time> window;
-  /// SoA view of this step's candidates in scalar scoring order (cached
-  /// then arrivals), or null when the engine did not build one. Borrowed;
-  /// valid only for the duration of the SelectRetained call.
-  const CandidateBatch* batch = nullptr;
+  /// The engine's hand-offs for this step (replacement_policy.h), or null
+  /// when the caller is not an engine.
+  const EngineStep* step = nullptr;
+
+  /// EngineStep::carried; false without an engine step.
+  bool carried() const { return step != nullptr && step->carried; }
+  /// EngineStep::retained_lanes; null without an engine step.
+  std::vector<std::uint32_t>* retained_lanes() const {
+    return step != nullptr ? step->retained_lanes : nullptr;
+  }
 };
 
 /// Engine-level mirror of PolicyShardScoring (replacement_policy.h): the
@@ -277,6 +283,8 @@ class StreamEngine {
   std::vector<StreamTuple> new_cache_;
   std::vector<StreamTuple> arrivals_;
   CandidateLanes lanes_;
+  // The policy's retained-lane report (EngineStep::retained_lanes).
+  std::vector<std::uint32_t> retained_lanes_;
   // SoA lanes of the per-step CandidateBatch (cached then arrivals),
   // rebuilt each step for sessions whose policy wants the batch.
   std::vector<Value> batch_values_;

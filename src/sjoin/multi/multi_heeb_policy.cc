@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sjoin/common/check.h"
+#include "sjoin/common/validate.h"
 
 namespace sjoin {
 
@@ -25,7 +26,6 @@ MultiHeebPolicy::MultiHeebPolicy(
 void MultiHeebPolicy::Reset() {
   ring_.Reset();
   stats_ = ScoreMemo::Stats();
-  carried_ids_.clear();
   carried_order_.clear();
 }
 
@@ -37,15 +37,6 @@ constexpr std::uint32_t kNotRetained = ~std::uint32_t{0};
 const MultiTuple& LaneTuple(const MultiPolicyContext& ctx, std::size_t i) {
   const std::size_t cached = ctx.cached->size();
   return i < cached ? (*ctx.cached)[i] : (*ctx.arrivals)[i - cached];
-}
-
-// True when ctx.cached is exactly `ids`, in order.
-bool CachedIs(const MultiPolicyContext& ctx, const std::vector<TupleId>& ids) {
-  if (ctx.cached->size() != ids.size()) return false;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if ((*ctx.cached)[i].id != ids[i]) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -65,7 +56,14 @@ void MultiHeebPolicy::BuildKeys(const MultiPolicyContext& ctx) {
   };
   // The cached lanes in last step's key order when the cache is last
   // step's returned list, else in lane order; the arrivals after them.
-  if (CachedIs(ctx, carried_ids_)) {
+  if (ctx.carried() && carried_order_.size() == cached) {
+    if constexpr (kValidationEnabled) {
+      for (std::size_t i = 0; i < cached; ++i) {
+        SJOIN_VALIDATE_MSG((*ctx.cached)[i].id == carried_ids_[i],
+                           "the carried-cache flag is set, but the cache is "
+                           "not the list MULTI-HEEB returned");
+      }
+    }
     for (std::uint32_t i : carried_order_) push(i);
   } else {
     for (std::size_t i = 0; i < cached; ++i) push(i);
@@ -145,7 +143,7 @@ void MultiHeebPolicy::CarryKeyOrder(const std::vector<TupleId>& retained) {
       carried_order_.push_back(retained_at_[k.lane]);
     }
   }
-  carried_ids_ = retained;
+  if constexpr (kValidationEnabled) carried_ids_ = retained;
 }
 
 std::vector<TupleId> MultiHeebPolicy::SelectRetained(
@@ -201,14 +199,13 @@ std::vector<TupleId> MultiHeebPolicy::SelectRetained(
   stats_.hits += hits;
   stats_.misses += misses;
   const std::size_t keep = std::min(ctx.capacity, n);
-  RankTopK(scored_.data(), n, keep,
-           [](const ScoredLane& a, const ScoredLane& b) {
-             return RankOrderBetter(a.score, a.arrival, a.id, b.score,
-                                    b.arrival, b.id);
-           });
+  RankTopK(scored_.data(), n, keep, RankedTupleBetter);
   std::vector<TupleId> retained;
   retained.reserve(keep);
   for (std::size_t i = 0; i < keep; ++i) retained.push_back(scored_[i].id);
+  if (std::vector<std::uint32_t>* lanes = ctx.retained_lanes()) {
+    for (std::size_t i = 0; i < keep; ++i) lanes->push_back(scored_[i].lane);
+  }
   CarryKeyOrder(retained);
   return retained;
 }

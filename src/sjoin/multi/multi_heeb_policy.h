@@ -101,14 +101,6 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
     TupleId id = 0;
     std::uint32_t lane = 0;
   };
-  /// One lane's score under the rank_order.h order.
-  struct ScoredLane {
-    double score = 0.0;
-    Time arrival = 0;
-    TupleId id = 0;
-    std::uint32_t lane = 0;
-  };
-
   /// Fills keyed_ with this step's lanes in key order, and the distinct
   /// keys and each lane's key.
   void BuildKeys(const MultiPolicyContext& ctx);
@@ -141,15 +133,16 @@ class MultiHeebPolicy final : public MultiReplacementPolicy {
   std::vector<double> key_sums_;
   // score_cache_stats() bookkeeping: (partner, key) pairs already served.
   std::vector<unsigned char> served_;
-  std::vector<ScoredLane> scored_;
+  std::vector<RankedTuple> scored_;
   // [lane] = the lane's index in the returned list, or kNotRetained.
   std::vector<std::uint32_t> retained_at_;
 
-  // Carried from the last step: the returned ids, and the indices into
-  // them in key order (next step's cached lanes, when the cache is that
-  // list). Empty before the first step and after Reset.
-  std::vector<TupleId> carried_ids_;
+  // Carried from the last step: the indices into the returned list in key
+  // order (next step's cached lanes, when ctx.carried() says the cache is
+  // that list). Empty before the first step and after Reset. A validating
+  // build also keeps the returned ids, to check the flag against.
   std::vector<std::uint32_t> carried_order_;
+  std::vector<TupleId> carried_ids_;
 };
 
 /// Random eviction baseline for the multi-join problem.

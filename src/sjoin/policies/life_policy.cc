@@ -22,7 +22,8 @@ void LifePolicy::BeginStep(const PolicyContext& ctx) {
   }
 }
 
-double LifePolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
+double LifePolicy::Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                         const PolicyContext& ctx) {
   Time effective_lifetime = lifetime_;
   if (ctx.window.has_value()) {
     effective_lifetime = std::min(effective_lifetime, *ctx.window);

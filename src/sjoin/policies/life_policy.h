@@ -38,7 +38,8 @@ class LifePolicy final : public ScoredPolicy {
   /// counts are hoisted, leaving one hash probe per lane.
   bool BatchScorable() const override { return true; }
   void BeginStep(const PolicyContext& ctx) override;
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
 

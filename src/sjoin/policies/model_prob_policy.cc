@@ -9,7 +9,8 @@ void ModelProbPolicy::BeginStep(const PolicyContext& ctx) {
       s_process_->Predict(*ctx.history_s, ctx.now + 1);
 }
 
-double ModelProbPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
+double ModelProbPolicy::Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                              const PolicyContext& ctx) {
   if (!InWindow(tuple, ctx.now, ctx.window)) return -1.0;
   return next_[SideIndex(Partner(tuple.side))].Prob(tuple.value);
 }

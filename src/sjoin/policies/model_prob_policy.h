@@ -29,7 +29,8 @@ class ModelProbPolicy final : public ScoredPolicy {
 
  protected:
   void BeginStep(const PolicyContext& ctx) override;
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
 
  private:
   const StochasticProcess* r_process_;

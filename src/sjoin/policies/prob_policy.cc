@@ -21,7 +21,8 @@ void ProbPolicy::BeginStep(const PolicyContext& ctx) {
   }
 }
 
-double ProbPolicy::Score(const Tuple& tuple, const PolicyContext& ctx) {
+double ProbPolicy::Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                         const PolicyContext& ctx) {
   Time age = ctx.now - tuple.arrival;
   bool expired =
       (assumed_lifetime_.has_value() && age > *assumed_lifetime_) ||

@@ -37,7 +37,8 @@ class ProbPolicy final : public ScoredPolicy {
   /// hoisted per side, leaving one hash probe per lane.
   bool BatchScorable() const override { return true; }
   void BeginStep(const PolicyContext& ctx) override;
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
 

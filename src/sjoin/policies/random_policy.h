@@ -30,7 +30,8 @@ class RandomPolicy final : public ScoredPolicy {
   const char* name() const override { return "RAND"; }
 
  protected:
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
 
  private:
   Rng rng_;

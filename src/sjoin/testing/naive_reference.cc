@@ -87,6 +87,7 @@ NaiveHeebJoinPolicy::NaiveHeebJoinPolicy(const StochasticProcess* r_process,
 }
 
 double NaiveHeebJoinPolicy::Score(const Tuple& tuple,
+                                  std::uint32_t /*lane*/,
                                   const PolicyContext& ctx) {
   if (ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window)) {
     return 0.0;

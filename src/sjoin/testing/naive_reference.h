@@ -72,7 +72,8 @@ class NaiveHeebJoinPolicy final : public ScoredPolicy {
   const char* name() const override { return "NAIVE-HEEB"; }
 
  protected:
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override;
+  double Score(const Tuple& tuple, std::uint32_t lane,
+               const PolicyContext& ctx) override;
 
  private:
   const StochasticProcess* r_process_;

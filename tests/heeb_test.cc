@@ -250,6 +250,25 @@ TEST(CachingHeebBatchTest, DuplicateAndNegativeValues) {
   EXPECT_EQ(batch[1], batch[8]);
 }
 
+TEST(CachingHeebBatchTest, FirstSupportAtTheTopOfTheOrder) {
+  // A full cache's worth of lanes with the first Δt's support among the
+  // last few (anchor 190 of 0..199), then supports that drift down through
+  // the order: the kernel finds the first start by search and walks the
+  // later ones. From anchor 260 the first supports lie above every lane
+  // and the walk reaches the lanes only later.
+  RandomWalkProcess reference(
+      DiscreteDistribution::DiscretizedNormal(-2.0, 1.0), 0);
+  std::vector<Value> values;
+  for (Value v = 0; v < 200; ++v) values.push_back(v);
+  ExpectBatchMatchesScalar(reference, StreamHistory({190}), 0, values,
+                           ExpLifetime(10.0), 60);
+  ExpectBatchMatchesScalar(reference, StreamHistory({260}), 0, values,
+                           ExpLifetime(10.0), 60);
+  const std::vector<double> top = BatchScores(
+      reference, StreamHistory({190}), 0, values, ExpLifetime(10.0), 60);
+  EXPECT_GT(top[188], 0.0);
+}
+
 TEST(CachingHeebBatchTest, RandomWalkSupportWidensWithDt) {
   RandomWalkProcess reference(DiscreteDistribution::DiscretizedNormal(0.5, 1.0),
                               0);

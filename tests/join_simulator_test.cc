@@ -15,7 +15,8 @@ class KeepNewestPolicy final : public ScoredPolicy {
   const char* name() const override { return "KEEP-NEWEST"; }
 
  protected:
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+  double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+               const PolicyContext& ctx) override {
     (void)ctx;
     return static_cast<double>(tuple.arrival);
   }
@@ -27,7 +28,8 @@ class KeepOldestPolicy final : public ScoredPolicy {
   const char* name() const override { return "KEEP-OLDEST"; }
 
  protected:
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+  double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+               const PolicyContext& ctx) override {
     (void)ctx;
     return -static_cast<double>(tuple.arrival);
   }
@@ -120,7 +122,8 @@ TEST(JoinSimulatorTest, TupleIdConvention) {
     void BeginStep(const PolicyContext& ctx) override {
       for (const Tuple& t : *ctx.arrivals) seen.push_back(t);
     }
-    double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+    double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                 const PolicyContext& ctx) override {
       (void)tuple;
       (void)ctx;
       return 0.0;
@@ -145,7 +148,8 @@ TEST(JoinSimulatorTest, PolicySeesHistoriesIncludingNow) {
       EXPECT_EQ(ctx.history_r->size(), ctx.now + 1);
       EXPECT_EQ(ctx.history_s->size(), ctx.now + 1);
     }
-    double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+    double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                 const PolicyContext& ctx) override {
       (void)tuple;
       (void)ctx;
       return 0.0;

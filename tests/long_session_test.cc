@@ -163,7 +163,8 @@ class RawFrequencyPolicy final : public ScoredPolicy {
   void BeginStep(const PolicyContext& ctx) override {
     counts_.FoldThrough(ctx.now);
   }
-  double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+  double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+               const PolicyContext& ctx) override {
     const double freq =
         counts_.Frequency(SideIndex(Partner(tuple.side)), tuple.value);
     if (!life_.has_value()) {

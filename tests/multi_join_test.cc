@@ -58,7 +58,8 @@ TEST(MultiJoinSimulatorTest, TwoStreamsReduceToBinarySimulator) {
     const char* name() const override { return "KEEP-NEWEST"; }
 
    protected:
-    double Score(const Tuple& tuple, const PolicyContext& ctx) override {
+    double Score(const Tuple& tuple, std::uint32_t /*lane*/,
+                 const PolicyContext& ctx) override {
       (void)ctx;
       return static_cast<double>(tuple.arrival);
     }

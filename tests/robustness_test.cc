@@ -8,6 +8,8 @@
 #include <memory>
 
 #include "sjoin/common/rng.h"
+#include "sjoin/common/validate.h"
+#include "sjoin/core/heeb_join_policy.h"
 #include "sjoin/core/heeb_caching_policy.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/join_simulator.h"
@@ -198,6 +200,150 @@ TEST(RobustnessDeathTest, ShardedDecidedUnknownIdAborts) {
   std::vector<Value> a = {1, 2}, b = {1, 3}, c = {2, 3};
   EXPECT_DEATH(engine.Run({&a, &b, &c}, policy),
                "policy decided a tuple that is not a candidate");
+}
+
+// Legal retained ids with a bad lane report (EngineStep::
+// retained_lanes): the commit trusts no lane it has not checked against
+// its id, so each report aborts with the message a bad id would.
+class BadLaneReportPolicy final : public EnginePolicy {
+ public:
+  enum class Kind { kLaneOfAnotherId, kLaneOutOfRange, kSameLaneTwice,
+                    kFewerLanesThanIds };
+  explicit BadLaneReportPolicy(Kind kind) : kind_(kind) {}
+  const char* name() const override { return "BAD-LANES"; }
+
+  std::vector<TupleId> SelectRetained(const EngineContext& ctx) override {
+    // Lanes are cached then arrivals; the cache is empty at t = 0.
+    const auto first_lane = static_cast<std::uint32_t>(ctx.cached->size());
+    const TupleId first = (*ctx.arrivals)[0].id;
+    const TupleId second = (*ctx.arrivals)[1].id;
+    std::vector<std::uint32_t>& lanes = *ctx.retained_lanes();
+    switch (kind_) {
+      case Kind::kLaneOfAnotherId:
+        lanes = {first_lane + 1};
+        return {first};
+      case Kind::kLaneOutOfRange:
+        lanes = {first_lane + 7};
+        return {first};
+      case Kind::kSameLaneTwice:
+        lanes = {first_lane, first_lane};
+        return {first, first};
+      case Kind::kFewerLanesThanIds:
+        lanes = {first_lane};
+        return {first, second};
+    }
+    return {};
+  }
+
+ private:
+  Kind kind_;
+};
+
+void ExpectBadLaneReportAborts(BadLaneReportPolicy::Kind kind,
+                               const char* message) {
+  StreamEngine engine(ThreeStreamPath(), {.capacity = 2});
+  BadLaneReportPolicy policy(kind);
+  std::vector<Value> a = {1, 2}, b = {1, 3}, c = {2, 3};
+  EXPECT_DEATH(engine.Run({&a, &b, &c}, policy), message);
+}
+
+TEST(RobustnessDeathTest, LaneOfAnotherIdAborts) {
+  ExpectBadLaneReportAborts(BadLaneReportPolicy::Kind::kLaneOfAnotherId,
+                            "policy retained a tuple that is not a candidate");
+}
+
+TEST(RobustnessDeathTest, LaneOutOfRangeAborts) {
+  ExpectBadLaneReportAborts(BadLaneReportPolicy::Kind::kLaneOutOfRange,
+                            "policy retained a tuple that is not a candidate");
+}
+
+TEST(RobustnessDeathTest, SameLaneTwiceAborts) {
+  ExpectBadLaneReportAborts(BadLaneReportPolicy::Kind::kSameLaneTwice,
+                            "policy retained the same tuple twice");
+}
+
+TEST(RobustnessDeathTest, LaneCountOtherThanIdCountAborts) {
+  ExpectBadLaneReportAborts(
+      BadLaneReportPolicy::Kind::kFewerLanesThanIds,
+      "policy reported a different number of retained lanes than retained "
+      "ids");
+}
+
+// A caller that sets the carried-cache flag over a list the policy did not
+// return: policies trust the flag, and a validating build re-checks it and
+// aborts (other builds skip these cases).
+TEST(RobustnessDeathTest, StaleCarriedFlagAbortsIncrementalHeeb) {
+  if (!kValidationEnabled) GTEST_SKIP() << "needs SJOIN_VALIDATE";
+  LinearTrendProcess r(1.0, 0.0, DiscreteDistribution::BoundedUniform(-3, 3));
+  LinearTrendProcess s(1.0, 1.0, DiscreteDistribution::BoundedUniform(-3, 3));
+  HeebJoinPolicy::Options options;
+  options.mode = HeebJoinPolicy::Mode::kTimeIncremental;
+  options.alpha = 5.0;
+  HeebJoinPolicy policy(&r, &s, options);
+  StreamHistory history_r;
+  StreamHistory history_s;
+  std::vector<Tuple> cached;
+  EngineStep step;
+  for (Time t = 0; t < 6; ++t) {
+    history_r.Append(t);
+    history_s.Append(t + 1);
+    std::vector<Tuple> arrivals = {
+        {TupleIdAt(StreamSide::kR, t), StreamSide::kR, t, t},
+        {TupleIdAt(StreamSide::kS, t), StreamSide::kS, t + 1, t}};
+    PolicyContext ctx;
+    ctx.now = t;
+    ctx.capacity = 4;
+    ctx.cached = &cached;
+    ctx.arrivals = &arrivals;
+    ctx.history_r = &history_r;
+    ctx.history_s = &history_s;
+    step.carried = t > 0;
+    ctx.step = &step;
+    if (t == 5) {
+      // The list HEEB returned, reversed.
+      std::reverse(cached.begin(), cached.end());
+      EXPECT_DEATH(policy.SelectRetained(ctx), "carried-cache flag");
+      return;
+    }
+    std::vector<Tuple> next;
+    for (TupleId id : policy.SelectRetained(ctx)) {
+      for (const std::vector<Tuple>* tuples : {&cached, &arrivals}) {
+        for (const Tuple& tuple : *tuples) {
+          if (tuple.id == id) next.push_back(tuple);
+        }
+      }
+    }
+    cached = next;
+  }
+}
+
+TEST(RobustnessDeathTest, StaleCarriedFlagAbortsCachingHeeb) {
+  if (!kValidationEnabled) GTEST_SKIP() << "needs SJOIN_VALIDATE";
+  LinearTrendProcess reference(1.0, 0.0,
+                               DiscreteDistribution::BoundedUniform(-4, 4));
+  HeebCachingPolicy::Options options;
+  options.mode = HeebCachingPolicy::Mode::kDirect;
+  options.alpha = 5.0;
+  options.horizon = 30;
+  HeebCachingPolicy policy(&reference, options);
+  StreamHistory history;
+  std::vector<Value> cached;
+  for (Time t = 0; t < 6; ++t) {
+    history.Append(t);
+    CachingContext ctx;
+    ctx.now = t;
+    ctx.capacity = 4;
+    ctx.cached = &cached;
+    ctx.referenced = 100 + t;  // Never cached: every step is a miss.
+    ctx.history = &history;
+    ctx.carried = t > 0;
+    if (t == 5) {
+      std::reverse(cached.begin(), cached.end());
+      EXPECT_DEATH(policy.SelectRetained(ctx), "carried-cache flag");
+      return;
+    }
+    cached = policy.SelectRetained(ctx);
+  }
 }
 
 // A legal but adversarial policy: retains a uniformly random valid subset

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -172,6 +174,61 @@ TEST(DominancePrefilterTest, NeverWorseThanFallbackAloneOnStationary) {
   auto random_alone = sim.Run(pair.r, pair.s, plain_random);
   EXPECT_GE(with_prefilter.counted_results, random_alone.counted_results);
   EXPECT_EQ(policy.decisions_by_dominance(), policy.total_decisions());
+}
+
+/// Fallback that keeps the newest candidates and holds the engines to
+/// EngineStep::carried: when set, the cache must be the list this
+/// policy returned at its previous call.
+class CarriedCheckingFallback final : public ReplacementPolicy {
+ public:
+  const char* name() const override { return "CARRIED-CHECK"; }
+  void Reset() override { last_.clear(); }
+  std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override {
+    std::vector<TupleId> cached;
+    for (const Tuple& tuple : *ctx.cached) cached.push_back(tuple.id);
+    if (ctx.carried()) {
+      ++carried_calls_;
+      EXPECT_EQ(cached, last_) << "step " << ctx.now;
+    }
+    ++calls_;
+    std::vector<TupleId> ids = cached;
+    for (const Tuple& tuple : *ctx.arrivals) ids.push_back(tuple.id);
+    std::sort(ids.begin(), ids.end(), std::greater<>());
+    ids.resize(std::min(ids.size(), ctx.capacity));
+    last_ = ids;
+    return ids;
+  }
+  int calls() const { return calls_; }
+  int carried_calls() const { return carried_calls_; }
+
+ private:
+  std::vector<TupleId> last_;
+  int calls_ = 0;
+  int carried_calls_ = 0;
+};
+
+TEST(DominancePrefilterTest, FallbackSeesCarriedOnlyAfterItsOwnSteps) {
+  // Offline streams whose ECBs cross often enough that dominance settles
+  // some steps and the fallback the rest. A step the prefilter decides
+  // leaves a cache the fallback did not return, so the fallback's next
+  // call must not see the flag.
+  Rng rng(12);
+  std::vector<Value> r, s;
+  for (int t = 0; t < 120; ++t) {
+    r.push_back(rng.UniformInt(0, 5));
+    s.push_back(rng.UniformInt(0, 5));
+  }
+  OfflineProcess r_process(r);
+  OfflineProcess s_process(s);
+  CarriedCheckingFallback fallback;
+  DominancePrefilterPolicy policy(&r_process, &s_process, &fallback,
+                                  {.horizon = 12});
+  JoinSimulator sim({.capacity = 3, .warmup = 0});
+  sim.Run(r, s, policy);
+  EXPECT_GT(policy.decisions_by_dominance(), 0);
+  EXPECT_GT(fallback.calls(), 0);
+  EXPECT_GT(fallback.carried_calls(), 0);
+  EXPECT_LT(fallback.carried_calls(), fallback.calls());
 }
 
 }  // namespace

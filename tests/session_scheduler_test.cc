@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -345,6 +347,126 @@ TEST(SessionSchedulerTest, OneSessionRoundTraceMatchesAcrossThreads) {
   }
   EXPECT_EQ(traces[0], SoloRun(5, ra, sa).second);
   EXPECT_EQ(traces[1], traces[0]);
+}
+
+/// Records EngineStep::carried per step, a new run at each Reset, and
+/// checks the flag's promise: when set, the cache is exactly the list the
+/// policy returned at its previous step. It keeps the `capacity` candidates
+/// with the largest ids in descending order (so the returned order is not
+/// the candidate order) and reports its lanes on even steps only, so the
+/// commit's lane path and its id path both run.
+class CarriedFlagRecorder final : public EnginePolicy {
+ public:
+  const char* name() const override { return "CARRIED-FLAG-RECORDER"; }
+  void Reset() override {
+    runs_.emplace_back();
+    last_.clear();
+  }
+
+  std::vector<TupleId> SelectRetained(const EngineContext& ctx) override {
+    runs_.back().push_back(ctx.carried());
+    std::vector<std::pair<TupleId, std::uint32_t>> candidates;
+    std::uint32_t lane = 0;
+    std::vector<TupleId> cached_ids;
+    for (const StreamTuple& tuple : *ctx.cached) {
+      cached_ids.push_back(tuple.id);
+      candidates.emplace_back(tuple.id, lane++);
+    }
+    if (ctx.carried()) {
+      EXPECT_EQ(cached_ids, last_) << "step " << ctx.now;
+    }
+    for (const StreamTuple& tuple : *ctx.arrivals) {
+      candidates.emplace_back(tuple.id, lane++);
+    }
+    std::sort(candidates.begin(), candidates.end(), std::greater<>());
+    candidates.resize(std::min(candidates.size(), ctx.capacity));
+    last_.clear();
+    for (const auto& [id, candidate_lane] : candidates) {
+      last_.push_back(id);
+      if (ctx.now % 2 == 0) ctx.retained_lanes()->push_back(candidate_lane);
+    }
+    return last_;
+  }
+
+  /// Every run so far saw the flag false on its first step only.
+  void ExpectFlagFalseOnlyOnFirstSteps(std::size_t runs) const {
+    ASSERT_EQ(runs_.size(), runs);
+    for (const std::vector<bool>& run : runs_) {
+      ASSERT_FALSE(run.empty());
+      EXPECT_FALSE(run.front());
+      EXPECT_EQ(std::count(run.begin(), run.end(), true),
+                static_cast<std::ptrdiff_t>(run.size() - 1));
+    }
+  }
+
+ private:
+  std::vector<std::vector<bool>> runs_;
+  std::vector<TupleId> last_;
+};
+
+TEST(CarriedFlagTest, SetOnEveryStepButTheFirstAcrossDrivers) {
+  Rng rng(41);
+  const std::vector<Value> r = SampleValues(300, 9, rng);
+  const std::vector<Value> s = SampleValues(300, 9, rng);
+  StreamEngine::Options options;
+  options.capacity = 6;
+  StreamEngine engine(StreamTopology::Binary(), options);
+
+  // Batch Run, twice: each Run opens a fresh session.
+  {
+    CarriedFlagRecorder policy;
+    engine.Run({&r, &s}, policy);
+    engine.Run({&r, &s}, policy);
+    policy.ExpectFlagFalseOnlyOnFirstSteps(2);
+  }
+  // Advance slices of 1, 2, ..., 37 steps, then a reopened session.
+  {
+    CarriedFlagRecorder policy;
+    SessionState session;
+    for (int pass = 0; pass < 2; ++pass) {
+      engine.Open(session, options, policy);
+      std::size_t begin = 0;
+      for (std::size_t len = 1; begin < r.size(); len = len % 37 + 1) {
+        const std::size_t end = std::min(r.size(), begin + len);
+        const std::vector<Value> rs = Slice(r, begin, end);
+        const std::vector<Value> ss = Slice(s, begin, end);
+        engine.Advance(session, {&rs, &ss});
+        begin = end;
+      }
+      const EngineRunResult sliced = engine.Close(session);
+      EXPECT_EQ(sliced.total_results,
+                engine.Run({&r, &s}, policy).total_results);
+    }
+    policy.ExpectFlagFalseOnlyOnFirstSteps(4);
+  }
+  // Scheduler rounds, inline and fanned out over 4 workers.
+  for (int threads : {1, 4}) {
+    SessionScheduler::Options scheduler_options;
+    scheduler_options.quota_unit = 13;
+    scheduler_options.threads = threads;
+    SessionScheduler scheduler(StreamTopology::Binary(), scheduler_options);
+    std::deque<CarriedFlagRecorder> policies(3);
+    std::vector<SessionId> ids;
+    for (CarriedFlagRecorder& policy : policies) {
+      SessionConfig config;
+      config.engine = options;
+      config.policy = &policy;
+      const Admission admission = scheduler.Open(config);
+      ASSERT_TRUE(admission.ok());
+      ids.push_back(admission.id);
+    }
+    for (std::size_t begin = 0; begin < r.size(); begin += 50) {
+      const std::vector<Value> rs = Slice(r, begin, begin + 50);
+      const std::vector<Value> ss = Slice(s, begin, begin + 50);
+      for (SessionId id : ids) ASSERT_EQ(scheduler.Offer(id, {&rs, &ss}), 50u);
+      scheduler.RunRound();
+    }
+    for (SessionId id : ids) scheduler.Finish(id);
+    scheduler.Drain();
+    for (const CarriedFlagRecorder& policy : policies) {
+      policy.ExpectFlagFalseOnlyOnFirstSteps(1);
+    }
+  }
 }
 
 }  // namespace
