@@ -27,15 +27,6 @@ speedups over their own threads=1 row: the quick read on whether worker
 threads pay off on this host (on a single-core runner they won't, and
 that's expected).
 
-Adaptive rows (skew-adaptive partition map on) are gated like any other
-threads=1 row — the map's bookkeeping is part of the engine's cost — and
-additionally summarized after the table: per row, the average hot-shard
-load ratio (max/mean candidates scored per shard, per rebalance window)
-under the static equal-width layout vs the evolved one, plus the
-rebalance count. On skewed workloads the adaptive ratio should sit well
-below the static one; on uniform workloads both hover near 1 with few or
-no rebalances.
-
 Serve rows (sjoin-perf-v5, name SERVE-PROB, emitted by bench/serve_load)
 carry `sessions` and `offered_rate` plus the per-step latency
 percentiles p50_step_ns / p99_step_ns; the sessions=1 row is gated (it
@@ -124,26 +115,6 @@ def thread_scaling_summary(rows):
               f"shards={shards:<2}{tag} best t={best_threads} "
               f"speedup x{speedup:.2f} "
               f"({serial:.0f} -> {by_threads[best_threads]:.0f} ns/step)")
-
-
-def skew_summary(rows):
-    """Hot-shard load ratio before/after rebalancing, per adaptive row."""
-    printed_header = False
-    for key, row in sorted(rows.items()):
-        if key[4] == 0 or "skew_ratio_static" not in row:
-            continue
-        if not printed_header:
-            print("\nskew balance (current run, max/mean load per shard, "
-                  "averaged over rebalance windows):")
-            printed_header = True
-        name, workload, length, shards, _, threads = key[:6]
-        static = row["skew_ratio_static"]
-        adaptive = row["skew_ratio_adaptive"]
-        print(f"  {name:<18} {workload:<6} len={length:<5} "
-              f"s{shards}/t{threads:<2} static x{static:.2f} -> "
-              f"adaptive x{adaptive:.2f} "
-              f"({row.get('rebalances', 0)} rebalances over "
-              f"{row.get('windows', 0)} windows)")
 
 
 def probe_plan_summary(rows):
@@ -296,7 +267,6 @@ def main(argv):
               f"{serve_cell}")
 
     thread_scaling_summary(current)
-    skew_summary(current)
     serve_summary(current)
     if probe_plan_summary(current) > 0:
         print("planner pair counted_results mismatch — the probe planner "

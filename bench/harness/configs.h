@@ -55,16 +55,14 @@ JoinWorkload MakeRoof();
 JoinWorkload MakeFloor();
 JoinWorkload MakeWalk();
 
-/// Skewed workloads for the adaptive-sharding study (DESIGN.md §2e) —
-/// not from the paper, which only evaluates the trend/walk shapes above.
-/// ZIPF: both streams stationary Zipf over a 64-value domain at exponent
-/// `s` (0.8 mild, 1.2 a hot head the static hash pins onto one shard).
-/// BURSTY: short hot phases of a narrow high-skew window alternating with
-/// long calm near-uniform phases. REGIME: the Zipf hot window jumps to a
-/// different value range each phase, so a partition balanced for one
-/// phase is skewed for the next. All three are independent-step
-/// processes, so time-incremental HEEB and the sharded scoring path
-/// apply.
+/// Skewed workloads — not from the paper, which only evaluates the
+/// trend/walk shapes above. ZIPF: both streams stationary Zipf over a
+/// 64-value domain at exponent `s` (0.8 mild, 1.2 a hot head of a few
+/// values). BURSTY: short hot phases of a narrow high-skew window
+/// alternating with long calm near-uniform phases. REGIME: the Zipf hot
+/// window jumps to a different value range each phase, so the hot set
+/// moves mid-run. All three are independent-step processes, so
+/// time-incremental HEEB applies.
 JoinWorkload MakeZipf(double s);
 JoinWorkload MakeBursty();
 JoinWorkload MakeRegime();

@@ -9,17 +9,11 @@
 // path.
 //
 // Runs serially on purpose: per-run wall times feed ns/step, and parallel
-// execution would contend for the core(s) being measured. The sharded
-// rows are the one exception — an inline (threads=1) shard sweep at
-// {1, 2, 4, 8} shards isolates sharding itself, and a full shards x
-// threads matrix on HEEB-value-incr / CACHE-LRU / CACHE-PROB measures the
-// persistent worker team (sjoin-perf-v3 rows carry shards, threads and an
-// adaptive flag; shards=1/threads=1 rows are the serial baselines the
-// sweeps read against). Skewed workloads (ZIPF08/ZIPF12/BURSTY/REGIME)
-// anchor the skew-adaptive partition map: the ZIPF12 shards x threads
-// block runs static vs adaptive, and adaptive rows carry the hot-shard
-// load ratio before/after rebalancing (skew_ratio_static vs
-// skew_ratio_adaptive) plus the rebalance count.
+// execution would contend for the core being measured. A second block
+// runs a subset of the rows at a shorter length and a larger cache
+// (--sweep_len / --sweep_cache), and skewed workloads
+// (ZIPF08/ZIPF12/BURSTY/REGIME) cover Zipf popularity, bursty phases and
+// a moving hot set.
 //
 // sjoin-perf-v4 adds multi-way rows (MULTI-HEEB / MULTI-PROB /
 // EDGE-BUDGET on a 3-way chain and a 5-way star) as planner-off /
@@ -93,12 +87,6 @@ struct ScenarioResult {
   std::string workload;
   Time len = 0;
   int runs = 0;
-  int shards = 1;
-  int threads = 1;
-  /// 1 when the run used the skew-adaptive partition map. Part of the row
-  /// key: an adaptive row measures a different engine configuration than
-  /// its static twin at the same (name, workload, len, shards, threads).
-  int adaptive = 0;
   /// 1 when the run attached the runtime probe planner + score memos
   /// (multi-way rows). Part of the row key; planner twins must agree on
   /// counted_results bit for bit.
@@ -112,14 +100,6 @@ struct ScenarioResult {
   std::int64_t run_ns = 0;    // JoinSimulator::Run (all runs).
   std::int64_t counted_results = 0;
   std::int64_t peak_candidates = 0;
-  // Skew telemetry, summed over runs (adaptive rows only): rebalance
-  // windows evaluated, rebalances applied, and the per-window max/mean
-  // load-ratio sums under the static equal-width layout vs the evolved
-  // one — divide by windows for the average ratios the JSON reports.
-  std::int64_t windows = 0;
-  std::int64_t rebalances = 0;
-  double static_ratio_sum = 0.0;
-  double adaptive_ratio_sum = 0.0;
   // Probe-plan telemetry, summed over runs (planner rows only): considered
   // partner probes and how they were served (see engine/probe_planner.h).
   std::int64_t probes = 0;
@@ -136,24 +116,16 @@ struct Config {
 };
 
 /// Times `make_policy` + JoinSimulator::Run over `runs` pre-sampled pairs.
-/// `shards` > 1 runs the sharded engine (results are bit-identical; only
-/// the wall time moves); `threads` sizes its persistent worker team
-/// (1 = inline — the thread count is explicit so every row records the
-/// exact configuration it measured, not a host-dependent auto value).
 template <typename MakePolicy>
 ScenarioResult TimeScenario(const std::string& name,
                             const JoinWorkload& workload, Time len,
                             const Config& config, MakePolicy&& make_policy,
-                            int shards = 1, int threads = 1,
-                            bool adaptive = false, bool batch = true) {
+                            bool batch = true) {
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
   out.len = len;
   out.runs = config.runs;
-  out.shards = shards;
-  out.threads = threads;
-  out.adaptive = adaptive ? 1 : 0;
   out.batch = batch ? 1 : 0;
   // The engine snapshots the flag at session open, so scoping the whole
   // timing loop pins every run in this row to one kernel path.
@@ -167,10 +139,7 @@ ScenarioResult TimeScenario(const std::string& name,
   }
 
   JoinSimulator sim({.capacity = config.cache,
-                     .warmup = static_cast<Time>(4 * config.cache),
-                     .shards = shards,
-                     .threads = threads,
-                     .adaptive_shards = adaptive});
+                     .warmup = static_cast<Time>(4 * config.cache)});
   for (const StreamPair& pair : pairs) {
     Stopwatch setup;
     auto policy = make_policy(pair);
@@ -183,14 +152,10 @@ ScenarioResult TimeScenario(const std::string& name,
     if (result.telemetry.peak_candidates > out.peak_candidates) {
       out.peak_candidates = result.telemetry.peak_candidates;
     }
-    out.windows += result.adaptive.windows;
-    out.rebalances += result.adaptive.rebalances;
-    out.static_ratio_sum += result.adaptive.static_ratio_sum;
-    out.adaptive_ratio_sum += result.adaptive.adaptive_ratio_sum;
   }
   std::int64_t steps = len * config.runs;
-  std::fprintf(stderr, "%-18s %-5s s%d/t%d %8.0f steps/s %10.0f ns/step\n",
-               name.c_str(), workload.name.c_str(), shards, threads,
+  std::fprintf(stderr, "%-18s %-6s %d    %8.0f steps/s %10.0f ns/step\n",
+               name.c_str(), workload.name.c_str(), static_cast<int>(len),
                static_cast<double>(steps) /
                    (static_cast<double>(out.run_ns) * 1e-9),
                static_cast<double>(out.run_ns) /
@@ -207,16 +172,14 @@ template <typename MakePolicy>
 ScenarioResult TimeCacheScenario(const std::string& name,
                                  const JoinWorkload& workload, Time len,
                                  const Config& config,
-                                 MakePolicy&& make_policy, int shards = 1,
-                                 int threads = 1, bool batch = true) {
+                                 MakePolicy&& make_policy,
+                                 bool batch = true) {
   using PolicyT = typename decltype(make_policy())::element_type;
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
   out.len = len;
   out.runs = config.runs;
-  out.shards = shards;
-  out.threads = threads;
   out.batch = batch ? 1 : 0;
   ScopedScoringBatch scoped_batch(batch);
 
@@ -228,9 +191,7 @@ ScenarioResult TimeCacheScenario(const std::string& name,
   }
 
   CacheSimulator sim({.capacity = config.cache,
-                      .warmup = static_cast<Time>(4 * config.cache),
-                      .shards = shards,
-                      .threads = threads});
+                      .warmup = static_cast<Time>(4 * config.cache)});
   for (const std::vector<Value>& references : streams) {
     Stopwatch setup;
     auto policy = make_policy();
@@ -250,8 +211,8 @@ ScenarioResult TimeCacheScenario(const std::string& name,
     }
   }
   std::int64_t steps = len * config.runs;
-  std::fprintf(stderr, "%-18s %-5s s%d/t%d %8.0f steps/s %10.0f ns/step\n",
-               name.c_str(), workload.name.c_str(), shards, threads,
+  std::fprintf(stderr, "%-18s %-6s %d    %8.0f steps/s %10.0f ns/step\n",
+               name.c_str(), workload.name.c_str(), static_cast<int>(len),
                static_cast<double>(steps) /
                    (static_cast<double>(out.run_ns) * 1e-9),
                static_cast<double>(out.run_ns) /
@@ -375,12 +336,6 @@ void WriteJson(const std::string& path, const Config& config,
     json.Int(r.len);
     json.Key("runs");
     json.Int(r.runs);
-    json.Key("shards");
-    json.Int(r.shards);
-    json.Key("threads");
-    json.Int(r.threads);
-    json.Key("adaptive");
-    json.Int(r.adaptive);
     json.Key("planner");
     json.Int(r.planner);
     json.Key("batch");
@@ -397,22 +352,6 @@ void WriteJson(const std::string& path, const Config& config,
     json.Int(r.peak_candidates);
     json.Key("counted_results");
     json.Int(r.counted_results);
-    if (r.adaptive != 0 && r.windows > 0) {
-      // Average max/mean candidates-per-shard ratio over rebalance
-      // windows: what the never-rebalanced equal-width layout would have
-      // seen on the same loads vs what the evolved map saw. The
-      // regression checker prints these side by side; on skewed
-      // workloads skew_ratio_adaptive < skew_ratio_static is the point
-      // of the whole mechanism.
-      json.Key("windows");
-      json.Int(r.windows);
-      json.Key("rebalances");
-      json.Int(r.rebalances);
-      json.Key("skew_ratio_static");
-      json.Double(r.static_ratio_sum / static_cast<double>(r.windows));
-      json.Key("skew_ratio_adaptive");
-      json.Double(r.adaptive_ratio_sum / static_cast<double>(r.windows));
-    }
     if (r.planner != 0 && r.probes > 0) {
       // How Phase 1's considered probes were served: skipped (partner
       // cached nothing), answered from the probe-result cache, or
@@ -459,10 +398,9 @@ int main(int argc, char** argv) {
   // keeps the smoke run fast while still producing a stable ns/step.
   Time flow_len = flags.GetInt("flow_len", 400);
   bool flow_prune = flags.GetInt("flow_prune", 1) != 0;
-  // The shard sweep uses its own length and (larger) cache: row keys are
-  // (name, workload, len, shards), so a distinct length keeps the sweep's
-  // shards=1 baselines from colliding with the main serial rows, and the
-  // larger cache gives every shard a useful per-step scoring grain.
+  // The sweep block uses its own length and (larger) cache: row keys
+  // include len, so a distinct length keeps its rows from colliding with
+  // the main rows.
   Time sweep_len = flags.GetInt("sweep_len", 1000);
   std::size_t sweep_cache =
       static_cast<std::size_t>(flags.GetInt("sweep_cache", 200));
@@ -561,27 +499,27 @@ int main(int argc, char** argv) {
   results.push_back(TimeScenario(
       "HEEB-direct", tower, config.len, config,
       heeb_on(tower, HeebJoinPolicy::Mode::kDirect, tower.heeb_alpha),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
+      /*batch=*/false));
   results.push_back(TimeScenario(
       "HEEB-time-incr", tower, config.len, config,
       heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
               tower.heeb_alpha),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
+      /*batch=*/false));
   results.push_back(TimeScenario(
       "HEEB-walk-table", walk, config.len, config,
       heeb_on(walk, HeebJoinPolicy::Mode::kWalkTable,
               static_cast<double>(config.cache)),
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
+      /*batch=*/false));
   results.push_back(TimeScenario(
       "PROB", tower, config.len, config,
       [&](const StreamPair&) { return std::make_unique<ProbPolicy>(life); },
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
+      /*batch=*/false));
   results.push_back(TimeScenario(
       "LIFE", tower, config.len, config,
       [&](const StreamPair&) {
         return std::make_unique<LifePolicy>(tower.life_window);
       },
-      /*shards=*/1, /*threads=*/1, /*adaptive=*/false, /*batch=*/false));
+      /*batch=*/false));
 
   // Caching rows: the same engine running the caching problem through the
   // Theorem 1 reduction (and, for CACHE-PROB, a joining policy crossing
@@ -612,40 +550,29 @@ int main(int argc, char** argv) {
   results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
                                       cache_ecb_on));
   results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
-                                      cache_ecb_on, /*shards=*/1,
-                                      /*threads=*/1, /*batch=*/false));
+                                      cache_ecb_on, /*batch=*/false));
 
-  // Shard sweep: the scored policies under the sharded engine at 1/2/4/8
-  // value-domain shards, inline (threads = 1), isolating the cost/benefit
-  // of sharding itself. Results are bit-identical across the sweep by the
-  // sharding contract; only the wall time moves. CACHE-RAND is not
-  // shard-scorable and rides along to anchor the serial-fallback cost.
+  // The sweep block: a subset of the rows above at --sweep_len and
+  // --sweep_cache, where every step ranks a larger cache.
   Config sweep = config;
   sweep.len = sweep_len;
   sweep.cache = sweep_cache;
-  for (int shards : {1, 2, 4, 8}) {
-    results.push_back(TimeScenario(
-        "HEEB-direct", tower, sweep.len, sweep,
-        heeb_on(tower, HeebJoinPolicy::Mode::kDirect, tower.heeb_alpha),
-        shards));
-    results.push_back(TimeScenario(
-        "HEEB-time-incr", tower, sweep.len, sweep,
-        heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
-                tower.heeb_alpha),
-        shards));
-    results.push_back(TimeCacheScenario(
-        "CACHE-LFU", tower, sweep.len, sweep,
-        [] { return std::make_unique<LfuCachingPolicy>(); }, shards));
-    results.push_back(TimeCacheScenario(
-        "CACHE-RAND", tower, sweep.len, sweep,
-        [&] { return std::make_unique<RandomCachingPolicy>(config.seed + 29); },
-        shards));
-  }
+  results.push_back(TimeScenario(
+      "HEEB-direct", tower, sweep.len, sweep,
+      heeb_on(tower, HeebJoinPolicy::Mode::kDirect, tower.heeb_alpha)));
+  results.push_back(TimeScenario(
+      "HEEB-time-incr", tower, sweep.len, sweep,
+      heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
+              tower.heeb_alpha)));
+  results.push_back(TimeCacheScenario(
+      "CACHE-LFU", tower, sweep.len, sweep,
+      [] { return std::make_unique<LfuCachingPolicy>(); }));
+  results.push_back(TimeCacheScenario(
+      "CACHE-RAND", tower, sweep.len, sweep,
+      [&] { return std::make_unique<RandomCachingPolicy>(config.seed + 29); }));
 
-  // Skewed workloads (adaptive-sharding study): Zipf popularity at two
-  // exponents, bursty phases, and a regime-switching hot set. Serial rows
-  // first — they anchor the skewed workloads' baseline cost and prove the
-  // skew itself doesn't change the serial profile class.
+  // Skewed workloads: Zipf popularity at two exponents, bursty phases,
+  // and a regime-switching hot set.
   JoinWorkload zipf08 = MakeZipf(0.8);
   JoinWorkload zipf12 = MakeZipf(1.2);
   JoinWorkload bursty = MakeBursty();
@@ -667,69 +594,24 @@ int main(int argc, char** argv) {
           return std::make_unique<LifePolicy>(skewed->life_window);
         }));
   }
-
-  // Skew sweep: the hottest workload (ZIPF12) across shards x threads,
-  // static vs adaptive partitioning. Results are bit-identical across the
-  // whole block (the adaptive map only moves load, never output); the
-  // adaptive rows additionally record the before/after hot-shard load
-  // ratios (skew_ratio_static vs skew_ratio_adaptive) and the rebalance
-  // count. The static TOWER matrix above is the no-skew control: adaptive
-  // off there, and the threads=1 rows here gate any overhead regression.
-  for (int shards : {1, 2, 4, 8}) {
-    for (int threads : {1, 4}) {
-      if (shards == 1 && threads > 1) continue;
-      for (int adaptive = 0; adaptive < 2; ++adaptive) {
-        if (shards == 1 && adaptive == 1) continue;  // Serial: map unused.
-        results.push_back(TimeScenario(
-            "HEEB-time-incr", zipf12, sweep.len, sweep,
-            heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
-                    zipf12.heeb_alpha),
-            shards, threads, adaptive != 0));
-        results.push_back(TimeScenario("PROB", zipf12, sweep.len, sweep,
-                                       prob_on(), shards, threads,
-                                       adaptive != 0));
-      }
-    }
-  }
-
-  // Uniform control for the adaptive overhead: TOWER at threads=1 with
-  // the map on. No skew means (nearly) no rebalances; the row isolates
-  // the bucket-counting cost the checker gates against its static twin.
+  // The hottest skewed workload and the heaviest scored rows at the sweep
+  // configuration.
   results.push_back(TimeScenario(
-      "HEEB-time-incr", tower, sweep.len, sweep,
-      heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
-              tower.heeb_alpha),
-      /*shards=*/4, /*threads=*/1, /*adaptive=*/true));
-
-  // Shards x threads matrix: the persistent-worker path across every
-  // combination of shard count and worker-team size, on the heaviest
-  // scored join row (HEEB-value-incr) and the two caching regimes
-  // (CACHE-LRU via the reduction, CACHE-PROB via the joining-policy
-  // route). threads = 1 is the inline path — those rows double as the
-  // matrix's serial baselines; threads > shards is bounded to one
-  // worker per shard, so those rows repeat the threads = shards team.
-  // shards = 1 always runs the plain serial engine (threads is moot), so
-  // only its threads = 1 row is emitted. On single-core hosts every
-  // thread count measures the same core, so a flat threads axis there is
-  // expected (see EXPERIMENTS.md).
-  for (int shards : {1, 2, 4, 8}) {
-    for (int threads : {1, 2, 4, 8}) {
-      if (shards == 1 && threads > 1) continue;
-      results.push_back(TimeScenario(
-          "HEEB-value-incr", tower, sweep.len, sweep,
-          heeb_on(tower, HeebJoinPolicy::Mode::kValueIncremental,
-                  tower.heeb_alpha),
-          shards, threads));
-      results.push_back(TimeCacheScenario(
-          "CACHE-LRU", tower, sweep.len, sweep,
-          [] { return std::make_unique<LruCachingPolicy>(); }, shards,
-          threads));
-      results.push_back(TimeCacheScenario(
-          "CACHE-PROB", tower, sweep.len, sweep,
-          [] { return std::make_unique<ProbPolicy>(std::nullopt); }, shards,
-          threads));
-    }
-  }
+      "HEEB-time-incr", zipf12, sweep.len, sweep,
+      heeb_on(zipf12, HeebJoinPolicy::Mode::kTimeIncremental,
+              zipf12.heeb_alpha)));
+  results.push_back(
+      TimeScenario("PROB", zipf12, sweep.len, sweep, prob_on()));
+  results.push_back(TimeScenario(
+      "HEEB-value-incr", tower, sweep.len, sweep,
+      heeb_on(tower, HeebJoinPolicy::Mode::kValueIncremental,
+              tower.heeb_alpha)));
+  results.push_back(TimeCacheScenario(
+      "CACHE-LRU", tower, sweep.len, sweep,
+      [] { return std::make_unique<LruCachingPolicy>(); }));
+  results.push_back(TimeCacheScenario(
+      "CACHE-PROB", tower, sweep.len, sweep,
+      [] { return std::make_unique<ProbPolicy>(std::nullopt); }));
 
   // Multi-way A/B pairs: planner off (naive fixed-order probes, no score
   // memo) vs planner on (re-planned probe order + probe-result cache +

@@ -222,12 +222,8 @@ void WriteRow(JsonWriter& json, const LoadResult& r) {
   json.Int(r.len);
   json.Key("runs");
   json.Int(1);
-  json.Key("shards");
-  json.Int(1);
   json.Key("threads");
   json.Int(r.threads);
-  json.Key("adaptive");
-  json.Int(0);
   json.Key("planner");
   json.Int(0);
   json.Key("sessions");

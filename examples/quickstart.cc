@@ -7,8 +7,6 @@
 // optimum.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "sjoin/core/heeb_join_policy.h"
 #include "sjoin/engine/join_simulator.h"
@@ -19,29 +17,7 @@
 
 using namespace sjoin;
 
-int main(int argc, char** argv) {
-  // Optional: --shards=N spreads each step's probe + scoring work across
-  // N value-domain shards, and --threads=M runs those shards on a
-  // persistent team of M workers (default 1 = inline; 0 = one per core,
-  // up to N). --adaptive_shards additionally lets a deterministic
-  // rebalancer move the value->shard ranges to follow skew. The results
-  // are exactly the same — sharding, threading and rebalancing are
-  // bit-identical by construction — so these flags only change speed.
-  int shards = 1;
-  int threads = 1;
-  bool adaptive_shards = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-      if (shards < 1) shards = 1;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-      if (threads < 0) threads = 0;
-    } else if (std::strcmp(argv[i], "--adaptive_shards") == 0) {
-      adaptive_shards = true;
-    }
-  }
-
+int main() {
   // 1. Describe the streams statistically: ids drift one per tick; sensor
   //    R lags one tick behind S; bounded normal jitter.
   LinearTrendProcess r(1.0, -1.0, DiscreteDistribution::TruncatedDiscretizedNormal(
@@ -61,11 +37,7 @@ int main(int argc, char** argv) {
   HeebJoinPolicy heeb(&r, &s, options);
 
   // 4. Run the join with a 10-tuple cache.
-  JoinSimulator sim({.capacity = 10,
-                     .warmup = 40,
-                     .shards = shards,
-                     .threads = threads,
-                     .adaptive_shards = adaptive_shards});
+  JoinSimulator sim({.capacity = 10, .warmup = 40});
   auto heeb_result = sim.Run(pair.r, pair.s, heeb);
 
   // Baselines: random eviction and the clairvoyant optimum.

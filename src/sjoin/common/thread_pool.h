@@ -14,10 +14,8 @@
 /// \file
 /// Fixed-size thread pool for the embarrassingly parallel work in this
 /// repo: benchmark rosters and sweeps dispatch independent
-/// (run, policy, sweep-point) simulator jobs onto one pool. (The sharded
-/// engine's per-step fan-out uses the persistent ShardWorkers team in
-/// shard_workers.h instead — a pool queue is the wrong shape at that
-/// granularity.)
+/// (run, policy, sweep-point) simulator jobs onto one pool, and the
+/// session scheduler fans a round's sessions out over its workers.
 ///
 /// Deliberately work-stealing-free: a single mutex-guarded FIFO queue is
 /// plenty at the granularity of one simulator run per task, and it keeps

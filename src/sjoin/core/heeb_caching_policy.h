@@ -67,15 +67,6 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
 
   const char* name() const override { return "HEEB"; }
 
-  /// kDirect and kWalkTable score through read-only state (the direct sum
-  /// and the precomputed offset table). kTimeIncremental advances and
-  /// inserts incremental state inside Score, and kEvaluator runs a user
-  /// function of unknown thread safety — both stay serial.
-  bool ShardScorable() const override {
-    return options_.mode == Mode::kDirect ||
-           options_.mode == Mode::kWalkTable;
-  }
-
  protected:
   double Score(Value v, const CachingContext& ctx) override;
   /// Batched kernels for the stateless modes: kDirect shares one

@@ -86,27 +86,13 @@ void HeebJoinPolicy::BeginStep(const PolicyContext& ctx) {
   // Corollary 3 eagerly: every cached H advanced to now. The sweep walks
   // the flat slot array in storage order; each entry's update is
   // independent, so the order only affects memory access, not results.
-  PrepareStep(ctx, /*index_ids=*/false);
+  PrepareStep(ctx);
   for (CachedState& state : slots_) {
     if (state.state == SlotState::kScored) AdvanceState(&state, ctx);
   }
 }
 
-bool HeebJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
-                                    std::vector<TupleId>* decided) {
-  (void)decided;
-  if (options_.mode == Mode::kTimeIncremental ||
-      options_.mode == Mode::kValueIncremental) {
-    // Corollary 3, lazily: each entry advances inside the parallel scoring
-    // phase (ShardScoreCached).
-    PrepareStep(ctx, /*index_ids=*/true);
-  } else {
-    BeginStep(ctx);
-  }
-  return true;
-}
-
-void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx, bool index_ids) {
+void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   SJOIN_CHECK_MSG(!ctx.window.has_value() ||
                       options_.mode == Mode::kTimeIncremental,
                   "value-incremental HEEB does not support sliding "
@@ -140,21 +126,12 @@ void HeebJoinPolicy::PrepareStep(const PolicyContext& ctx, bool index_ids) {
                                      ctx.capacity + arrivals)));
   }
   for (const Tuple& t : *ctx.arrivals) lane_slot_.push_back(NewSlot(t));
-  if (index_ids) {
-    // Built here, serially, so the parallel phase only reads it.
-    lanes_.Reserve(lane_slot_.size());
-    lanes_.Reset();
-    LaneTable<TupleId>::Lane lane = 0;
-    for (const Tuple& t : cached) lanes_.Insert(t.id, lane++);
-    for (const Tuple& t : *ctx.arrivals) lanes_.Insert(t.id, lane++);
-  }
 
   advance_gap_ = last_step_time_ >= 0 ? ctx.now - last_step_time_ : 0;
   advance_e_ = std::exp(1.0 / options_.alpha);
   if (advance_gap_ > 0) {
     // Entries crossing the refresh interval re-anchor with DirectScore,
-    // which reads this step's predictions; advance the ring up front so
-    // the parallel phase never mutates shared state.
+    // which reads this step's predictions; advance the ring up front.
     for (const CachedState& state : slots_) {
       if (state.state == SlotState::kScored &&
           state.updates_since_refresh + advance_gap_ >=
@@ -258,30 +235,6 @@ void HeebJoinPolicy::Realign(const PolicyContext& ctx) {
     }
   }
   lane_slot_.swap(carry_lanes_);
-}
-
-std::optional<ShardKey> HeebJoinPolicy::ShardScoreCached(
-    const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
-  if (options_.mode != Mode::kTimeIncremental &&
-      options_.mode != Mode::kValueIncremental) {
-    return ScoredPolicy::ShardScoreCached(tuple, ctx, scratch);
-  }
-  (void)scratch;
-  // Lazy Corollary 3 advance: each entry is owned by exactly one shard
-  // (shards partition the value domain and an entry's value is fixed), so
-  // mutating it here is race-free; the shared pmfs, predictions and lane
-  // table are read-only during this phase.
-  CachedState* state = &LaneState(LaneOf(tuple.id));
-  SJOIN_CHECK_MSG(state->state == SlotState::kScored,
-                  "cached tuple without incremental HEEB state");
-  AdvanceState(state, ctx);
-  // Same window guard as Score(); the entry advances either way, exactly
-  // like the serial BeginStep sweep runs before Score's window check.
-  double score =
-      ctx.window.has_value() && !InWindow(tuple, ctx.now, ctx.window)
-          ? 0.0
-          : state->h;
-  return ShardKey{score, tuple.arrival, static_cast<std::int64_t>(tuple.id)};
 }
 
 double HeebJoinPolicy::PartnerProbAt(StreamSide side, Value v, Time t,
@@ -440,8 +393,7 @@ double HeebJoinPolicy::Score(const Tuple& tuple, std::uint32_t lane,
     case Mode::kTimeIncremental:
     case Mode::kValueIncremental: {
       if (out_of_window) return 0.0;
-      CachedState& state =
-          LaneState(lane != kNoLane ? lane : LaneOf(tuple.id));
+      CachedState& state = LaneState(lane);
       SJOIN_VALIDATE_MSG(state.id == tuple.id,
                          "incremental HEEB scored a lane of another tuple");
       return state.state == SlotState::kScored ? state.h
@@ -452,24 +404,21 @@ double HeebJoinPolicy::Score(const Tuple& tuple, std::uint32_t lane,
 }
 
 void HeebJoinPolicy::EndStep(const PolicyContext& ctx,
-                             const std::vector<TupleId>& retained,
                              std::span<const RankedTuple> ranked) {
   (void)ctx;
   if (options_.mode != Mode::kTimeIncremental &&
       options_.mode != Mode::kValueIncremental) {
     return;
   }
-  // Next step's lane i is retained[i]: gather its slot. The lanes nobody
+  // Next step's lane i is ranked[i]'s: gather its slot. The lanes nobody
   // retained were evicted, and the slots no lane took were dropped by the
   // caller; both are freed.
   const std::size_t lanes = lane_slot_.size();
   placed_.assign(lanes, 0);
   carry_lanes_.clear();
-  for (std::size_t i = 0; i < retained.size(); ++i) {
-    const std::uint32_t lane =
-        ranked.empty() ? LaneOf(retained[i]) : ranked[i].lane;
-    placed_[lane] = 1;
-    carry_lanes_.push_back(lane_slot_[lane]);
+  for (const RankedTuple& kept : ranked) {
+    placed_[kept.lane] = 1;
+    carry_lanes_.push_back(lane_slot_[kept.lane]);
   }
   auto free_slot = [&](std::uint32_t slot) {
     slots_[slot].state = SlotState::kFree;

@@ -6,10 +6,8 @@
 #include <span>
 #include <vector>
 
-#include "sjoin/common/check.h"
 #include "sjoin/core/lifetime_fn.h"
 #include "sjoin/core/precompute.h"
-#include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/prediction_ring.h"
 #include "sjoin/engine/scored_policy.h"
 #include "sjoin/stochastic/linear_trend_process.h"
@@ -82,21 +80,7 @@ class HeebJoinPolicy final : public ScoredPolicy {
 
   const char* name() const override { return "HEEB"; }
 
-  // Sharded execution (see scored_policy.h). All four modes are
-  // score-decomposable. The incremental modes replace BeginStep's eager
-  // Corollary 3 sweep with a lazy per-tuple advance inside the parallel
-  // scoring phase. Both run the same AdvanceState body over the same
-  // per-(side, elapsed step) partner pmfs, which PrepareStep builds once
-  // per step and shares across every cached tuple of a side, so the two
-  // paths are bit-identical. Both paths end in the same EndStep.
-  bool ShardBeginStep(const PolicyContext& ctx,
-                      std::vector<TupleId>* decided) override;
-  std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
-                                           const PolicyContext& ctx,
-                                           ShardScratch* scratch) override;
-
  protected:
-  bool ShardScorable() const override { return true; }
   /// Only kWalkTable has a batch kernel. The other modes score each tuple
   /// from the prediction ring or the incremental state, which a batch
   /// gather would only copy.
@@ -110,7 +94,7 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// partner anchor hoisted out of the lane loop.
   void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
                       double* out) override;
-  void EndStep(const PolicyContext& ctx, const std::vector<TupleId>& retained,
+  void EndStep(const PolicyContext& ctx,
                std::span<const RankedTuple> ranked) override;
 
  private:
@@ -128,17 +112,14 @@ class HeebJoinPolicy final : public ScoredPolicy {
   /// `side`, read from the ring (which must be at `now`).
   double RingSum(StreamSide side, Value v, Time now, Time max_dt) const;
 
-  /// Advances the prediction ring to this step if it is not already there
-  /// (serial call sites only; the parallel phase reads).
+  /// Advances the prediction ring to this step if it is not already there.
   void EnsurePredictions(const PolicyContext& ctx);
 
-  /// Incremental modes, once per step before any scoring (serial): aligns
-  /// the state with this step's candidate lanes, sets the elapsed gap,
-  /// builds the shared per-(side, elapsed step) partner pmfs, and advances
-  /// the ring if any entry will re-anchor. `index_ids` also fills lanes_,
-  /// which the sharded protocol needs because its calls name tuples, not
-  /// lanes.
-  void PrepareStep(const PolicyContext& ctx, bool index_ids);
+  /// Incremental modes, once per step before any scoring: aligns the
+  /// state with this step's candidate lanes, sets the elapsed gap, builds
+  /// the shared per-(side, elapsed step) partner pmfs, and advances the
+  /// ring if any entry will re-anchor.
+  void PrepareStep(const PolicyContext& ctx);
 
   /// Probability that the partner of `side` produces `v` at time `t`,
   /// predicted into partner_pmf_ (no allocation once its buffer is sized).
@@ -169,9 +150,8 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // is the slot of the i-th tuple in last step's returned list. The
   // engines cache exactly that list and say so (ctx.carried()); the
   // arrivals' new slots then extend it to every candidate lane (cached
-  // tuples, then arrivals). The serial path hands each lane to Score and
-  // EndStep; on the sharded path lanes_ maps each candidate id to its
-  // lane for the step.
+  // tuples, then arrivals), which SelectRetained hands to Score and
+  // EndStep.
   // A slot is kUnscored until its h exists: arrivals, and cached tuples the
   // policy has not seen, get a slot in PrepareStep but an h only when first
   // scored. Freed slots are reused by later arrivals.
@@ -197,14 +177,6 @@ class HeebJoinPolicy final : public ScoredPolicy {
   void Realign(const PolicyContext& ctx);
   /// The slot of candidate lane `lane`.
   CachedState& LaneState(std::size_t lane) { return slots_[lane_slot_[lane]]; }
-  /// The lane of candidate `id` this step.
-  std::uint32_t LaneOf(TupleId id) const {
-    const LaneTable<TupleId>::Lane lane = lanes_.Find(id);
-    SJOIN_CHECK_MSG(lane != LaneTable<TupleId>::kNoLane,
-                    "incremental HEEB looked up a tuple that is not a "
-                    "candidate");
-    return lane;
-  }
   std::vector<CachedState> slots_;
   std::vector<std::uint32_t> lane_slot_;
   std::vector<std::uint32_t> free_slots_;
@@ -212,9 +184,6 @@ class HeebJoinPolicy final : public ScoredPolicy {
   // tuples from the cache. They still advance and donate (Corollary 5)
   // until EndStep frees them.
   std::vector<std::uint32_t> dropped_slots_;
-  // Candidate id -> lane, built in ShardBeginStep (serial) and only read
-  // while shards score.
-  LaneTable<TupleId> lanes_;
   Time last_step_time_ = -1;
   // Scratch reused across steps: next step's lane_slot_ (EndStep) or the
   // realigned one (Realign), and per-slot or per-lane placed marks.
@@ -223,14 +192,14 @@ class HeebJoinPolicy final : public ScoredPolicy {
 
   // Incremental advance: elapsed steps since the previous decision and the
   // shared per-(cached side, elapsed step) partner pmfs the Corollary 3
-  // advance reads. Written in PrepareStep (serial), read only while the
-  // entries advance.
+  // advance reads. Written in PrepareStep, read while the entries
+  // advance.
   Time advance_gap_ = 0;
   double advance_e_ = 1.0;
   std::vector<DiscreteDistribution> advance_pmfs_[2];
   std::vector<PredictionRing::Slot> advance_slots_[2];
   // kValueIncremental: PartnerProbAt's scratch pmf, refilled per transfer
-  // step. Arrivals are scored serially, so one buffer suffices.
+  // step.
   DiscreteDistribution partner_pmf_;
 
   // kWalkTable: per-side lookup tables (indexed by the side of the cached

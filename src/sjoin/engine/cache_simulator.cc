@@ -2,7 +2,7 @@
 
 #include "sjoin/common/check.h"
 #include "sjoin/engine/reduction.h"
-#include "sjoin/engine/sharded_stream_engine.h"
+#include "sjoin/engine/stream_engine.h"
 
 namespace sjoin {
 namespace {
@@ -15,16 +15,10 @@ namespace {
 CacheRunResult RunReduced(const CacheSimulator::Options& options,
                           const CachingReduction& reduction,
                           ReplacementPolicy& policy) {
-  ShardedStreamEngine engine(StreamTopology::Binary(),
-                             {.capacity = options.capacity,
-                              .warmup = options.warmup,
-                              .window = options.window,
-                              .shards = options.shards,
-                              .threads = options.threads,
-                              .pin_threads = options.pin_threads,
-                              .adaptive = {.enabled = options.adaptive_shards,
-                                           .interval =
-                                               options.adaptive_interval}});
+  StreamEngine engine(StreamTopology::Binary(),
+                      {.capacity = options.capacity,
+                       .warmup = options.warmup,
+                       .window = options.window});
   BinaryPolicyAdapter adapter(&policy);
   PerfObserver perf;
   EngineRunResult run = engine.Run(
@@ -48,7 +42,6 @@ CacheSimulator::CacheSimulator(Options options) : options_(options) {
   SJOIN_CHECK_GE(options_.capacity, 1u);
   SJOIN_CHECK_GE(options_.warmup, 0);
   if (options_.window.has_value()) SJOIN_CHECK_GE(*options_.window, 0);
-  SJOIN_CHECK_GE(options_.shards, 1);
 }
 
 CacheRunResult CacheSimulator::Run(const std::vector<Value>& references,

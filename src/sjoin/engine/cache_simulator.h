@@ -46,20 +46,6 @@ class CacheSimulator {
     /// a cached tuple older than the window no longer serves hits until
     /// refetched; every hit refreshes its age. nullopt = classic caching.
     std::optional<Time> window;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
-    int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
-    /// Pin sharded-path workers to CPUs (Linux only, best effort).
-    bool pin_threads = false;
-    /// Skew-adaptive sharding (DESIGN.md §2e): deterministic rebalancing
-    /// of the value->shard ranges every `adaptive_interval` steps. Results
-    /// stay bit-identical; only load balance moves.
-    bool adaptive_shards = false;
-    Time adaptive_interval = 32;
   };
 
   explicit CacheSimulator(Options options);

@@ -8,18 +8,16 @@
 
 /// \file
 /// Structure-of-arrays view over one step's retention candidates. The
-/// engines gather the candidate tuples into contiguous per-field spans —
-/// once per step in the serial engine, once per shard run in the sharded
-/// engine (carved from the worker arenas) — so batch-scorable policies can
-/// score whole runs with one fused kernel call instead of one virtual
-/// Score() per tuple. The spans are borrowed: they stay valid only for the
-/// duration of the SelectRetained / shard-scoring call they are passed to.
+/// engine gathers the candidate tuples into contiguous per-field spans
+/// once per step, so batch-scorable policies can score the whole step with
+/// one fused kernel call instead of one virtual Score() per tuple. The
+/// spans are borrowed: they stay valid only for the duration of the
+/// SelectRetained call they are passed to.
 
 namespace sjoin {
 
 /// SoA view of a candidate run. Lane i describes one candidate; the lane
-/// order is the scalar scoring order (cached tuples first, then arrivals,
-/// for the serial engine; the shard's cached run for the sharded engine),
+/// order is the scalar scoring order (cached tuples first, then arrivals),
 /// so per-lane results line up with the per-tuple path bit for bit.
 struct CandidateBatch {
   std::size_t size = 0;

@@ -1,7 +1,7 @@
 #include "sjoin/engine/join_simulator.h"
 
 #include "sjoin/common/check.h"
-#include "sjoin/engine/sharded_stream_engine.h"
+#include "sjoin/engine/stream_engine.h"
 
 namespace sjoin {
 
@@ -9,7 +9,6 @@ JoinSimulator::JoinSimulator(Options options) : options_(options) {
   SJOIN_CHECK_GE(options_.capacity, 1u);
   SJOIN_CHECK_GE(options_.warmup, 0);
   if (options_.window.has_value()) SJOIN_CHECK_GE(*options_.window, 0);
-  SJOIN_CHECK_GE(options_.shards, 1);
 }
 
 JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
@@ -17,16 +16,10 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
                                  ReplacementPolicy& policy) const {
   SJOIN_CHECK_EQ(r.size(), s.size());
 
-  ShardedStreamEngine engine(StreamTopology::Binary(),
-                             {.capacity = options_.capacity,
-                              .warmup = options_.warmup,
-                              .window = options_.window,
-                              .shards = options_.shards,
-                              .threads = options_.threads,
-                              .pin_threads = options_.pin_threads,
-                              .adaptive = {.enabled = options_.adaptive_shards,
-                                           .interval =
-                                               options_.adaptive_interval}});
+  StreamEngine engine(StreamTopology::Binary(),
+                      {.capacity = options_.capacity,
+                       .warmup = options_.warmup,
+                       .window = options_.window});
   BinaryPolicyAdapter adapter(&policy);
 
   JoinRunResult result;
@@ -40,7 +33,6 @@ JoinRunResult JoinSimulator::Run(const std::vector<Value>& r,
   result.total_results = run.total_results;
   result.counted_results = run.counted_results;
   result.telemetry = perf.telemetry();
-  result.adaptive = engine.adaptive_stats();
   return result;
 }
 

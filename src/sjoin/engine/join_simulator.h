@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sjoin/common/types.h"
-#include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/tuple.h"
@@ -42,9 +41,6 @@ struct JoinRunResult {
   /// Perf telemetry (peak candidate set, steps, wall time), collected by
   /// the façade's PerfObserver; the same struct CacheRunResult carries.
   EngineTelemetry telemetry;
-  /// Skew/rebalance telemetry when the run used adaptive sharding
-  /// (Options::adaptive_shards); all-zero otherwise.
-  AdaptiveShardStats adaptive;
 };
 
 /// Runs one joining experiment.
@@ -60,21 +56,6 @@ class JoinSimulator {
     std::optional<Time> window;
     /// Record the per-step fraction of R tuples in the cache.
     bool track_cache_composition = false;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
-    int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
-    /// Pin sharded-path workers to CPUs (Linux only, best effort).
-    bool pin_threads = false;
-    /// Skew-adaptive sharding: replace the static value hash with an
-    /// AdaptivePartitionMap whose deterministic rebalancer moves shard
-    /// ranges every `adaptive_interval` steps (DESIGN.md §2e). Results
-    /// stay bit-identical to static/serial runs; only load balance moves.
-    bool adaptive_shards = false;
-    Time adaptive_interval = 32;
   };
 
   explicit JoinSimulator(Options options);

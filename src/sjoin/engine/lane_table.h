@@ -15,7 +15,7 @@
 /// \file
 /// A flat, stamped key -> lane table for per-step lookups.
 ///
-/// Every step, the engines' commit maps the step's candidate ids to their
+/// Every step, the engine's commit maps the step's candidate ids to their
 /// position ("lane") in the candidate order (cached tuples, then
 /// arrivals), and the Theorem 1 reduction maps decoded supply values to
 /// their cached lane. The mapping lives for one step. A node-based hash
@@ -128,9 +128,9 @@ class LaneTable {
 /// One step's commit view of the candidates: lane i < cached.size() is
 /// cached[i], the remaining lanes are the arrivals in order. Marks the
 /// lanes a policy retains and, on demand, maps candidate ids to lanes,
-/// which is all the serial and decided-step commits need to validate the
-/// retained ids and split the candidates into kept and evicted. A policy
-/// that reports its retained lanes spares the commit the id map.
+/// which is all the engine's commit needs to validate the retained ids
+/// and split the candidates into kept and evicted. A policy that reports
+/// its retained lanes spares the commit the id map.
 class CandidateLanes {
  public:
   using Lane = LaneTable<TupleId>::Lane;

@@ -4,11 +4,11 @@
 /// \file
 /// The repo-wide strict (score desc, major desc, minor desc) total order.
 ///
-/// Every comparison sort in the retention path — the serial ScoredPolicy
-/// selection, the sharded engine's per-shard runs and k-way merge, the
-/// multi-way policies' ranked top-k, and the edge-budget spill — must rank
-/// candidates by exactly the same order, or shard counts and policy
-/// implementations would stop being bit-identical. This header is that
+/// Every comparison sort in the retention path — the ScoredPolicy and
+/// ScoredCachingPolicy selections, the multi-way policies' ranked top-k,
+/// and the edge-budget spill — must rank candidates by exactly the same
+/// order, or policy implementations and their oracles would stop being
+/// bit-identical. This header is that
 /// order's single definition; call sites bind (major, minor) to
 /// (arrival time, tuple id) for the joining problem and to
 /// (is-referenced, original value) for the Theorem 1 caching reduction.

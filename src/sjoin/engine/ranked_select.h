@@ -14,8 +14,8 @@
 /// \file
 /// Top-k selection under the strict rank_order.h orders, shared by every
 /// selection site: ScoredPolicy and ScoredCachingPolicy selection, the
-/// multi-way policies' KeepBestRanked, MULTI-HEEB's selection and key
-/// order, and the sharded engine's per-shard and arrival runs.
+/// multi-way policies' KeepBestRanked, and MULTI-HEEB's selection and key
+/// order.
 ///
 /// The engines store the cache in the order a policy retained it, so each
 /// step's candidates arrive as last step's ranked run followed by this

@@ -44,7 +44,7 @@ std::pair<Value, std::int64_t> CachingReduction::Decode(Value encoded) const {
 void ReductionJoinPolicy::Reset() {
   caching_policy_->Reset();
   reference_history_ = StreamHistory();
-  values_carried_ = false;
+  cached_values_.clear();
   caching_carried_ = false;
 }
 
@@ -85,8 +85,7 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   // The cached supply tuples' original values. When the cache is the list
   // this policy returned last step, they are the values it carried from
   // then; otherwise every tuple is decoded.
-  if (!ctx.carried() || !values_carried_ ||
-      cached_values_.size() != ctx.cached->size()) {
+  if (!ctx.carried() || cached_values_.size() != ctx.cached->size()) {
     DecodeCached(ctx, &cached_values_);
     caching_carried_ = false;
   } else if constexpr (kValidationEnabled) {
@@ -114,10 +113,8 @@ void ReductionJoinPolicy::PrepareStep(const PolicyContext& ctx) {
   // as the demand-fetched candidate — never as cached and referenced at
   // the same time.
   const bool drop = !hit_ && ref_lane_ != kNoLane;
-  dropped_id_ = -1;
   caching_ctx_.cached = &cached_values_;
   if (drop) {
-    dropped_id_ = (*ctx.cached)[ref_lane_].id;
     undropped_values_.assign(cached_values_.begin(), cached_values_.end());
     undropped_values_.erase(undropped_values_.begin() + ref_lane_);
     caching_ctx_.cached = &undropped_values_;
@@ -174,7 +171,6 @@ std::vector<TupleId> ReductionJoinPolicy::SelectRetained(
     cached_values_.swap(next_values_);
     caching_carried_ = true;
   }
-  values_carried_ = true;
 
   std::vector<TupleId> retained_ids;
   retained_ids.reserve(join_lanes_.size());
@@ -186,66 +182,6 @@ std::vector<TupleId> ReductionJoinPolicy::SelectRetained(
     lanes->assign(join_lanes_.begin(), join_lanes_.end());
   }
   return retained_ids;
-}
-
-PolicyShardScoring* ReductionJoinPolicy::shard_scoring() {
-  if (scored_caching_ == nullptr || !scored_caching_->ShardScorable() ||
-      scored_caching_->has_score_observer()) {
-    return nullptr;
-  }
-  return this;
-}
-
-bool ReductionJoinPolicy::ShardBeginStep(const PolicyContext& ctx,
-                                         std::vector<TupleId>* decided) {
-  PrepareStep(ctx);
-  if (!hit_) return true;  // Miss: rank the candidates shard-locally.
-  // Hit: the caching problem keeps its cache verbatim; the joining side
-  // swaps the dead tuple s_(v,i) for the fresh arrival s_(v,i+1). Nothing
-  // is ranked, so the whole step is decided here.
-  decided->clear();
-  decided->reserve(ctx.cached->size());
-  for (std::uint32_t lane = 0; lane < ctx.cached->size(); ++lane) {
-    decided->push_back(lane == ref_lane_ ? s_arrival_id_
-                                         : (*ctx.cached)[lane].id);
-  }
-  return false;
-}
-
-std::optional<ShardKey> ReductionJoinPolicy::ShardScoreCached(
-    const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
-  (void)ctx;
-  (void)scratch;
-  // The expired copy of the referenced value was dropped from the
-  // candidate set (see PrepareStep); it must not be retained.
-  if (tuple.id == dropped_id_) return std::nullopt;
-  // Decode is a bounds-checked vector lookup — thread-safe. Cached
-  // candidates are never the referenced value on the miss path, so
-  // is-referenced (the major tie-break) is always 0 here.
-  Value v = reduction_->Decode(tuple.value).first;
-  return ShardKey{scored_caching_->ShardScore(v, caching_ctx_), 0, v};
-}
-
-std::optional<ShardKey> ReductionJoinPolicy::ShardScoreArrival(
-    const Tuple& tuple, const PolicyContext& ctx) {
-  (void)ctx;
-  // Reference tuples are never cached (the "reasonable policy" rule);
-  // the supply arrival carries the demand-fetched referenced value.
-  if (tuple.side == StreamSide::kR) return std::nullopt;
-  return ShardKey{scored_caching_->ShardScore(ref_value_, caching_ctx_), 1,
-                  ref_value_};
-}
-
-void ReductionJoinPolicy::ShardEndStep(const PolicyContext& ctx,
-                                       const std::vector<TupleId>& retained,
-                                       const std::vector<TupleId>& evicted) {
-  (void)ctx;
-  (void)retained;
-  (void)evicted;
-  // The merged list's values are not decoded here, so the next step
-  // decodes the cache, and the caching policy's last list is stale.
-  values_carried_ = false;
-  caching_carried_ = false;
 }
 
 }  // namespace sjoin

@@ -68,8 +68,7 @@ class CachingReduction {
 /// whether to refetch. A hit swaps in the fresh supply arrival, so every
 /// hit refreshes the TTL — exactly the joining-side window semantics of
 /// Section 7 carried through the reduction.
-class ReductionJoinPolicy final : public ReplacementPolicy,
-                                  public PolicyShardScoring {
+class ReductionJoinPolicy final : public ReplacementPolicy {
  public:
   /// Neither pointer is owned; both must outlive the policy.
   ReductionJoinPolicy(const CachingReduction* reduction,
@@ -82,35 +81,17 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
 
   std::vector<TupleId> SelectRetained(const PolicyContext& ctx) override;
 
-  /// Sharded execution, available when the caching policy is a
-  /// shard-scorable ScoredCachingPolicy without a score observer. A hit is
-  /// fully decided in ShardBeginStep (cache order is preserved, nothing is
-  /// ranked); on a miss the candidates are scored shard-locally with merge
-  /// keys (score, is-referenced, original value) — exactly the caching
-  /// comparator, so the merged top-k is bit-identical to SelectRetained.
-  PolicyShardScoring* shard_scoring() override;
-  bool ShardBeginStep(const PolicyContext& ctx,
-                      std::vector<TupleId>* decided) override;
-  std::optional<ShardKey> ShardScoreCached(const Tuple& tuple,
-                                           const PolicyContext& ctx,
-                                           ShardScratch* scratch) override;
-  std::optional<ShardKey> ShardScoreArrival(const Tuple& tuple,
-                                            const PolicyContext& ctx) override;
-  void ShardEndStep(const PolicyContext& ctx,
-                    const std::vector<TupleId>& retained,
-                    const std::vector<TupleId>& evicted) override;
-
   const char* name() const override { return "REDUCED"; }
 
  private:
   static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
 
-  /// Shared step prefix of SelectRetained and ShardBeginStep: decodes the
-  /// arrivals, takes the cached supply tuples' original values (carried
-  /// from the list this policy returned last step when ctx.cached is that
-  /// list, decoded otherwise), determines hit/miss, drops the dead expired
-  /// copy on a windowed miss, and notifies the caching policy — leaving
-  /// the members below describing the step.
+  /// SelectRetained's step prefix: decodes the arrivals, takes the cached
+  /// supply tuples' original values (carried from the list this policy
+  /// returned last step when ctx.cached is that list, decoded otherwise),
+  /// determines hit/miss, drops the dead expired copy on a windowed miss,
+  /// and notifies the caching policy — leaving the members below
+  /// describing the step.
   void PrepareStep(const PolicyContext& ctx);
 
   /// Decodes ctx.cached's original values into `values`, checking the
@@ -134,9 +115,8 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
 
   /// Original value of each cached supply tuple, in cache order. After
   /// SelectRetained it holds the returned list's values, which the next
-  /// step's cache is when ctx.carried() holds (values_carried_).
+  /// step's cache is when ctx.carried() holds; Reset empties it.
   std::vector<Value> cached_values_;
-  bool values_carried_ = false;
   /// True when the caching policy's last returned list is cached_values_,
   /// so its carried state lines up (CachingContext::carried).
   bool caching_carried_ = false;
@@ -149,9 +129,6 @@ class ReductionJoinPolicy final : public ReplacementPolicy,
   std::uint32_t s_arrival_lane_ = 0;
   /// Lane of the cached copy of the referenced value, or kNoLane.
   std::uint32_t ref_lane_ = kNoLane;
-  /// Id of the expired cached copy dropped from the candidate set on a
-  /// windowed miss; -1 when none.
-  TupleId dropped_id_ = -1;
   /// The caching candidates without the dropped copy (windowed misses).
   std::vector<Value> undropped_values_;
 

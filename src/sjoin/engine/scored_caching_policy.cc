@@ -71,8 +71,8 @@ const std::vector<std::uint32_t>& ScoredCachingPolicy::SelectRetainedLanes(
     }
   }
   auto better = [](const Candidate& a, const Candidate& b) {
-    // rank_order.h with (major, minor) = (is-referenced, value),
-    // the ShardKey mapping of the Theorem 1 reduction.
+    // rank_order.h with (major, minor) = (is-referenced, value): ties
+    // break toward the referenced value, then toward larger values.
     return RankOrderBetter(a.score, static_cast<int>(a.is_referenced),
                            a.value, b.score,
                            static_cast<int>(b.is_referenced), b.value);

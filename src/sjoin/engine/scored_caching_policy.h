@@ -29,24 +29,6 @@ class ScoredCachingPolicy : public CachingPolicy {
   const std::vector<std::uint32_t>& SelectRetainedLanes(
       const CachingContext& ctx);
 
-  /// Sharded-execution opt-in mirroring ScoredPolicy::ShardScorable: true
-  /// when Score() is safe to call concurrently for distinct values between
-  /// two Observe()/SelectRetained() calls. The Theorem 1 reduction adapter
-  /// consults this to decide whether the caching policy can score miss
-  /// candidates from parallel shards (HEEB's time-incremental caching mode
-  /// mutates inside Score(), so it stays serial).
-  virtual bool ShardScorable() const { return false; }
-
-  /// Scoring entry for the reduction's sharded hooks; identical to the
-  /// Score() that SelectRetained uses.
-  double ShardScore(Value v, const CachingContext& ctx) {
-    return Score(v, ctx);
-  }
-
-  bool has_score_observer() const {
-    return static_cast<bool>(score_observer_);
-  }
-
   /// Verification hook mirroring ScoredPolicy::set_score_observer: when
   /// set, receives every candidate value's score as SelectRetained
   /// computes it.

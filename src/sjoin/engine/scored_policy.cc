@@ -67,53 +67,8 @@ std::vector<TupleId> ScoredPolicy::SelectRetained(const PolicyContext& ctx) {
       lanes->push_back(ranked_scratch_[i].lane);
     }
   }
-  EndStep(ctx, retained, {ranked_scratch_.data(), keep});
+  EndStep(ctx, {ranked_scratch_.data(), keep});
   return retained;
-}
-
-PolicyShardScoring* ScoredPolicy::shard_scoring() {
-  if (!ShardScorable() || score_observer_) return nullptr;
-  return this;
-}
-
-bool ScoredPolicy::ShardBeginStep(const PolicyContext& ctx,
-                                  std::vector<TupleId>* decided) {
-  (void)decided;
-  BeginStep(ctx);
-  return true;
-}
-
-std::optional<ShardKey> ScoredPolicy::ShardScoreCached(
-    const Tuple& tuple, const PolicyContext& ctx, ShardScratch* scratch) {
-  (void)scratch;
-  return ShardKey{Score(tuple, kNoLane, ctx), tuple.arrival,
-                  static_cast<std::int64_t>(tuple.id)};
-}
-
-std::optional<ShardKey> ScoredPolicy::ShardScoreArrival(
-    const Tuple& tuple, const PolicyContext& ctx) {
-  return ShardKey{Score(tuple, kNoLane, ctx), tuple.arrival,
-                  static_cast<std::int64_t>(tuple.id)};
-}
-
-void ScoredPolicy::ShardEndStep(const PolicyContext& ctx,
-                                const std::vector<TupleId>& retained,
-                                const std::vector<TupleId>& evicted) {
-  (void)evicted;
-  EndStep(ctx, retained, {});
-}
-
-void ScoredPolicy::ShardScoreCachedBatch(const CandidateBatch& batch,
-                                         const PolicyContext& ctx,
-                                         ShardScratch* scratch,
-                                         double* score_scratch,
-                                         ShardKey* out) {
-  (void)scratch;
-  ScoreBatchInto(batch, ctx, score_scratch);
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    out[i] = ShardKey{score_scratch[i], batch.arrivals[i],
-                      static_cast<std::int64_t>(batch.ids[i])};
-  }
 }
 
 void ScoredPolicy::ScoreBatchInto(const CandidateBatch& batch,
@@ -121,8 +76,7 @@ void ScoredPolicy::ScoreBatchInto(const CandidateBatch& batch,
   for (std::size_t i = 0; i < batch.size; ++i) {
     Tuple tuple{batch.ids[i], static_cast<StreamSide>(batch.sides[i]),
                 batch.values[i], batch.arrivals[i]};
-    // A shard run's batch lanes are not candidate lanes.
-    out[i] = Score(tuple, kNoLane, ctx);
+    out[i] = Score(tuple, static_cast<std::uint32_t>(i), ctx);
   }
 }
 

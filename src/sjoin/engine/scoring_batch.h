@@ -9,9 +9,9 @@
 /// kernels are bit-identical to the scalar path, so the flag must never
 /// change results, only speed.
 ///
-/// The flag may only be written at serial points (no engine mid-step, no
-/// live shard epoch): engines snapshot it when a run opens, and the serial
-/// scoring path reads it between steps.
+/// The flag may only be written while no engine is mid-step: engines
+/// snapshot it when a run opens, and the scoring path reads it between
+/// steps.
 
 namespace sjoin {
 

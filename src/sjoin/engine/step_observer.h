@@ -42,12 +42,6 @@ struct EngineTelemetry {
   std::int64_t probe_skips = 0;
   std::int64_t probe_cache_hits = 0;
   std::int64_t plan_replans = 0;
-  /// Null when the run executed as configured. A sharded configuration
-  /// that fell back to the serial executor (results are identical, so
-  /// the fallback is otherwise silent) records the static reason string
-  /// here — filled by façades from
-  /// ShardedStreamEngine::fallback_reason(), not by PerfObserver.
-  const char* fallback_reason = nullptr;
 };
 
 /// Run-constant facts, handed to OnRunBegin / OnRunEnd.
@@ -95,16 +89,6 @@ class StepObserver {
   virtual void OnRunBegin(const EngineRunView& run) { (void)run; }
   virtual void OnStep(const EngineStepView& step) { (void)step; }
   virtual void OnRunEnd(const EngineRunView& run) { (void)run; }
-
-  /// Observer-compatibility query for batched multi-step execution: an
-  /// observer returning true promises its OnStep reads only the scalar
-  /// fields of EngineStepView (now / produced / counted / num_candidates /
-  /// the probe-plan counters) and tolerates deferred delivery — engines running batched steps
-  /// (ShardedStreamEngine) buffer such views and deliver them, in order,
-  /// at batch boundaries with the pointer fields null. The default false
-  /// keeps the classic protocol: OnStep fires inside the step with every
-  /// pointer valid. Deferral never changes what is delivered, only when.
-  virtual bool AllowsBatchedSteps() const { return false; }
 };
 
 /// Collects EngineTelemetry (peak candidate set, step count, wall time).
@@ -114,9 +98,6 @@ class PerfObserver final : public StepObserver {
   void OnRunBegin(const EngineRunView& run) override;
   void OnStep(const EngineStepView& step) override;
   void OnRunEnd(const EngineRunView& run) override;
-  /// Telemetry is pure scalar aggregation, so deferred delivery yields
-  /// identical results (run_ns brackets the whole run either way).
-  bool AllowsBatchedSteps() const override { return true; }
 
   const EngineTelemetry& telemetry() const { return telemetry_; }
 

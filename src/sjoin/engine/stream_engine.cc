@@ -45,18 +45,6 @@ const std::vector<int>& StreamTopology::PartnersOf(int stream) const {
   return partners_[static_cast<std::size_t>(stream)];
 }
 
-namespace {
-
-/// Default partition map for sessions that configure none. A process-wide
-/// constant (SinglePartition is stateless), so sessions stay portable
-/// across engines instead of dangling on the engine that opened them.
-const PartitionMap& SharedSinglePartition() {
-  static const SinglePartition kSingle;
-  return kSingle;
-}
-
-}  // namespace
-
 StreamEngine::StreamEngine(StreamTopology topology, Options options)
     : topology_(std::move(topology)), options_(options) {
   SJOIN_CHECK_GE(options_.capacity, 1u);
@@ -111,36 +99,24 @@ void StreamEngine::OpenWithLength(SessionState& session,
   session.policy = &policy;
   session.observers = std::move(observers);
   session.options = options;
-  session.sharded_owner = nullptr;
-  session.scoring = nullptr;
-  session.batched_observers = false;
   session.batch_scoring = ScoringBatchEnabled() && policy.WantsCandidateBatch();
 
   policy.Reset();
-
-  session.partitions = options.partitions != nullptr
-                           ? options.partitions
-                           : &SharedSinglePartition();
-  const std::size_t num_partitions = session.partitions->num_partitions();
-  SJOIN_CHECK_GE(num_partitions, 1u);
 
   session.cache.clear();
   session.cache.reserve(options.capacity);
   session.histories.assign(n, StreamHistory());
 
-  // Large caches probe arrivals against per-(partition, stream)
-  // value -> count indexes of the cached tuples, maintained with the <= N
-  // insertions and evictions a step can make, instead of scanning the
-  // whole cache. An arrival only probes its own value's partition, which
-  // is the seam a sharded cache exploits. Windowed runs expire tuples by
-  // age, which the value counts cannot see, so they keep the linear
-  // probe; so do tiny caches, where the scan is cheaper.
+  // Large caches probe arrivals against per-stream value -> count
+  // indexes of the cached tuples, maintained with the <= N insertions and
+  // evictions a step can make, instead of scanning the whole cache.
+  // Windowed runs expire tuples by age, which the value counts cannot
+  // see, so they keep the linear probe; so do tiny caches, where the scan
+  // is cheaper.
   session.use_value_index = !options.window.has_value() &&
                             options.capacity >= kValueIndexMinCapacity;
   if (session.use_value_index) {
-    session.value_index.assign(
-        num_partitions,
-        std::vector<std::unordered_map<Value, std::int64_t>>(n));
+    session.value_index.assign(n, {});
   } else {
     session.value_index.clear();
   }
@@ -172,8 +148,6 @@ void StreamEngine::Advance(
     SessionState& session,
     const std::vector<const std::vector<Value>*>& batch) {
   SJOIN_CHECK_MSG(session.open, "Advance on a session that is not open");
-  SJOIN_CHECK_MSG(session.sharded_owner == nullptr,
-                  "sharded sessions advance through their owning engine");
   const int n = topology_.num_streams();
   SJOIN_CHECK_EQ(static_cast<int>(batch.size()), n);
   for (const std::vector<Value>* stream : batch) {
@@ -185,7 +159,6 @@ void StreamEngine::Advance(
   }
 
   const Options& opts = session.options;
-  const PartitionMap* partitions = session.partitions;
   const bool use_value_index = session.use_value_index;
   ProbePlanner* planner = opts.probe_planner;
   EnginePolicy& policy = *session.policy;
@@ -226,8 +199,7 @@ void StreamEngine::Advance(
           } else {
             if (use_value_index) {
               const auto& index =
-                  session.value_index[partitions->PartitionOf(
-                      arrival.value)][static_cast<std::size_t>(partner)];
+                  session.value_index[static_cast<std::size_t>(partner)];
               auto it = index.find(arrival.value);
               if (it != index.end()) matches = it->second;
             } else {
@@ -248,10 +220,9 @@ void StreamEngine::Advance(
       }
     } else if (use_value_index) {
       for (const StreamTuple& arrival : arrivals_) {
-        const auto& shard = session.value_index[partitions->PartitionOf(
-            arrival.value)];
         for (int partner : topology_.PartnersOf(arrival.stream)) {
-          const auto& index = shard[static_cast<std::size_t>(partner)];
+          const auto& index =
+              session.value_index[static_cast<std::size_t>(partner)];
           auto it = index.find(arrival.value);
           if (it != index.end()) produced += it->second;
         }
@@ -356,8 +327,7 @@ void StreamEngine::Advance(
         const StreamTuple& tuple = session.cache[lane];
         if (use_value_index) {
           auto& index =
-              session.value_index[partitions->PartitionOf(tuple.value)]
-                                 [static_cast<std::size_t>(tuple.stream)];
+              session.value_index[static_cast<std::size_t>(tuple.stream)];
           auto it = index.find(tuple.value);
           if (--it->second == 0) index.erase(it);
         }
@@ -370,8 +340,7 @@ void StreamEngine::Advance(
         if (!lanes_.taken(static_cast<CandidateLanes::Lane>(lane))) continue;
         const StreamTuple& tuple = arrivals_[lane - num_cached];
         if (use_value_index) {
-          ++session.value_index[partitions->PartitionOf(tuple.value)]
-                               [static_cast<std::size_t>(tuple.stream)]
+          ++session.value_index[static_cast<std::size_t>(tuple.stream)]
                                [tuple.value];
         }
         if (planner != nullptr) {
@@ -391,13 +360,9 @@ void StreamEngine::Advance(
       if (use_value_index) {
         // The incrementally-maintained value -> count indexes must match
         // a from-scratch recount of the cache.
-        decltype(session.value_index) recount(
-            partitions->num_partitions(),
-            std::vector<std::unordered_map<Value, std::int64_t>>(
-                static_cast<std::size_t>(n)));
+        decltype(session.value_index) recount(static_cast<std::size_t>(n));
         for (const StreamTuple& tuple : session.cache) {
-          ++recount[partitions->PartitionOf(tuple.value)]
-                   [static_cast<std::size_t>(tuple.stream)][tuple.value];
+          ++recount[static_cast<std::size_t>(tuple.stream)][tuple.value];
         }
         SJOIN_VALIDATE_MSG(recount == session.value_index,
                            "value index out of sync with cache contents");
@@ -464,8 +429,6 @@ const EngineRunResult& StreamEngine::Drain(
 
 EngineRunResult StreamEngine::Close(SessionState& session) {
   SJOIN_CHECK_MSG(session.open, "Close on a session that is not open");
-  SJOIN_CHECK_MSG(session.sharded_owner == nullptr,
-                  "sharded sessions close through their owning engine");
   EngineRunView run_view;
   run_view.topology = &topology_;
   run_view.capacity = session.options.capacity;
@@ -481,24 +444,10 @@ EngineRunResult StreamEngine::Close(SessionState& session) {
   return session.result;
 }
 
-void EngineShardScoring::ShardScoreCachedBatch(const CandidateBatch& batch,
-                                               const EngineContext& ctx,
-                                               ShardScratch* scratch,
-                                               double* score_scratch,
-                                               ShardKey* out) {
-  (void)score_scratch;
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    StreamTuple tuple{batch.ids[i], static_cast<int>(batch.sides[i]),
-                      batch.values[i], batch.arrivals[i]};
-    // Batch-scorable policies never exclude cached tuples, so the
-    // per-tuple key is always present.
-    out[i] = *ShardScoreCached(tuple, ctx, scratch);
-  }
-}
-
 void BinaryPolicyAdapter::Reset() { policy_->Reset(); }
 
-void BinaryPolicyAdapter::BuildBinaryContext(const EngineContext& ctx) {
+std::vector<TupleId> BinaryPolicyAdapter::SelectRetained(
+    const EngineContext& ctx) {
   cached_.clear();
   arrivals_.clear();
   for (const StreamTuple& tuple : *ctx.cached) {
@@ -520,65 +469,7 @@ void BinaryPolicyAdapter::BuildBinaryContext(const EngineContext& ctx) {
   // SideIndex for binary topologies, the mirrors above preserve candidate
   // order, and the wrapped policy's returned list is the adapter's.
   binary_ctx_.step = ctx.step;
-}
-
-std::vector<TupleId> BinaryPolicyAdapter::SelectRetained(
-    const EngineContext& ctx) {
-  BuildBinaryContext(ctx);
   return policy_->SelectRetained(binary_ctx_);
-}
-
-EngineShardScoring* BinaryPolicyAdapter::shard_scoring() {
-  binary_shard_ = policy_->shard_scoring();
-  return binary_shard_ != nullptr ? this : nullptr;
-}
-
-bool BinaryPolicyAdapter::ShardBeginStep(const EngineContext& ctx,
-                                         std::vector<TupleId>* decided) {
-  BuildBinaryContext(ctx);
-  return binary_shard_->ShardBeginStep(binary_ctx_, decided);
-}
-
-std::unique_ptr<ShardScratch> BinaryPolicyAdapter::MakeShardScratch() {
-  return binary_shard_->MakeShardScratch();
-}
-
-std::optional<ShardKey> BinaryPolicyAdapter::ShardScoreCached(
-    const StreamTuple& tuple, const EngineContext& ctx,
-    ShardScratch* scratch) {
-  (void)ctx;  // binary_ctx_ carries the step context.
-  Tuple binary{tuple.id, static_cast<StreamSide>(tuple.stream), tuple.value,
-               tuple.arrival};
-  return binary_shard_->ShardScoreCached(binary, binary_ctx_, scratch);
-}
-
-std::optional<ShardKey> BinaryPolicyAdapter::ShardScoreArrival(
-    const StreamTuple& tuple, const EngineContext& ctx) {
-  (void)ctx;
-  Tuple binary{tuple.id, static_cast<StreamSide>(tuple.stream), tuple.value,
-               tuple.arrival};
-  return binary_shard_->ShardScoreArrival(binary, binary_ctx_);
-}
-
-void BinaryPolicyAdapter::ShardEndStep(const EngineContext& ctx,
-                                       const std::vector<TupleId>& retained,
-                                       const std::vector<TupleId>& evicted) {
-  (void)ctx;
-  binary_shard_->ShardEndStep(binary_ctx_, retained, evicted);
-}
-
-bool BinaryPolicyAdapter::ShardBatchScorable() const {
-  return binary_shard_ != nullptr && binary_shard_->ShardBatchScorable();
-}
-
-void BinaryPolicyAdapter::ShardScoreCachedBatch(const CandidateBatch& batch,
-                                                const EngineContext& ctx,
-                                                ShardScratch* scratch,
-                                                double* score_scratch,
-                                                ShardKey* out) {
-  (void)ctx;  // binary_ctx_ carries the step context.
-  binary_shard_->ShardScoreCachedBatch(batch, binary_ctx_, scratch,
-                                       score_scratch, out);
 }
 
 }  // namespace sjoin

@@ -11,7 +11,6 @@
 #include "sjoin/common/types.h"
 #include "sjoin/engine/candidate_batch.h"
 #include "sjoin/engine/lane_table.h"
-#include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_tuple.h"
@@ -24,8 +23,8 @@
 /// joining problem (Section 2), the N-way multi-join generalization
 /// (Appendix C), and — through the Theorem 1 reduction — the caching
 /// problem. Each step: (Phase 1) the arrivals join the cache selected at
-/// the previous step, partition-locally when the value index is engaged;
-/// (Phase 2) the policy picks the new cache from cached ∪ arrivals.
+/// the previous step; (Phase 2) the policy picks the new cache from
+/// cached ∪ arrivals.
 /// Everything that merely watches a run (telemetry, composition tracking,
 /// validation, score traces) attaches as a StepObserver chain.
 ///
@@ -37,7 +36,6 @@
 namespace sjoin {
 
 class ProbePlanner;
-class ShardedStreamEngine;
 struct SessionState;
 
 /// The join graph: N streams plus the unordered stream pairs that equijoin.
@@ -97,57 +95,6 @@ struct EngineContext {
   }
 };
 
-/// Engine-level mirror of PolicyShardScoring (replacement_policy.h): the
-/// per-step protocol ShardedStreamEngine drives instead of SelectRetained.
-/// Same four phases, same ShardKey merge-order contract — see the binary
-/// interface for the full documentation; only the tuple type differs.
-class EngineShardScoring {
- public:
-  virtual ~EngineShardScoring() = default;
-
-  /// Serial step prologue. Returns false when the step is fully decided
-  /// (`*decided` then holds the retained ids and no scoring happens).
-  virtual bool ShardBeginStep(const EngineContext& ctx,
-                              std::vector<TupleId>* decided) = 0;
-
-  /// Per-shard scratch factory; nullptr when no scratch is needed.
-  virtual std::unique_ptr<ShardScratch> MakeShardScratch() {
-    return nullptr;
-  }
-
-  /// Thread-safe merge key for a cached tuple; nullopt excludes it.
-  virtual std::optional<ShardKey> ShardScoreCached(
-      const StreamTuple& tuple, const EngineContext& ctx,
-      ShardScratch* scratch) = 0;
-
-  /// True when ShardScoreCachedBatch may replace the per-tuple loop for
-  /// whole shard runs (requires: no tuple is ever excluded via nullopt).
-  /// Queried once per Run, at entry.
-  virtual bool ShardBatchScorable() const { return false; }
-
-  /// Batched counterpart of ShardScoreCached over one shard's cached run;
-  /// bit-identical to the per-tuple calls. `score_scratch` is a
-  /// caller-provided buffer of batch.size doubles (arena-carved per
-  /// shard). The default loops ShardScoreCached.
-  virtual void ShardScoreCachedBatch(const CandidateBatch& batch,
-                                     const EngineContext& ctx,
-                                     ShardScratch* scratch,
-                                     double* score_scratch, ShardKey* out);
-
-  /// Serial (post-barrier, arrival-order) key for an arrival.
-  virtual std::optional<ShardKey> ShardScoreArrival(
-      const StreamTuple& tuple, const EngineContext& ctx) = 0;
-
-  /// Serial step epilogue with the merged retained set and its complement:
-  /// `evicted` holds every candidate id (cached or arrival) that was NOT
-  /// retained. The sharded engine gets this list for free from the merge
-  /// leftovers, so policies can drop per-tuple state in O(evicted) instead
-  /// of re-deriving the complement with an O(cache) retained-set walk.
-  virtual void ShardEndStep(const EngineContext& ctx,
-                            const std::vector<TupleId>& retained,
-                            const std::vector<TupleId>& evicted) = 0;
-};
-
 /// Replacement policy for the engine: the single decision interface every
 /// simulator now funnels into. Binary ReplacementPolicy implementations
 /// attach through BinaryPolicyAdapter; CachingPolicy implementations
@@ -159,9 +106,6 @@ class EnginePolicy {
   virtual void Reset() {}
   /// Subset of cached ∪ arrivals ids, size <= capacity.
   virtual std::vector<TupleId> SelectRetained(const EngineContext& ctx) = 0;
-  /// Non-null iff the policy can run sharded; queried by
-  /// ShardedStreamEngine once per Run, at entry. Default: serial only.
-  virtual EngineShardScoring* shard_scoring() { return nullptr; }
   /// True when the policy consumes EngineContext::batch (so the engine
   /// should spend the per-step gather building it). Queried at Open.
   virtual bool WantsCandidateBatch() const { return false; }
@@ -187,10 +131,6 @@ class StreamEngine {
     Time warmup = 0;
     /// Sliding-window length (Section 7); nullopt = regular join.
     std::optional<Time> window;
-    /// Value-domain partitioning for the Phase-1 index (not owned; must
-    /// outlive the engine). nullptr = single partition. Any PartitionMap
-    /// yields identical results; partitions only shape the index layout.
-    const PartitionMap* partitions = nullptr;
     /// Runtime probe planning for Phase 1 (engine/probe_planner.h): probe
     /// order re-planned from observed selectivities at deterministic
     /// checkpoints, empty-partner probes short-circuited, repeated
@@ -202,8 +142,7 @@ class StreamEngine {
 
   /// Below this capacity the Phase-1 linear probe beats the hash index
   /// (two comparisons per cached tuple vs. hash lookups plus index
-  /// upkeep). The serial and sharded engines engage the value index under
-  /// the same criteria.
+  /// upkeep).
   static constexpr std::size_t kValueIndexMinCapacity = 32;
 
   StreamEngine(StreamTopology topology, Options options);
@@ -235,8 +174,8 @@ class StreamEngine {
   /// override the engine's own): resets all per-run state, calls
   /// policy.Reset(), binds the observer chain and delivers OnRunBegin
   /// with length = -1 (unknown — arrivals have not happened yet).
-  /// `policy`, `observers`, `options.partitions` and
-  /// `options.probe_planner` are borrowed and must outlive the session.
+  /// `policy`, `observers` and `options.probe_planner` are borrowed and
+  /// must outlive the session.
   /// Neither a policy instance nor a planner may serve two sessions that
   /// are open at the same time. A closed SessionState can be reopened;
   /// its buffers are reused.
@@ -298,11 +237,8 @@ class StreamEngine {
 /// interleaved sessions. Plain data; the executing engine owns all the
 /// invariants. Callers treat it as an opaque token between lifecycle
 /// calls, except for the cheap reads (`now`, `result`, `is_open`).
-///
-/// A session opened by StreamEngine (or by ShardedStreamEngine's serial
-/// fallback) is engine-portable. A session opened on the sharded path
-/// pins to its opening engine — the slot, worker and arena structures
-/// backing it are engine-resident (`sharded_owner` below).
+/// Sessions are engine-portable: any engine with an equal topology may
+/// execute a session's next lifecycle call.
 struct SessionState {
   /// True between Open and Close.
   bool open = false;
@@ -317,9 +253,6 @@ struct SessionState {
   EnginePolicy* policy = nullptr;
   std::vector<StepObserver*> observers;
   StreamEngine::Options options;
-  /// Resolved partition map: options.partitions, or the process-wide
-  /// trivial partition when that is null.
-  const PartitionMap* partitions = nullptr;
   /// Phase-1 index decision, taken once at Open (same criteria as the
   /// batch run: no window, capacity >= kValueIndexMinCapacity).
   bool use_value_index = false;
@@ -334,29 +267,19 @@ struct SessionState {
   // acceleration structures.
   std::vector<StreamTuple> cache;
   std::vector<StreamHistory> histories;
-  /// Value -> cached-tuple count, per (partition, stream).
-  std::vector<std::vector<std::unordered_map<Value, std::int64_t>>>
-      value_index;
+  /// Value -> cached-tuple count, per stream.
+  std::vector<std::unordered_map<Value, std::int64_t>> value_index;
   /// Cached tuples per stream; maintained only when a probe planner is
   /// attached (backs its empty-partner short-circuit).
   std::vector<std::int64_t> stream_counts;
 
-  // Set only when a ShardedStreamEngine opened this session on its
-  // sharded path: that engine must execute every later lifecycle call
-  // (its shard slots live in the engine, keyed to this session).
-  ShardedStreamEngine* sharded_owner = nullptr;
-  EngineShardScoring* scoring = nullptr;
-  /// Every attached observer tolerates deferred scalar-only delivery
-  /// (StepObserver::AllowsBatchedSteps), decided once at Open.
-  bool batched_observers = false;
 };
 
 /// Adapts a binary ReplacementPolicy to the engine interface for
 /// two-stream topologies: stream 0 plays R, stream 1 plays S, and ids pass
 /// through unchanged (StreamTupleIdAt(2, s, t) == TupleIdAt(side, t)), so
 /// the policy's view is bit-identical to the pre-engine JoinSimulator's.
-class BinaryPolicyAdapter final : public EnginePolicy,
-                                  public EngineShardScoring {
+class BinaryPolicyAdapter final : public EnginePolicy {
  public:
   /// `policy` is not owned and must outlive the adapter.
   explicit BinaryPolicyAdapter(ReplacementPolicy* policy)
@@ -371,42 +294,14 @@ class BinaryPolicyAdapter final : public EnginePolicy,
     return policy_->WantsCandidateBatch();
   }
 
-  /// Sharded when the wrapped binary policy is: ShardBeginStep builds the
-  /// Tuple mirrors (stable through the step), the per-tuple calls convert
-  /// StreamTuple -> Tuple on the stack and delegate.
-  EngineShardScoring* shard_scoring() override;
-  bool ShardBeginStep(const EngineContext& ctx,
-                      std::vector<TupleId>* decided) override;
-  std::unique_ptr<ShardScratch> MakeShardScratch() override;
-  std::optional<ShardKey> ShardScoreCached(const StreamTuple& tuple,
-                                           const EngineContext& ctx,
-                                           ShardScratch* scratch) override;
-  std::optional<ShardKey> ShardScoreArrival(
-      const StreamTuple& tuple, const EngineContext& ctx) override;
-  void ShardEndStep(const EngineContext& ctx,
-                    const std::vector<TupleId>& retained,
-                    const std::vector<TupleId>& evicted) override;
-  /// Batch shard scoring delegates to the wrapped policy's kernel; the
-  /// SoA lanes pass through unchanged (side == stream index for binary).
-  bool ShardBatchScorable() const override;
-  void ShardScoreCachedBatch(const CandidateBatch& batch,
-                             const EngineContext& ctx, ShardScratch* scratch,
-                             double* score_scratch, ShardKey* out) override;
-
  private:
-  /// Rebuilds cached_/arrivals_/binary_ctx_ from the engine context.
-  void BuildBinaryContext(const EngineContext& ctx);
-
   ReplacementPolicy* policy_;
   // Mirrors of the engine's cache/arrivals in binary Tuple form, reused
   // across steps.
   std::vector<Tuple> cached_;
   std::vector<Tuple> arrivals_;
-  /// Points into cached_/arrivals_; stable for the duration of one step of
-  /// the sharded protocol (rebuilt by ShardBeginStep).
+  /// Points into cached_/arrivals_; rebuilt by every SelectRetained.
   PolicyContext binary_ctx_;
-  /// Wrapped policy's shard interface; set by shard_scoring().
-  PolicyShardScoring* binary_shard_ = nullptr;
 };
 
 }  // namespace sjoin

@@ -61,27 +61,18 @@ class MultiJoinSimulator {
     std::size_t capacity = 10;
     Time warmup = 0;
     std::optional<Time> window;
-    /// Value-domain shards for intra-run parallelism
-    /// (engine/sharded_stream_engine.h); results are bit-identical for any
-    /// count. <= 1, or a policy without shard scoring, runs serially.
+    /// Vestigial: the engine is serial, and the constructor accepts only
+    /// 1 for both. They stay because perfbench's batch driver sets them;
+    /// ROADMAP item 1's benchmark change removes them.
     int shards = 1;
-    /// Worker threads for the sharded path; 0 = auto (min(shards,
-    /// hardware)), 1 = inline. See ShardedStreamEngine::Options::threads.
-    int threads = 0;
-    /// Pin sharded-path workers to CPUs (Linux only, best effort).
-    bool pin_threads = false;
-    /// Skew-adaptive sharding (DESIGN.md §2e): deterministic rebalancing
-    /// of the value->shard ranges every `adaptive_interval` steps. Results
-    /// stay bit-identical; only load balance moves.
-    bool adaptive_shards = false;
-    Time adaptive_interval = 32;
+    int threads = 1;
     /// Runtime probe planning (DESIGN.md §2f): Phase-1 partner probes run
     /// in an order re-planned from observed selectivities at deterministic
     /// checkpoints every `replan_interval` steps, empty partners are
     /// short-circuited, and repeated (partner, value) probes are served
     /// from a probe-result cache. Cost-only — results stay bit-identical;
     /// the run result's telemetry reports probes / skips / cache hits /
-    /// replans. Applies to the serial path (all multi policies today).
+    /// replans.
     bool planner = false;
     Time replan_interval = 64;
   };

@@ -21,10 +21,6 @@ class LfdCachingPolicy final : public ScoredCachingPolicy {
 
   const char* name() const override { return "LFD"; }
 
-  /// The reference times are frozen at construction; Score is a read-only
-  /// binary search.
-  bool ShardScorable() const override { return true; }
-
  protected:
   double Score(Value v, const CachingContext& ctx) override;
 

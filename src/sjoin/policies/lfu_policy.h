@@ -30,9 +30,6 @@ class LfuCachingPolicy final : public ScoredCachingPolicy {
 
   const char* name() const override { return "LFU"; }
 
-  /// Observe mutates; Score is a read-only frequency lookup.
-  bool ShardScorable() const override { return true; }
-
  protected:
   double Score(Value v, const CachingContext& ctx) override {
     (void)ctx;
@@ -52,9 +49,6 @@ class PerfectLfuCachingPolicy final : public ScoredCachingPolicy {
   explicit PerfectLfuCachingPolicy(const std::vector<Value>& full_sequence);
 
   const char* name() const override { return "PROB(LFU)"; }
-
-  /// The frequency table is frozen at construction; Score is read-only.
-  bool ShardScorable() const override { return true; }
 
  protected:
   double Score(Value v, const CachingContext& ctx) override {

@@ -31,9 +31,6 @@ class LifePolicy final : public ScoredPolicy {
   const char* name() const override { return "LIFE"; }
 
  protected:
-  /// BeginStep folds the new observations; Score is then a read-only
-  /// frequency lookup, safe to run from parallel shards.
-  bool ShardScorable() const override { return true; }
   /// Batch kernel: effective lifetime, partner tables, and consumed
   /// counts are hoisted, leaving one hash probe per lane.
   bool BatchScorable() const override { return true; }

@@ -23,9 +23,6 @@ class LruCachingPolicy final : public ScoredCachingPolicy {
 
   const char* name() const override { return "LRU"; }
 
-  /// Observe mutates; Score is a read-only recency lookup.
-  bool ShardScorable() const override { return true; }
-
  protected:
   double Score(Value v, const CachingContext& ctx) override {
     (void)ctx;

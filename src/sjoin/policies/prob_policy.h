@@ -30,9 +30,6 @@ class ProbPolicy final : public ScoredPolicy {
   const char* name() const override { return "PROB"; }
 
  protected:
-  /// BeginStep folds the new observations; Score is then a read-only
-  /// frequency lookup, safe to run from parallel shards.
-  bool ShardScorable() const override { return true; }
   /// Batch kernel: the partner table pointer and consumed count are
   /// hoisted per side, leaving one hash probe per lane.
   bool BatchScorable() const override { return true; }

@@ -33,10 +33,11 @@ SessionScheduler::SessionScheduler(StreamTopology topology, Options options)
 
 SessionScheduler::~SessionScheduler() = default;
 
-SessionScheduler::Session& SessionScheduler::Live(SessionId id) {
-  SJOIN_CHECK_GE(id, 0);
-  SJOIN_CHECK_LT(static_cast<std::size_t>(id), sessions_.size());
-  return sessions_[static_cast<std::size_t>(id)];
+SessionScheduler::Session* SessionScheduler::Find(SessionId id) {
+  if (id < 0 || static_cast<std::size_t>(id) >= sessions_.size()) {
+    return nullptr;
+  }
+  return &sessions_[static_cast<std::size_t>(id)];
 }
 
 const SessionScheduler::Session& SessionScheduler::Live(SessionId id) const {
@@ -79,16 +80,35 @@ Admission SessionScheduler::Open(const SessionConfig& config) {
 }
 
 std::size_t SessionScheduler::Offer(
-    SessionId id, const std::vector<const std::vector<Value>*>& rows) {
-  Session& session = Live(id);
-  SJOIN_CHECK_MSG(!session.closed && !session.finishing,
-                  "Offer on a finished session");
-  SJOIN_CHECK_EQ(rows.size(), session.queued.size());
-  const std::size_t steps = rows.empty() ? 0 : rows[0]->size();
-  for (const std::vector<Value>* row : rows) {
-    SJOIN_CHECK(row != nullptr);
-    SJOIN_CHECK_EQ(row->size(), steps);
+    SessionId id, const std::vector<const std::vector<Value>*>& rows,
+    const char** reject_reason) {
+  Session* found = Find(id);
+  const char* reason = nullptr;
+  if (found == nullptr) {
+    reason = "unknown session id";
+  } else if (found->closed || found->finishing) {
+    reason = "Offer after Finish";
+  } else if (rows.size() != found->queued.size()) {
+    reason = "row count does not match the stream count";
+  } else {
+    for (const std::vector<Value>* row : rows) {
+      if (row == nullptr) {
+        reason = "null row";
+        break;
+      }
+      if (row->size() != rows[0]->size()) {
+        reason = "rows of unequal length";
+        break;
+      }
+    }
   }
+  if (reject_reason != nullptr) *reject_reason = reason;
+  if (reason != nullptr) {
+    ++stats_.offers_refused;
+    return 0;
+  }
+  Session& session = *found;
+  const std::size_t steps = rows[0]->size();
 
   const std::size_t backlog = session.queued[0].size();
   std::size_t accepted = 0;
@@ -110,11 +130,13 @@ std::size_t SessionScheduler::Offer(
   return accepted;
 }
 
-void SessionScheduler::Finish(SessionId id) {
-  Session& session = Live(id);
-  if (session.closed) return;
-  session.finishing = true;
-  MarkReady(id, session);
+const char* SessionScheduler::Finish(SessionId id) {
+  Session* session = Find(id);
+  if (session == nullptr) return "unknown session id";
+  if (session->closed) return nullptr;
+  session->finishing = true;
+  MarkReady(id, *session);
+  return nullptr;
 }
 
 void SessionScheduler::MarkReady(SessionId id, Session& session) {

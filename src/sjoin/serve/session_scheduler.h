@@ -64,8 +64,8 @@ struct SessionConfig {
   int weight = 1;
 };
 
-/// Admission-control outcome. `reject_reason` is a static string (same
-/// style as EngineTelemetry::fallback_reason): null on success.
+/// Admission-control outcome. `reject_reason` is a static string, null on
+/// success; Offer and Finish report caller mistakes the same way.
 struct Admission {
   SessionId id = -1;
   const char* reject_reason = nullptr;
@@ -84,6 +84,8 @@ struct SchedulerStats {
   /// Steps refused by Offer: the suffix over queue_capacity plus whole
   /// offers shed at the high watermark.
   std::int64_t steps_shed = 0;
+  /// Offers refused as caller mistakes (see Offer); they accept nothing.
+  std::int64_t offers_refused = 0;
   /// Steps executed by RunRound.
   std::int64_t steps_executed = 0;
   std::int64_t rounds = 0;
@@ -141,13 +143,22 @@ class SessionScheduler {
   /// high watermark sheds the offer — and returns how many steps were
   /// accepted. The values are copied; the caller's buffers are free
   /// immediately.
+  ///
+  /// A caller mistake — an unknown id, an Offer after Finish, a row count
+  /// other than the stream count, a null row, rows of unequal length — is
+  /// refused instead: nothing is queued, the call returns 0 and counts in
+  /// SchedulerStats::offers_refused. When `reject_reason` is non-null it
+  /// receives the refusal's static reason, or null for an offer that was
+  /// not refused (a shed offer is not a refusal).
   std::size_t Offer(SessionId id,
-                    const std::vector<const std::vector<Value>*>& rows);
+                    const std::vector<const std::vector<Value>*>& rows,
+                    const char** reject_reason = nullptr);
 
   /// Declares end-of-stream: no further Offer calls. The session closes
   /// (observers get OnRunEnd) in the first round that finds its queue
-  /// empty. Idempotent.
-  void Finish(SessionId id);
+  /// empty. Idempotent. Returns null, or a static reason when `id` names
+  /// no session (the call then changes nothing).
+  const char* Finish(SessionId id);
 
   /// Executes one weighted-round-robin round: every session with queued
   /// arrivals advances by at most weight * quota_unit steps, in parallel
@@ -206,7 +217,8 @@ class SessionScheduler {
     bool close_after = false;
   };
 
-  Session& Live(SessionId id);
+  /// The session `id` names, or null when it names none.
+  Session* Find(SessionId id);
   const Session& Live(SessionId id) const;
   /// Puts an open session on ready_ (once).
   void MarkReady(SessionId id, Session& session);

@@ -10,14 +10,13 @@
 /// A deterministic-schedule regime process: time is divided into phases,
 /// each with its own per-step pmf, and the schedule cycles.
 ///
-/// This is the skew workhorse for the adaptive-sharding work. With a hot
-/// Zipf phase alternating against a calm wide phase it models bursty
-/// arrivals; with several Zipf phases whose hot windows sit at different
-/// values it models a regime switch that moves the hot set mid-run — the
-/// workload a static value-domain partition cannot follow. Like
-/// SeasonalProcess the per-step variables are mutually independent (the
-/// phase is a function of t alone, never of the history), so HEEB's
-/// time-incremental mode and the sharded scoring path both apply.
+/// This is the repo's skewed workload. With a hot Zipf phase alternating
+/// against a calm wide phase it models bursty arrivals; with several Zipf
+/// phases whose hot windows sit at different values it models a regime
+/// switch that moves the hot set mid-run. Like SeasonalProcess the
+/// per-step variables are mutually independent (the phase is a function
+/// of t alone, never of the history), so HEEB's time-incremental mode
+/// applies.
 
 namespace sjoin {
 

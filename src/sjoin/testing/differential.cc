@@ -22,7 +22,6 @@
 #include "sjoin/engine/scored_caching_policy.h"
 #include "sjoin/engine/scored_policy.h"
 #include "sjoin/engine/scoring_batch.h"
-#include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/engine/tuple.h"
 #include "sjoin/flow/min_cost_flow.h"
@@ -107,22 +106,6 @@ std::optional<std::string> ExpectEqualRuns(const std::string& context,
   return std::nullopt;
 }
 
-/// Applies the config's engine shape (shards x threads, adaptive map with
-/// interval 8, short enough that rebalances fire within the suites'
-/// scenario lengths) to JoinSimulator or CacheSimulator options. The
-/// naive oracles stay serial, so every comparison against them doubles as
-/// a bit-identity check of that shape.
-template <typename Options>
-Options Shaped(Options options, const DiffConfig& config) {
-  if (config.shards > 0) options.shards = config.shards;
-  if (config.threads > 0) options.threads = config.threads;
-  if (config.adaptive) {
-    options.adaptive_shards = true;
-    options.adaptive_interval = 8;
-  }
-  return options;
-}
-
 /// Runs the optimized joining side of a trial, through the JoinSimulator
 /// façade or, on the `direct` entry path, through a hand-built engine +
 /// BinaryPolicyAdapter + observer chain; the two must be
@@ -133,18 +116,12 @@ JoinRunResult RunOptimizedJoin(const JoinSimulator::Options& options,
                                const std::vector<Value>& r,
                                const std::vector<Value>& s,
                                ReplacementPolicy& policy) {
-  const JoinSimulator::Options run_options = Shaped(options, config);
-  if (!config.direct) return JoinSimulator(run_options).Run(r, s, policy);
+  if (!config.direct) return JoinSimulator(options).Run(r, s, policy);
 
-  ShardedStreamEngine engine(
-      StreamTopology::Binary(),
-      {.capacity = run_options.capacity,
-       .warmup = run_options.warmup,
-       .window = run_options.window,
-       .shards = run_options.shards,
-       .threads = run_options.threads,
-       .adaptive = {.enabled = run_options.adaptive_shards,
-                    .interval = run_options.adaptive_interval}});
+  StreamEngine engine(StreamTopology::Binary(),
+                      {.capacity = options.capacity,
+                       .warmup = options.warmup,
+                       .window = options.window});
   BinaryPolicyAdapter adapter(&policy);
   JoinRunResult result;
   PerfObserver perf;
@@ -936,7 +913,7 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed,
   cache_options.capacity = scenario.capacity;
   cache_options.warmup = scenario.warmup;
   cache_options.window = scenario.window;
-  CacheSimulator cache_sim(Shaped(cache_options, config));
+  CacheSimulator cache_sim(cache_options);
   CacheRunResult cached = cache_sim.Run(references, *policy);
   std::string context = scenario.description + " policy=" + policy->name();
 
@@ -1025,14 +1002,7 @@ std::optional<std::string> ReductionTrial(std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Suite 8: sharded_engine — ShardedStreamEngine across shard counts
-// {1, 2, 4, 8} crossed with worker-team sizes (inline, fewer threads than
-// shards, one per shard, more threads than shards) against the serial
-// StreamEngine on the same realization and policy, bit for bit: per-step
-// retained ids (in policy order), post-step cache contents, produced
-// counts, candidate-set sizes, run totals, and merged telemetry. This is
-// the direct statement of the sharding contract; the s4t4 configs
-// additionally rerun the joining suites' oracles sharded and threaded.
+// Trace comparison shared by the engine-level suites below.
 
 /// Records the full per-step trace of an engine run for exact comparison.
 class EngineTraceObserver final : public StepObserver {
@@ -1066,34 +1036,34 @@ bool SameStreamTuple(const StreamTuple& a, const StreamTuple& b) {
 }
 
 std::optional<std::string> CompareEngineTraces(
-    const std::string& context, const EngineTraceObserver& serial,
-    const EngineTraceObserver& sharded) {
+    const std::string& context, const EngineTraceObserver& expected,
+    const EngineTraceObserver& actual) {
   std::ostringstream out;
-  if (serial.retained().size() != sharded.retained().size()) {
-    out << context << ": step counts diverge (serial "
-        << serial.retained().size() << ", sharded "
-        << sharded.retained().size() << ")";
+  if (expected.retained().size() != actual.retained().size()) {
+    out << context << ": step counts diverge (expected "
+        << expected.retained().size() << ", actual "
+        << actual.retained().size() << ")";
     return out.str();
   }
-  for (std::size_t t = 0; t < serial.retained().size(); ++t) {
-    if (serial.produced()[t] != sharded.produced()[t]) {
-      out << context << ": produced diverges at step " << t << " (serial "
-          << serial.produced()[t] << ", sharded " << sharded.produced()[t]
+  for (std::size_t t = 0; t < expected.retained().size(); ++t) {
+    if (expected.produced()[t] != actual.produced()[t]) {
+      out << context << ": produced diverges at step " << t << " (expected "
+          << expected.produced()[t] << ", actual " << actual.produced()[t]
           << ")";
       return out.str();
     }
-    if (serial.candidates()[t] != sharded.candidates()[t]) {
+    if (expected.candidates()[t] != actual.candidates()[t]) {
       out << context << ": num_candidates diverges at step " << t
-          << " (serial " << serial.candidates()[t] << ", sharded "
-          << sharded.candidates()[t] << ")";
+          << " (expected " << expected.candidates()[t] << ", actual "
+          << actual.candidates()[t] << ")";
       return out.str();
     }
-    if (serial.retained()[t] != sharded.retained()[t]) {
+    if (expected.retained()[t] != actual.retained()[t]) {
       out << context << ": retained ids diverge at step " << t;
       return out.str();
     }
-    const std::vector<StreamTuple>& sc = serial.cache()[t];
-    const std::vector<StreamTuple>& hc = sharded.cache()[t];
+    const std::vector<StreamTuple>& sc = expected.cache()[t];
+    const std::vector<StreamTuple>& hc = actual.cache()[t];
     if (sc.size() != hc.size() ||
         !std::equal(sc.begin(), sc.end(), hc.begin(), &SameStreamTuple)) {
       out << context << ": cache contents diverge at step " << t;
@@ -1103,304 +1073,8 @@ std::optional<std::string> CompareEngineTraces(
   return std::nullopt;
 }
 
-std::optional<std::string> ShardedEngineTrial(std::uint64_t seed,
-                                              const DiffConfig&) {
-  ScenarioGenerator::Options options;
-  options.min_length = 32;
-  options.max_length = 80;
-  options.min_capacity = 2;
-  options.max_capacity = 8;
-  options.max_horizon = 12;
-  // Rotate over every shard-scorable join policy family. Value-incremental
-  // HEEB needs trend processes and no window; the others sample windows.
-  const int variant = static_cast<int>(seed % 5);
-  options.pool = variant == 3 ? ScenarioGenerator::Pool::kEqualSlopeTrends
-                              : ScenarioGenerator::Pool::kIndependent;
-  options.window_probability = variant == 3 ? 0.0 : 0.3;
-  ScenarioGenerator generator(options);
-  Scenario scenario = generator.Sample(seed);
-
-  Rng aux(seed ^ kAuxSalt);
-  if (variant != 3 && aux.UniformReal() < 0.3) {
-    // Engage the per-shard value->count indexes (unwindowed, capacity >=
-    // StreamEngine::kValueIndexMinCapacity).
-    scenario.capacity = static_cast<std::size_t>(aux.UniformInt(32, 40));
-    scenario.window.reset();
-  }
-  Rng realization_rng(seed ^ kRealizationSalt);
-  auto [r, s] = SampleRealization(scenario, realization_rng);
-
-  std::unique_ptr<ReplacementPolicy> policy;
-  switch (variant) {
-    case 0:
-    case 2:
-    case 3: {
-      HeebJoinPolicy::Options heeb_options;
-      heeb_options.mode = variant == 0 ? HeebJoinPolicy::Mode::kDirect
-                          : variant == 2
-                              ? HeebJoinPolicy::Mode::kTimeIncremental
-                              : HeebJoinPolicy::Mode::kValueIncremental;
-      if (variant == 2) scenario.window.reset();  // incremental: unwindowed
-      heeb_options.alpha = scenario.alpha;
-      heeb_options.horizon = scenario.horizon;
-      heeb_options.refresh_interval = 8;
-      policy = std::make_unique<HeebJoinPolicy>(scenario.r_process.get(),
-                                                scenario.s_process.get(),
-                                                heeb_options);
-      break;
-    }
-    case 1: {
-      std::optional<Time> assumed_lifetime;
-      if (aux.UniformReal() < 0.5) assumed_lifetime = aux.UniformInt(4, 24);
-      policy = std::make_unique<ProbPolicy>(assumed_lifetime);
-      break;
-    }
-    default:
-      policy = std::make_unique<LifePolicy>(aux.UniformInt(4, 24));
-      break;
-  }
-
-  BinaryPolicyAdapter adapter(policy.get());
-  if (adapter.shard_scoring() == nullptr) {
-    return scenario.description + " policy=" + policy->name() +
-           ": expected a shard-scorable policy (coverage would be vacuous)";
-  }
-
-  const StreamEngine::Options engine_options{.capacity = scenario.capacity,
-                                             .warmup = scenario.warmup,
-                                             .window = scenario.window};
-  StreamEngine serial_engine(StreamTopology::Binary(), engine_options);
-  EngineTraceObserver serial_trace;
-  PerfObserver serial_perf;
-  EngineRunResult serial_run =
-      serial_engine.Run({&r, &s}, adapter, {&serial_perf, &serial_trace});
-
-  // Shard counts cross worker-team sizes: threads == 1 is the inline
-  // path, threads < shards folds several shards onto one worker,
-  // threads == shards is one shard per worker, and threads > shards is
-  // bounded to one worker per shard. Every combination must reproduce
-  // the serial trace bit for bit — the merge cascade's output is
-  // independent of how (or whether) its pair merges are parallelized.
-  struct ShardCase {
-    int shards;
-    int threads;
-  };
-  constexpr ShardCase kCases[] = {{1, 1}, {2, 2}, {4, 1}, {4, 2},
-                                  {4, 4}, {8, 3}, {4, 8}};
-  for (const ShardCase c : kCases) {
-    ShardedStreamEngine sharded(StreamTopology::Binary(),
-                                {.capacity = scenario.capacity,
-                                 .warmup = scenario.warmup,
-                                 .window = scenario.window,
-                                 .shards = c.shards,
-                                 .threads = c.threads});
-    EngineTraceObserver trace;
-    PerfObserver perf;
-    EngineRunResult run =
-        sharded.Run({&r, &s}, adapter, {&perf, &trace});
-
-    std::ostringstream context;
-    context << scenario.description << " policy=" << policy->name()
-            << " shards=" << c.shards << " threads=" << c.threads;
-    if (run.total_results != serial_run.total_results ||
-        run.counted_results != serial_run.counted_results) {
-      std::ostringstream out;
-      out << context.str() << ": result counts diverge (serial "
-          << serial_run.total_results << "/" << serial_run.counted_results
-          << ", sharded " << run.total_results << "/" << run.counted_results
-          << ")";
-      return out.str();
-    }
-    if (perf.telemetry().peak_candidates !=
-            serial_perf.telemetry().peak_candidates ||
-        perf.telemetry().steps != serial_perf.telemetry().steps) {
-      std::ostringstream out;
-      out << context.str() << ": telemetry diverges (serial peak "
-          << serial_perf.telemetry().peak_candidates << " steps "
-          << serial_perf.telemetry().steps << ", sharded peak "
-          << perf.telemetry().peak_candidates << " steps "
-          << perf.telemetry().steps << ")";
-      return out.str();
-    }
-    if (auto mismatch =
-            CompareEngineTraces(context.str(), serial_trace, trace)) {
-      return mismatch;
-    }
-  }
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
-// Suite 9: adaptive_engine — the skew-adaptive partition map under the
-// workloads it exists for (Zipf popularity, bursty phases, regime
-// switches that move the hot set mid-run) against the serial
-// StreamEngine, bit for bit on full per-step traces. Each case then
-// reruns on the same engine and requires the identical trace AND the
-// identical rebalance history, action for action — the rebalancer is a
-// pure function of observed load, so its decisions must reproduce
-// exactly across reruns and thread counts.
-
-std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed,
-                                               const DiffConfig&) {
-  ScenarioGenerator::Options options;
-  options.pool = ScenarioGenerator::Pool::kSkewed;
-  options.min_length = 48;
-  options.max_length = 112;
-  options.min_capacity = 2;
-  options.max_capacity = 8;
-  options.max_horizon = 12;
-  options.window_probability = 0.3;
-  const int variant = static_cast<int>(seed % 4);
-  ScenarioGenerator generator(options);
-  Scenario scenario = generator.Sample(seed);
-
-  Rng aux(seed ^ kAuxSalt);
-  if (aux.UniformReal() < 0.25) {
-    // Engage the per-shard value->count indexes (unwindowed, capacity >=
-    // StreamEngine::kValueIndexMinCapacity) so migration has to rebuild
-    // them alongside the cache slices.
-    scenario.capacity = static_cast<std::size_t>(aux.UniformInt(32, 40));
-    scenario.window.reset();
-  }
-  Rng realization_rng(seed ^ kRealizationSalt);
-  auto [r, s] = SampleRealization(scenario, realization_rng);
-
-  std::unique_ptr<ReplacementPolicy> policy;
-  switch (variant) {
-    case 0:
-    case 1: {
-      HeebJoinPolicy::Options heeb_options;
-      heeb_options.mode = variant == 0
-                              ? HeebJoinPolicy::Mode::kDirect
-                              : HeebJoinPolicy::Mode::kTimeIncremental;
-      if (variant == 1) scenario.window.reset();  // incremental: unwindowed
-      heeb_options.alpha = scenario.alpha;
-      heeb_options.horizon = scenario.horizon;
-      heeb_options.refresh_interval = 8;
-      policy = std::make_unique<HeebJoinPolicy>(scenario.r_process.get(),
-                                                scenario.s_process.get(),
-                                                heeb_options);
-      break;
-    }
-    case 2: {
-      std::optional<Time> assumed_lifetime;
-      if (aux.UniformReal() < 0.5) assumed_lifetime = aux.UniformInt(4, 24);
-      policy = std::make_unique<ProbPolicy>(assumed_lifetime);
-      break;
-    }
-    default:
-      policy = std::make_unique<LifePolicy>(aux.UniformInt(4, 24));
-      break;
-  }
-
-  BinaryPolicyAdapter adapter(policy.get());
-  if (adapter.shard_scoring() == nullptr) {
-    return scenario.description + " policy=" + policy->name() +
-           ": expected a shard-scorable policy (coverage would be vacuous)";
-  }
-
-  const StreamEngine::Options engine_options{.capacity = scenario.capacity,
-                                             .warmup = scenario.warmup,
-                                             .window = scenario.window};
-  StreamEngine serial_engine(StreamTopology::Binary(), engine_options);
-  EngineTraceObserver serial_trace;
-  PerfObserver serial_perf;
-  EngineRunResult serial_run =
-      serial_engine.Run({&r, &s}, adapter, {&serial_perf, &serial_trace});
-
-  // Shards cross threads cross rebalance intervals, including intervals
-  // short enough that several migrations land inside one run.
-  struct AdaptiveCase {
-    int shards;
-    int threads;
-    Time interval;
-  };
-  constexpr AdaptiveCase kCases[] = {
-      {2, 2, 8}, {4, 1, 4}, {4, 4, 8}, {8, 3, 16}};
-  for (const AdaptiveCase c : kCases) {
-    ShardedStreamEngine sharded(
-        StreamTopology::Binary(),
-        {.capacity = scenario.capacity,
-         .warmup = scenario.warmup,
-         .window = scenario.window,
-         .shards = c.shards,
-         .threads = c.threads,
-         .adaptive = {.enabled = true, .interval = c.interval}});
-    EngineTraceObserver trace;
-    PerfObserver perf;
-    EngineRunResult run = sharded.Run({&r, &s}, adapter, {&perf, &trace});
-
-    std::ostringstream context;
-    context << scenario.description << " policy=" << policy->name()
-            << " shards=" << c.shards << " threads=" << c.threads
-            << " interval=" << c.interval;
-    if (run.total_results != serial_run.total_results ||
-        run.counted_results != serial_run.counted_results) {
-      std::ostringstream out;
-      out << context.str() << ": result counts diverge (serial "
-          << serial_run.total_results << "/" << serial_run.counted_results
-          << ", adaptive " << run.total_results << "/" << run.counted_results
-          << ")";
-      return out.str();
-    }
-    if (perf.telemetry().peak_candidates !=
-            serial_perf.telemetry().peak_candidates ||
-        perf.telemetry().steps != serial_perf.telemetry().steps) {
-      std::ostringstream out;
-      out << context.str() << ": telemetry diverges (serial peak "
-          << serial_perf.telemetry().peak_candidates << " steps "
-          << serial_perf.telemetry().steps << ", adaptive peak "
-          << perf.telemetry().peak_candidates << " steps "
-          << perf.telemetry().steps << ")";
-      return out.str();
-    }
-    if (auto mismatch =
-            CompareEngineTraces(context.str(), serial_trace, trace)) {
-      return mismatch;
-    }
-
-    const AdaptivePartitionMap* map = sharded.adaptive_map();
-    if (map == nullptr) {
-      return context.str() + ": adaptive map missing after an adaptive run";
-    }
-    const std::vector<AdaptivePartitionMap::RebalanceAction> history =
-        map->history();
-    const std::uint64_t version = map->version();
-    const AdaptiveShardStats stats = sharded.adaptive_stats();
-    if (stats.windows <= 0) {
-      return context.str() + ": adaptive run recorded no checkpoint windows";
-    }
-
-    EngineTraceObserver rerun_trace;
-    sharded.Run({&r, &s}, adapter, {&rerun_trace});
-    if (auto mismatch = CompareEngineTraces(context.str() + " [rerun]",
-                                            serial_trace, rerun_trace)) {
-      return mismatch;
-    }
-    if (sharded.adaptive_map()->version() != version ||
-        sharded.adaptive_map()->history() != history) {
-      std::ostringstream out;
-      out << context.str()
-          << ": rebalance history diverges across reruns (first run v"
-          << version << " with " << history.size() << " actions, rerun v"
-          << sharded.adaptive_map()->version() << " with "
-          << sharded.adaptive_map()->history().size() << " actions)";
-      return out.str();
-    }
-    const AdaptiveShardStats rerun_stats = sharded.adaptive_stats();
-    if (rerun_stats.windows != stats.windows ||
-        rerun_stats.rebalances != stats.rebalances ||
-        rerun_stats.map_version != stats.map_version ||
-        rerun_stats.static_ratio_sum != stats.static_ratio_sum ||
-        rerun_stats.adaptive_ratio_sum != stats.adaptive_ratio_sum) {
-      return context.str() + ": adaptive stats diverge across reruns";
-    }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Suite 10: multi_planner — the runtime probe planner (DESIGN.md §2f) on
+// Suite 8: multi_planner — the runtime probe planner (DESIGN.md §2f) on
 // multi-way topologies (3-way chain, 5-way star) crossed with the four
 // multi policy families {MULTI-HEEB, MULTI-PROB, MULTI-LIFE, EDGE-BUDGET}.
 // Planner-on runs (re-planned probe order + empty-partner skips + the
@@ -1408,8 +1082,7 @@ std::optional<std::string> AdaptiveEngineTrial(std::uint64_t seed,
 // fixed-order engine bit for bit on full per-step traces, with the
 // policy's ScoreMemo both off and on; a rerun must additionally replay
 // the identical planner statistics (plans are pure functions of the run
-// prefix). The multi_reruns config adds façade and sharded-fallback
-// reruns.
+// prefix). The multi_reruns config adds façade reruns.
 
 std::optional<std::string> MultiPlannerTrial(std::uint64_t seed,
                                              const DiffConfig& config) {
@@ -1616,33 +1289,12 @@ std::optional<std::string> MultiPlannerTrial(std::uint64_t seed,
       return context.str() +
              ": planned facade rerun reported no considered probes";
     }
-
-    // Sharded fallback: multi policies publish no shard scoring, so the
-    // sharded engine must fall back to its serial path and still honor
-    // the attached planner.
-    ProbePlanner fallback_planner({.replan_interval = replan_interval});
-    ShardedStreamEngine sharded(topology,
-                                {.capacity = capacity,
-                                 .warmup = warmup,
-                                 .window = window,
-                                 .shards = 4,
-                                 .threads = 2,
-                                 .probe_planner = &fallback_planner});
-    EngineTraceObserver trace;
-    const EngineRunResult run = sharded.Run(stream_ptrs, *plain, {&trace});
-    if (run.counted_results != naive_run.counted_results) {
-      return context.str() + ": sharded-fallback rerun diverges";
-    }
-    if (auto mismatch = CompareEngineTraces(
-            context.str() + " [sharded-fallback]", naive_trace, trace)) {
-      return mismatch;
-    }
   }
   return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
-// Suite 10b: multi_heeb — MultiHeebPolicy (prediction ring, batched
+// Suite 9: multi_heeb — MultiHeebPolicy (prediction ring, batched
 // support-bounded kernel, RankTopK selection) against the definitional
 // NaiveMultiHeebPolicy on 5-way star, 3-way chain and triangle topologies,
 // with and without sliding windows (small windows give cached tuples
@@ -1797,7 +1449,7 @@ std::optional<std::string> MultiHeebOracleTrial(std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Suite 11: serve_scheduler — N concurrent sessions multiplexed through a
+// Suite 10: serve_scheduler — N concurrent sessions multiplexed through a
 // serve::SessionScheduler (seed-rotated WRR quotas, weights and worker
 // counts, randomly chunked arrival interleavings, and sometimes a tight
 // queue that sheds offers at the high watermark) against a solo
@@ -2042,15 +1694,14 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Suite 12: batch_scoring — the batched SoA scoring kernels against the
+// Suite 11: batch_scoring — the batched SoA scoring kernels against the
 // scalar per-tuple path, bit for bit on full per-step traces. Each trial
 // rotates over every batch-scorable policy family (HEEB kDirect /
 // kTimeIncremental / kWalkTable, PROB, LIFE, caching HEEB) and runs the
-// same realization four ways: serial batch-off (baseline), serial
-// batch-on, sharded 4x2 batch-off, sharded 4x2 batch-on. The kernels
-// preserve per-lane operation order, so every run must reproduce the
-// baseline exactly — scores, retained sets, produced counts, telemetry.
-// A config's batch pin runs all four at one flag value instead.
+// same realization batch-off (baseline) and batch-on. The kernels
+// preserve per-lane operation order, so the batch-on run must reproduce
+// the baseline exactly — scores, retained sets, produced counts,
+// telemetry. A config's batch pin runs both at one flag value instead.
 
 std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
                                              const DiffConfig& config) {
@@ -2061,8 +1712,8 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
   if (variant == 5) {
     // Caching surface: HeebCachingPolicy kDirect (CachingHeebBatch fused
     // kernel) or kWalkTable (precomputed-table gather) under the
-    // CacheSimulator, serial and sharded, batch off and on. All four
-    // hit/miss counters must agree with the serial batch-off baseline.
+    // CacheSimulator, batch off and on. The batch-on hit/miss counters
+    // must agree with the batch-off baseline.
     ScenarioGenerator::Options options;
     options.min_length = 48;
     options.max_length = 110;
@@ -2092,40 +1743,24 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
     cache_options.capacity = scenario.capacity;
     cache_options.warmup = scenario.warmup;
     cache_options.window = scenario.window;
-    auto run_cache = [&](bool batch, int shards, int threads) {
+    auto run_cache = [&](bool batch) {
       ScopedScoringBatch scoped(batch);
-      CacheSimulator::Options run_options = cache_options;
-      if (shards > 0) {
-        run_options.shards = shards;
-        run_options.threads = threads;
-      }
-      return CacheSimulator(run_options).Run(references, policy);
+      return CacheSimulator(cache_options).Run(references, policy);
     };
 
-    const CacheRunResult base = run_cache(off_flag, 0, 0);
-    struct CacheCase {
-      const char* name;
-      bool batch;
-      int shards;
-      int threads;
-    };
-    const CacheCase kCases[] = {{"serial batch-on", on_flag, 0, 0},
-                                {"sharded batch-off", off_flag, 4, 2},
-                                {"sharded batch-on", on_flag, 4, 2}};
-    for (const CacheCase& c : kCases) {
-      const CacheRunResult run = run_cache(c.batch, c.shards, c.threads);
-      if (run.hits != base.hits || run.misses != base.misses ||
-          run.counted_hits != base.counted_hits ||
-          run.counted_misses != base.counted_misses) {
-        std::ostringstream out;
-        out << scenario.description << " policy=" << policy.name() << " ["
-            << c.name << "]: cache counters diverge from serial batch-off "
-            << "(base " << base.hits << "h/" << base.misses << "m counted "
-            << base.counted_hits << "/" << base.counted_misses << ", got "
-            << run.hits << "h/" << run.misses << "m counted "
-            << run.counted_hits << "/" << run.counted_misses << ")";
-        return out.str();
-      }
+    const CacheRunResult base = run_cache(off_flag);
+    const CacheRunResult run = run_cache(on_flag);
+    if (run.hits != base.hits || run.misses != base.misses ||
+        run.counted_hits != base.counted_hits ||
+        run.counted_misses != base.counted_misses) {
+      std::ostringstream out;
+      out << scenario.description << " policy=" << policy.name()
+          << " [batch-on]: cache counters diverge from batch-off "
+          << "(base " << base.hits << "h/" << base.misses << "m counted "
+          << base.counted_hits << "/" << base.counted_misses << ", got "
+          << run.hits << "h/" << run.misses << "m counted "
+          << run.counted_hits << "/" << run.counted_misses << ")";
+      return out.str();
     }
     return std::nullopt;
   }
@@ -2137,9 +1772,8 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
   options.max_capacity = 8;
   options.max_horizon = 12;
   // Walk-table HEEB needs random-walk processes; the rest sample from the
-  // independent pool. kTimeIncremental runs unwindowed (as in
-  // sharded_engine) so the lazy Corollary 3 advance is exercised without
-  // window-expiry churn masking it.
+  // independent pool. kTimeIncremental runs unwindowed so the Corollary 3
+  // advance is exercised without window-expiry churn masking it.
   options.pool = variant == 2 ? ScenarioGenerator::Pool::kWalks
                               : ScenarioGenerator::Pool::kIndependent;
   options.window_probability = 0.3;
@@ -2184,76 +1818,49 @@ std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
   const StreamEngine::Options engine_options{.capacity = scenario.capacity,
                                              .warmup = scenario.warmup,
                                              .window = scenario.window};
-  auto run_engine = [&](bool batch, int shards, int threads,
-                        EngineTraceObserver* trace, PerfObserver* perf) {
+  auto run_engine = [&](bool batch, EngineTraceObserver* trace,
+                        PerfObserver* perf) {
     ScopedScoringBatch scoped(batch);
-    if (shards == 0) {
-      StreamEngine engine(StreamTopology::Binary(), engine_options);
-      return engine.Run({&r, &s}, adapter, {perf, trace});
-    }
-    ShardedStreamEngine engine(StreamTopology::Binary(),
-                               {.capacity = scenario.capacity,
-                                .warmup = scenario.warmup,
-                                .window = scenario.window,
-                                .shards = shards,
-                                .threads = threads});
+    StreamEngine engine(StreamTopology::Binary(), engine_options);
     return engine.Run({&r, &s}, adapter, {perf, trace});
   };
 
   EngineTraceObserver base_trace;
   PerfObserver base_perf;
   const EngineRunResult base_run =
-      run_engine(off_flag, 0, 0, &base_trace, &base_perf);
+      run_engine(off_flag, &base_trace, &base_perf);
+  EngineTraceObserver trace;
+  PerfObserver perf;
+  const EngineRunResult run = run_engine(on_flag, &trace, &perf);
 
-  struct EngineCase {
-    const char* name;
-    bool batch;
-    int shards;
-    int threads;
-  };
-  const EngineCase kCases[] = {{"serial batch-on", on_flag, 0, 0},
-                               {"sharded batch-off", off_flag, 4, 2},
-                               {"sharded batch-on", on_flag, 4, 2}};
-  for (const EngineCase& c : kCases) {
-    EngineTraceObserver trace;
-    PerfObserver perf;
-    const EngineRunResult run =
-        run_engine(c.batch, c.shards, c.threads, &trace, &perf);
-
-    std::ostringstream context;
-    context << scenario.description << " policy=" << policy->name() << " ["
-            << c.name << "]";
-    if (run.total_results != base_run.total_results ||
-        run.counted_results != base_run.counted_results) {
-      std::ostringstream out;
-      out << context.str() << ": result counts diverge from serial "
-          << "batch-off (base " << base_run.total_results << "/"
-          << base_run.counted_results << ", got " << run.total_results
-          << "/" << run.counted_results << ")";
-      return out.str();
-    }
-    if (perf.telemetry().peak_candidates !=
-            base_perf.telemetry().peak_candidates ||
-        perf.telemetry().steps != base_perf.telemetry().steps) {
-      std::ostringstream out;
-      out << context.str() << ": telemetry diverges from serial batch-off "
-          << "(base peak " << base_perf.telemetry().peak_candidates
-          << " steps " << base_perf.telemetry().steps << ", got peak "
-          << perf.telemetry().peak_candidates << " steps "
-          << perf.telemetry().steps << ")";
-      return out.str();
-    }
-    if (auto mismatch =
-            CompareEngineTraces(context.str(), base_trace, trace)) {
-      return mismatch;
-    }
+  const std::string context =
+      scenario.description + " policy=" + policy->name() + " [batch-on]";
+  if (run.total_results != base_run.total_results ||
+      run.counted_results != base_run.counted_results) {
+    std::ostringstream out;
+    out << context << ": result counts diverge from batch-off (base "
+        << base_run.total_results << "/" << base_run.counted_results
+        << ", got " << run.total_results << "/" << run.counted_results
+        << ")";
+    return out.str();
   }
-  return std::nullopt;
+  if (perf.telemetry().peak_candidates !=
+          base_perf.telemetry().peak_candidates ||
+      perf.telemetry().steps != base_perf.telemetry().steps) {
+    std::ostringstream out;
+    out << context << ": telemetry diverges from batch-off (base peak "
+        << base_perf.telemetry().peak_candidates << " steps "
+        << base_perf.telemetry().steps << ", got peak "
+        << perf.telemetry().peak_candidates << " steps "
+        << perf.telemetry().steps << ")";
+    return out.str();
+  }
+  return CompareEngineTraces(context, base_trace, trace);
 }
 
 /// Axes every suite that runs its optimized side through RunOptimizedJoin
 /// reads.
-constexpr unsigned kJoinAxes = kAxisEntry | kAxisShards | kAxisAdaptive;
+constexpr unsigned kJoinAxes = kAxisEntry;
 
 const std::vector<DifferentialSuite>& Registry() {
   static const std::vector<DifferentialSuite> suites = {
@@ -2283,16 +1890,6 @@ const std::vector<DifferentialSuite>& Registry() {
        "Theorem 1 caching<->joining reduction (windowed and not); "
        "CacheSimulator vs naive cache loop; caching HEEB vs naive oracle",
        1000, kJoinAxes, &ReductionTrial},
-      {"sharded_engine",
-       "ShardedStreamEngine at shards {1,2,4,8} x worker threads vs the "
-       "serial StreamEngine: per-step retained/cache/produced traces and "
-       "telemetry, bit for bit",
-       1000, 0, &ShardedEngineTrial},
-      {"adaptive_engine",
-       "skew-adaptive ShardedStreamEngine on Zipf / bursty / "
-       "regime-switching workloads vs the serial StreamEngine, bit for "
-       "bit, plus rerun determinism of the rebalance history",
-       1000, 0, &AdaptiveEngineTrial},
       {"multi_planner",
        "runtime probe planner on 3-way chain / 5-way star topologies x "
        "{MULTI-HEEB, MULTI-PROB, MULTI-LIFE, EDGE-BUDGET} vs the naive "
@@ -2315,7 +1912,7 @@ const std::vector<DifferentialSuite>& Registry() {
       {"batch_scoring",
        "batched SoA scoring kernels vs the scalar per-tuple path across "
        "{HEEB kDirect/kTimeIncremental/kWalkTable, PROB, LIFE, caching "
-       "HEEB} x serial/sharded engines, bit for bit on full traces",
+       "HEEB}, bit for bit on full traces",
        1000, kAxisBatch, &BatchScoringTrial},
   };
   return suites;
@@ -2327,8 +1924,6 @@ const std::vector<DiffConfig>& Configs() {
   static const std::vector<DiffConfig> configs = {
       {.name = "default"},
       {.name = "direct", .direct = true},
-      {.name = "s4t4", .shards = 4, .threads = 4},
-      {.name = "s4t4_adaptive", .shards = 4, .threads = 4, .adaptive = true},
       {.name = "multi_reruns", .multi_reruns = true},
       {.name = "serve_w4", .serve_workers = 4},
       {.name = "batch_on", .batch = true},
@@ -2341,8 +1936,6 @@ const std::vector<DiffConfig>& Configs() {
 unsigned DiffConfig::axes() const {
   unsigned moved = 0;
   if (direct) moved |= kAxisEntry;
-  if (shards > 0 || threads > 0) moved |= kAxisShards;
-  if (adaptive) moved |= kAxisAdaptive;
   if (multi_reruns) moved |= kAxisMultiReruns;
   if (serve_workers > 0) moved |= kAxisServeWorkers;
   if (batch.has_value()) moved |= kAxisBatch;

@@ -33,20 +33,15 @@ inline constexpr std::uint64_t kDifferentialBaseSeed = 20050601;
 
 /// The axes a config can move away from `default`, as bit flags.
 enum DiffAxis : unsigned {
-  /// The optimized joining side is built by hand (ShardedStreamEngine +
+  /// The optimized joining side is built by hand (StreamEngine +
   /// BinaryPolicyAdapter + observers) instead of through JoinSimulator.
   kAxisEntry = 1u << 0,
-  /// Shard count and worker-team size of the optimized engine runs.
-  kAxisShards = 1u << 1,
-  /// Skew-adaptive partition map (rebalance interval 8) on those runs.
-  kAxisAdaptive = 1u << 2,
-  /// Multi-way suites also rerun through the MultiJoinSimulator façade
-  /// (multi_planner also through the sharded engine's serial fallback).
-  kAxisMultiReruns = 1u << 3,
+  /// Multi-way suites also rerun through the MultiJoinSimulator façade.
+  kAxisMultiReruns = 1u << 1,
   /// Fixed SessionScheduler worker count instead of the seed-rotated one.
-  kAxisServeWorkers = 1u << 4,
+  kAxisServeWorkers = 1u << 2,
   /// Batch-scoring flag pinned on every run instead of off-vs-on.
-  kAxisBatch = 1u << 5,
+  kAxisBatch = 1u << 3,
 };
 
 /// One row of the config table. Every field at its default is the
@@ -54,10 +49,6 @@ enum DiffAxis : unsigned {
 struct DiffConfig {
   const char* name = "default";
   bool direct = false;
-  /// 0 keeps the suite's own value.
-  int shards = 0;
-  int threads = 0;
-  bool adaptive = false;
   bool multi_reruns = false;
   /// 0 keeps the seed-rotated worker count.
   int serve_workers = 0;

@@ -119,8 +119,7 @@ std::unique_ptr<StochasticProcess> ScenarioGenerator::SampleSkewedProcess(
     Rng& rng, std::string* description) const {
   switch (rng.UniformInt(0, 2)) {
     case 0: {
-      // Stationary Zipf popularity: a hot head the static hash pins onto
-      // one shard.
+      // Stationary Zipf popularity: a hot head of a few values.
       double s = 0.7 + 0.7 * rng.UniformReal();
       Value lo = rng.UniformInt(-4, 4);
       int support = static_cast<int>(rng.UniformInt(12, 32));

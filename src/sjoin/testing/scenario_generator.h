@@ -59,9 +59,7 @@ class ScenarioGenerator {
     kWalks,
     /// Skewed independent-step processes: Zipf value popularity, bursty
     /// hot phases and regime switches that move the hot set mid-run
-    /// (RegimeSwitchingProcess). The workloads the adaptive-sharding
-    /// differential suites run on — a static value partition pins one
-    /// shard here, so rebalancing actually engages.
+    /// (RegimeSwitchingProcess).
     kSkewed,
   };
 

@@ -122,25 +122,22 @@ class ArrivalStampProbe final : public ReplacementPolicy {
 
 TEST(AdaptiveHeebTest, AdmittedArrivalsCarryTheCurrentStep) {
   // The policy reads a tuple's admission time from its arrival stamp, so
-  // every arrival must reach it stamped with the step it arrives in, on
-  // the serial and the sharded façade paths, with or without a window.
+  // every arrival must reach it stamped with the step it arrives in, with
+  // or without a window.
   TrendPair config;
   Rng rng(74);
   auto pair = SampleStreamPair(config.r, config.s, 300, rng);
-  for (int shards : {1, 4}) {
-    for (std::optional<Time> window : {std::optional<Time>{},
-                                       std::optional<Time>{12}}) {
-      AdaptiveHeebJoinPolicy::Options options;
-      options.initial_lifetime = 40.0;
-      AdaptiveHeebJoinPolicy policy(&config.r, &config.s, options);
-      ArrivalStampProbe probe(&policy);
-      JoinSimulator sim({.capacity = 6, .warmup = 0, .window = window,
-                         .shards = shards, .threads = 1});
-      sim.Run(pair.r, pair.s, probe);
-      EXPECT_EQ(probe.arrivals(), 2 * 300) << shards;
-      EXPECT_EQ(probe.misstamped(), 0) << shards;
-      EXPECT_LT(policy.lifetime_estimate(), 40.0) << shards;
-    }
+  for (std::optional<Time> window : {std::optional<Time>{},
+                                     std::optional<Time>{12}}) {
+    AdaptiveHeebJoinPolicy::Options options;
+    options.initial_lifetime = 40.0;
+    AdaptiveHeebJoinPolicy policy(&config.r, &config.s, options);
+    ArrivalStampProbe probe(&policy);
+    JoinSimulator sim({.capacity = 6, .warmup = 0, .window = window});
+    sim.Run(pair.r, pair.s, probe);
+    EXPECT_EQ(probe.arrivals(), 2 * 300);
+    EXPECT_EQ(probe.misstamped(), 0);
+    EXPECT_LT(policy.lifetime_estimate(), 40.0);
   }
 }
 

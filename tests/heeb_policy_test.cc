@@ -17,7 +17,6 @@
 #include "sjoin/common/validate.h"
 #include "sjoin/core/heeb.h"
 #include "sjoin/engine/join_simulator.h"
-#include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/prob_policy.h"
@@ -650,72 +649,6 @@ TEST(HeebJoinPolicyRingTest, CallerEditedCacheKeepsEachTuplesState) {
     }
   }
   EXPECT_GT(checked, 500);
-}
-
-/// Folds each step's retained ids into one hash per step.
-class RetainedHashObserver final : public StepObserver {
- public:
-  void OnStep(const EngineStepView& step) override {
-    std::uint64_t h = 1469598103934665603ull;
-    for (TupleId id : *step.retained) {
-      h = (h ^ static_cast<std::uint64_t>(id)) * 1099511628211ull;
-    }
-    hashes_.push_back(h);
-  }
-  const std::vector<std::uint64_t>& hashes() const { return hashes_; }
-
- private:
-  std::vector<std::uint64_t> hashes_;
-};
-
-TEST(HeebJoinPolicyRingTest, ShardWorkersMatchInlineSteps) {
-  // The ring and the lane table are built serially in ShardBeginStep and
-  // only read while 4 worker threads score the shards; the per-slot state
-  // each shard advances is its own. Every step's retained list must match
-  // the inline (threads = 1) run and the serial engine. Registered with
-  // PROCESSORS 4 and run under TSan in CI.
-  TrendConfig config;
-  Rng rng(41);
-  auto pair = SampleStreamPair(config.r, config.s, 400, rng);
-  for (auto mode : {HeebJoinPolicy::Mode::kDirect,
-                    HeebJoinPolicy::Mode::kTimeIncremental,
-                    HeebJoinPolicy::Mode::kValueIncremental}) {
-    for (std::optional<Time> window :
-         {std::optional<Time>{}, std::optional<Time>{25}}) {
-      if (mode == HeebJoinPolicy::Mode::kValueIncremental &&
-          window.has_value()) {
-        continue;
-      }
-      auto options = RingOptions(mode, 150);
-      options.refresh_interval = 16;
-      std::vector<std::vector<std::uint64_t>> traces;
-      {
-        HeebJoinPolicy policy(&config.r, &config.s, options);
-        BinaryPolicyAdapter adapter(&policy);
-        StreamEngine engine(StreamTopology::Binary(),
-                            {.capacity = 48, .warmup = 0, .window = window});
-        RetainedHashObserver trace;
-        engine.Run({&pair.r, &pair.s}, adapter, {&trace});
-        traces.push_back(trace.hashes());
-      }
-      for (int threads : {1, 4}) {
-        HeebJoinPolicy policy(&config.r, &config.s, options);
-        BinaryPolicyAdapter adapter(&policy);
-        ShardedStreamEngine engine(StreamTopology::Binary(),
-                                   {.capacity = 48,
-                                    .warmup = 0,
-                                    .window = window,
-                                    .shards = 4,
-                                    .threads = threads});
-        RetainedHashObserver trace;
-        engine.Run({&pair.r, &pair.s}, adapter, {&trace});
-        traces.push_back(trace.hashes());
-      }
-      ASSERT_EQ(traces[0].size(), pair.r.size());
-      EXPECT_EQ(traces[0], traces[1]) << static_cast<int>(mode);
-      EXPECT_EQ(traces[0], traces[2]) << static_cast<int>(mode);
-    }
-  }
 }
 
 }  // namespace

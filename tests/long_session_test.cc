@@ -3,10 +3,9 @@
 // session that runs for many times kTail steps exercises every reader of
 // x̄_{t0} after the tail has wrapped over and over. Each session kind
 // that reads histories is served through a SessionScheduler at 1 and 4
-// workers in irregular slices, run solo through StreamEngine::Run, on a
-// ShardedStreamEngine at 2 shards / 1 thread in irregular Advance slices,
-// and through an oracle. Every run's fingerprint (counted results plus a
-// hash of every step's retained ids) must agree.
+// workers in irregular slices, run solo through StreamEngine::Run, and
+// through an oracle. Every run's fingerprint (counted results plus a hash
+// of every step's retained ids) must agree.
 //
 // The oracles for the frequency policies (PROB, LIFE, MULTI-PROB) count
 // values straight from the realization vectors, never through a
@@ -36,7 +35,6 @@
 #include "sjoin/engine/ranked_select.h"
 #include "sjoin/engine/reduction.h"
 #include "sjoin/engine/scored_policy.h"
-#include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/multi/multi_baseline_policies.h"
@@ -310,11 +308,10 @@ RowSlice SliceRows(const std::vector<const std::vector<Value>*>& rows,
 }
 
 /// Runs every session solo through StreamEngine::Run, through its oracle,
-/// on a ShardedStreamEngine at 2 shards / 1 thread in random 1..131-step
-/// Advance slices, and served through a SessionScheduler at 1 and 4
-/// workers. Each session offers random 1..97-step chunks, one round runs
-/// after each pass over the roster, and the quota unit (13) and weights
-/// (1..3) cut the chunks into further irregular slices. Every fingerprint
+/// and served through a SessionScheduler at 1 and 4 workers. Each session
+/// offers random 1..97-step chunks, one round runs after each pass over
+/// the roster, and the quota unit (13) and weights (1..3) cut the chunks
+/// into further irregular slices. Every fingerprint
 /// must equal the solo one, which must count results.
 void ExpectAllAgree(const StreamTopology& topology, const Roster& roster) {
   const std::size_t n = roster.size();
@@ -332,27 +329,6 @@ void ExpectAllAgree(const StreamTopology& topology, const Roster& roster) {
     if (session.oracle) {
       EXPECT_EQ(session.oracle(), solo[i]) << "oracle";
     }
-
-    Twin twin = session.make();
-    TraceHash trace;
-    ShardedStreamEngine engine(topology,
-                               {.capacity = session.options.capacity,
-                                .warmup = session.options.warmup,
-                                .shards = 2,
-                                .threads = 1});
-    SessionState state;
-    engine.Open(state, *twin.engine, {&trace});
-    const std::size_t len = session.rows[0]->size();
-    for (std::size_t done = 0; done < len;) {
-      const std::size_t take = std::min(
-          len - done, static_cast<std::size_t>(rng.UniformInt(1, 131)));
-      engine.Advance(state, SliceRows(session.rows, done, take).ptrs);
-      done += take;
-    }
-    const EngineRunResult run = engine.Close(state);
-    EXPECT_EQ((Fingerprint{run.counted_results, trace.hash()}), solo[i])
-        << "sharded s2/t1"
-        << (engine.fallback_reason() != nullptr ? " (serial fallback)" : "");
   }
 
   for (int workers : {1, 4}) {
@@ -421,7 +397,7 @@ class LongSessionTest : public ::testing::Test {
   std::deque<std::vector<Value>> streams_;
 };
 
-TEST_F(LongSessionTest, BinarySessionsMatchSoloShardedAndOracles) {
+TEST_F(LongSessionTest, BinarySessionsMatchSoloServedAndOracles) {
   const auto r_walk = Walk();
   const auto s_walk = Walk();
   const auto tower_r = Trend(-1.0, 1.0, 10);
@@ -526,7 +502,7 @@ TEST_F(LongSessionTest, BinarySessionsMatchSoloShardedAndOracles) {
   ExpectAllAgree(StreamTopology::Binary(), roster);
 }
 
-TEST_F(LongSessionTest, MultiWaySessionsMatchSoloShardedAndOracles) {
+TEST_F(LongSessionTest, MultiWaySessionsMatchSoloServedAndOracles) {
   // A 3-way star: stream 0 joins streams 1 and 2.
   const std::vector<std::pair<int, int>> edges = {{0, 1}, {0, 2}};
   const StreamTopology topology(3, edges);
@@ -570,7 +546,7 @@ TEST_F(LongSessionTest, MultiWaySessionsMatchSoloShardedAndOracles) {
     return twin;
   };
   // No naive multi-way simulator exists: the solo serial run is the
-  // reference the sharded and served runs must reproduce.
+  // reference the served runs must reproduce.
   ExpectAllAgree(topology, roster);
 }
 

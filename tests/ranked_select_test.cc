@@ -1,7 +1,7 @@
 // RankTopK: the insertion-first top-k shared by every selection site
-// (ScoredPolicy, ScoredCachingPolicy, KeepBestRanked and the sharded
-// engine's runs), checked against nth_element + prefix sort on sorted,
-// nearly sorted, reversed, interleaved and random inputs, on every path.
+// (ScoredPolicy, ScoredCachingPolicy, KeepBestRanked and MULTI-HEEB),
+// checked against nth_element + prefix sort on sorted, nearly sorted,
+// reversed, interleaved and random inputs, on every path.
 
 #include "sjoin/engine/ranked_select.h"
 

@@ -12,6 +12,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -239,6 +241,117 @@ TEST(SessionSchedulerTest, FinishingBacklogAboveQuotaClosesWhenDrained) {
               solo.total_results);
     EXPECT_EQ(harness.trace(id).steps(), solo_steps);
     EXPECT_EQ(harness.trace(id).end_length(), 10);
+  }
+}
+
+TEST(SessionSchedulerTest, CallerMistakesAreRefusedWithAReason) {
+  // A seeded mix of valid offers and every kind of caller mistake. The
+  // process survives, every mistake accepts nothing and reports its
+  // reason, and the valid sessions end exactly like solo runs.
+  constexpr int kSessions = 3;
+  constexpr Time kLen = 240;
+  constexpr std::size_t kCapacity = 16;
+  Rng rng(2005);
+  std::vector<std::vector<Value>> r, s;
+  for (int i = 0; i < kSessions; ++i) {
+    r.push_back(SampleValues(kLen, 8, rng));
+    s.push_back(SampleValues(kLen, 8, rng));
+  }
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    Harness harness(WithThreads(threads));
+    SessionScheduler& scheduler = harness.scheduler();
+    std::vector<SessionId> ids;
+    for (int i = 0; i < kSessions; ++i) ids.push_back(harness.Open(kCapacity));
+    // A session that is finished before it is offered anything.
+    const SessionId finished = harness.Open(kCapacity);
+    EXPECT_EQ(scheduler.Finish(finished), nullptr);
+    EXPECT_STREQ(scheduler.Finish(finished + 1), "unknown session id");
+    EXPECT_STREQ(scheduler.Finish(-1), "unknown session id");
+
+    std::vector<std::size_t> offered(kSessions, 0);
+    std::set<std::string> reasons;
+    std::int64_t mistakes = 0;
+    std::int64_t valid_steps = 0;
+    for (int done = 0; done < kSessions;) {
+      const auto i = static_cast<std::size_t>(rng.UniformInt(0, kSessions - 1));
+      if (offered[i] == static_cast<std::size_t>(kLen)) continue;
+      const std::size_t take = std::min<std::size_t>(
+          static_cast<std::size_t>(kLen) - offered[i],
+          static_cast<std::size_t>(rng.UniformInt(1, 40)));
+      const std::vector<Value> rs = Slice(r[i], offered[i], offered[i] + take);
+      const std::vector<Value> ss = Slice(s[i], offered[i], offered[i] + take);
+      const char* reason = "unset";
+      const char* want = nullptr;
+      std::size_t accepted = 0;
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+          want = "unknown session id";
+          accepted = scheduler.Offer(finished + 1 + static_cast<SessionId>(i),
+                                     {&rs, &ss}, &reason);
+          break;
+        case 1:
+          want = "unknown session id";
+          accepted = scheduler.Offer(-1 - static_cast<SessionId>(i),
+                                     {&rs, &ss}, &reason);
+          break;
+        case 2:
+          want = "Offer after Finish";
+          accepted = scheduler.Offer(finished, {&rs, &ss}, &reason);
+          break;
+        case 3:
+          want = "row count does not match the stream count";
+          accepted = scheduler.Offer(ids[i], {&rs}, &reason);
+          break;
+        case 4:
+          want = "null row";
+          accepted = scheduler.Offer(ids[i], {&rs, nullptr}, &reason);
+          break;
+        case 5: {
+          want = "rows of unequal length";
+          std::vector<Value> long_row = ss;
+          long_row.push_back(0);
+          accepted = scheduler.Offer(ids[i], {&rs, &long_row}, &reason);
+          break;
+        }
+        default:
+          accepted = scheduler.Offer(ids[i], {&rs, &ss}, &reason);
+          break;
+      }
+      if (want != nullptr) {
+        EXPECT_EQ(accepted, 0u);
+        ASSERT_NE(reason, nullptr);
+        EXPECT_STREQ(reason, want);
+        reasons.insert(reason);
+        ++mistakes;
+      } else {
+        EXPECT_EQ(reason, nullptr);
+        EXPECT_EQ(accepted, take);
+        offered[i] += take;
+        valid_steps += static_cast<std::int64_t>(take);
+        if (offered[i] == static_cast<std::size_t>(kLen)) {
+          EXPECT_EQ(scheduler.Finish(ids[i]), nullptr);
+          ++done;
+        }
+      }
+      if (rng.UniformInt(0, 2) == 0) scheduler.RunRound();
+    }
+    scheduler.Drain();
+
+    EXPECT_EQ(reasons.size(), 5u);
+    EXPECT_EQ(scheduler.stats().offers_refused, mistakes);
+    EXPECT_EQ(scheduler.stats().steps_offered, valid_steps);
+    EXPECT_EQ(scheduler.stats().steps_shed, 0);
+    ASSERT_TRUE(scheduler.closed(finished));
+    EXPECT_EQ(scheduler.result(finished).total_results, 0);
+    for (int i = 0; i < kSessions; ++i) {
+      const auto [solo, solo_trace] = SoloRun(kCapacity, r[i], s[i]);
+      ASSERT_TRUE(scheduler.closed(ids[i]));
+      EXPECT_EQ(scheduler.result(ids[i]).total_results, solo.total_results);
+      EXPECT_EQ(scheduler.result(ids[i]).counted_results,
+                solo.counted_results);
+      EXPECT_EQ(harness.trace(ids[i]).steps(), solo_trace);
+    }
   }
 }
 

@@ -1,8 +1,7 @@
 // The session lifecycle carved out of the engines: Open + Advance + Close
 // must reproduce Run bit for bit no matter how a stream is sliced into
-// batches, sessions must be portable across engines (serial) and
-// interleavable through one engine, and the sharded engine's session
-// path — serial fallback included — must match its batch Run.
+// batches, sessions must be portable across engines and interleavable
+// through one engine, and a closed session must reopen cleanly.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "sjoin/common/rng.h"
-#include "sjoin/engine/sharded_stream_engine.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/prob_policy.h"
@@ -237,77 +235,32 @@ TEST(SessionStateTest, InterleavedSessionsShareOneEngine) {
   }
 }
 
-TEST(SessionStateTest, ShardedSessionMatchesShardedRun) {
-  Rng rng(41);
-  std::vector<std::vector<Value>> streams{SampleValues(300, 10, rng),
-                                          SampleValues(300, 10, rng)};
-  ShardedStreamEngine::Options options;
-  options.capacity = 48;
-  options.warmup = 12;
-  options.shards = 4;
-  options.threads = 2;
-
-  ProbPolicy batch_prob;
-  BinaryPolicyAdapter batch_adapter(&batch_prob);
-  ShardedStreamEngine batch_engine(StreamTopology::Binary(), options);
-  EngineRunResult batch =
-      batch_engine.Run({&streams[0], &streams[1]}, batch_adapter);
-  EXPECT_EQ(batch_engine.fallback_reason(), nullptr);
-
-  ProbPolicy prob;
-  BinaryPolicyAdapter adapter(&prob);
-  ShardedStreamEngine engine(StreamTopology::Binary(), options);
-  SessionState session;
-  engine.Open(session, adapter);
-  ASSERT_NE(session.sharded_owner, nullptr);
-  std::vector<std::vector<Value>> front, back;
-  for (const std::vector<Value>& stream : streams) {
-    front.emplace_back(stream.begin(), stream.begin() + 101);
-    back.emplace_back(stream.begin() + 101, stream.end());
-  }
-  engine.Advance(session, {&front[0], &front[1]});
-  engine.Advance(session, {&back[0], &back[1]});
-  EngineRunResult result = engine.Close(session);
-  EXPECT_EQ(result.total_results, batch.total_results);
-  EXPECT_EQ(result.counted_results, batch.counted_results);
-
-  // Closed means the engine-resident sharded state is free for reuse.
-  ProbPolicy again;
-  BinaryPolicyAdapter again_adapter(&again);
-  SessionState second;
-  engine.Open(second, again_adapter);
-  engine.Advance(second, {&streams[0], &streams[1]});
-  EngineRunResult rerun = engine.Close(second);
-  EXPECT_EQ(rerun.total_results, batch.total_results);
-}
-
-TEST(SessionStateTest, ShardedEngineSerialFallbackSessions) {
+TEST(SessionStateTest, ClosedSessionReopensAndMatchesRun) {
   Rng rng(61);
   std::vector<std::vector<Value>> streams{SampleValues(150, 6, rng),
                                           SampleValues(150, 6, rng)};
-  ShardedStreamEngine::Options options;
-  options.capacity = 12;
-  options.shards = 4;
+  StreamEngine::Options options{.capacity = 12};
 
-  // RandomPolicy keeps per-tuple randomness, so it has no shard scoring:
-  // Open must fall back to a portable serial session and say why.
+  // RandomPolicy draws per step, so a session that skipped or repeated a
+  // decision would drift from the batch run.
   RandomPolicy batch_policy(9, std::nullopt);
   BinaryPolicyAdapter batch_adapter(&batch_policy);
-  ShardedStreamEngine batch_engine(StreamTopology::Binary(), options);
-  EngineRunResult batch =
-      batch_engine.Run({&streams[0], &streams[1]}, batch_adapter);
+  EngineRunResult batch = StreamEngine(StreamTopology::Binary(), options)
+                              .Run({&streams[0], &streams[1]},
+                                   batch_adapter);
 
-  RandomPolicy policy(9, std::nullopt);
-  BinaryPolicyAdapter adapter(&policy);
-  ShardedStreamEngine engine(StreamTopology::Binary(), options);
+  StreamEngine engine(StreamTopology::Binary(), options);
   SessionState session;
-  engine.Open(session, adapter);
-  ASSERT_NE(engine.fallback_reason(), nullptr);
-  EXPECT_EQ(session.sharded_owner, nullptr);
-  engine.Advance(session, {&streams[0], &streams[1]});
-  EngineRunResult result = engine.Close(session);
-  EXPECT_EQ(result.total_results, batch.total_results);
-  EXPECT_EQ(result.counted_results, batch.counted_results);
+  for (int pass = 0; pass < 2; ++pass) {
+    // The second pass reopens the closed session and reuses its buffers.
+    RandomPolicy policy(9, std::nullopt);
+    BinaryPolicyAdapter adapter(&policy);
+    engine.Open(session, options, adapter);
+    engine.Advance(session, {&streams[0], &streams[1]});
+    EngineRunResult result = engine.Close(session);
+    EXPECT_EQ(result.total_results, batch.total_results) << pass;
+    EXPECT_EQ(result.counted_results, batch.counted_results) << pass;
+  }
 }
 
 }  // namespace

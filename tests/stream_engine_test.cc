@@ -1,8 +1,6 @@
 // The unified StreamEngine core: direct construction must be
 // indistinguishable from the JoinSimulator / MultiJoinSimulator façades
-// (totals, telemetry, composition traces), observers must compose, and
-// value-domain partitioning must never change results — partitions only
-// shape the Phase-1 index layout.
+// (totals, telemetry, composition traces), and observers must compose.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 
 #include "sjoin/common/rng.h"
 #include "sjoin/engine/join_simulator.h"
-#include "sjoin/engine/partition_map.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/multi/multi_join_simulator.h"
@@ -96,37 +93,6 @@ TEST(StreamEngineTest, BinaryFacadeMatchesDirectEngine) {
       ExpectFacadeMatchesDirect(options, r, s, random);
       ProbPolicy prob;
       ExpectFacadeMatchesDirect(options, r, s, prob);
-    }
-  }
-}
-
-TEST(StreamEngineTest, HashPartitioningNeverChangesResults) {
-  Rng rng(13);
-  // Capacity >= 32 engages the value index, the only thing partitions
-  // shape; also run at capacity 4 to cover the linear-scan path.
-  for (std::size_t capacity : {std::size_t{4}, std::size_t{48}}) {
-    std::vector<Value> r = SampleValues(400, 10, rng);
-    std::vector<Value> s = SampleValues(400, 10, rng);
-    StreamEngine::Options options{.capacity = capacity, .warmup = 16};
-
-    ProbPolicy prob;
-    BinaryPolicyAdapter adapter(&prob);
-    StreamEngine single(StreamTopology::Binary(), options);
-    PerfObserver single_perf;
-    EngineRunResult single_run = single.Run({&r, &s}, adapter, {&single_perf});
-
-    for (std::size_t partitions : {std::size_t{2}, std::size_t{7}}) {
-      HashPartition map(partitions);
-      StreamEngine::Options sharded = options;
-      sharded.partitions = &map;
-      StreamEngine engine(StreamTopology::Binary(), sharded);
-      PerfObserver perf;
-      EngineRunResult run = engine.Run({&r, &s}, adapter, {&perf});
-      EXPECT_EQ(single_run.total_results, run.total_results)
-          << partitions << " partitions, capacity " << capacity;
-      EXPECT_EQ(single_run.counted_results, run.counted_results);
-      EXPECT_EQ(single_perf.telemetry().peak_candidates,
-                perf.telemetry().peak_candidates);
     }
   }
 }
