@@ -5,55 +5,32 @@ Usage:
     check_perf_regression.py BASELINE.json CURRENT.json [--threshold=1.25]
 
 Rows are matched by (name, workload, len, shards, adaptive, threads,
-planner, sessions, offered_rate, batch); older files without per-row
-shards/threads/adaptive/planner/sessions/offered_rate/batch read as
-shards=1 / threads=1 / adaptive=0 / planner=0 / sessions=1 /
-offered_rate=0 / batch=1 throughout, so v1..v5 baselines keep working
-against newer runs. The raw per-row
-ratio current/baseline of ns_per_step is normalized by the median ratio
-across all matched rows before thresholding: CI machines are uniformly
-slower or faster than the laptop that committed the baseline, and that
-uniform shift carries no information about the code. A real regression
-moves one row relative to the rest, which the normalized ratio isolates.
+planner, sessions, offered_rate). perf_smoke rows carry name, workload,
+len and planner; bench/serve_load rows add threads, sessions and
+offered_rate. A key a row does not carry reads as shards=1, adaptive=0,
+threads=1, planner=0, sessions=1, offered_rate=0, which is also what the
+committed baseline's shards and adaptive fields hold.
 
-Only threads=1, sessions<=1 rows feed the median and the threshold:
-multi-thread timings depend on the host's core count (a single-core
-runner serializes every worker, a many-core one doesn't), and
-multi-session serve timings depend on how the host schedules the worker
-engines — so comparing either across machines measures the hardware, not
-the code. threads>1 and sessions>1 rows are still matched and printed —
-as "info" — and summarized after the table as best-threads
-speedups over their own threads=1 row: the quick read on whether worker
-threads pay off on this host (on a single-core runner they won't, and
-that's expected).
+The raw per-row ratio current/baseline of ns_per_step is normalized by
+the median ratio across the gated rows before thresholding: a host that
+is uniformly slower or faster than the one that committed the baseline
+shifts every row alike, and that shift carries no information about the
+code. A real regression moves one row relative to the rest, which the
+normalized ratio isolates.
 
-Serve rows (sjoin-perf-v5, name SERVE-PROB, emitted by bench/serve_load)
-carry `sessions` and `offered_rate` plus the per-step latency
-percentiles p50_step_ns / p99_step_ns; the sessions=1 row is gated (it
-is the scheduler-overhead anchor over a bare engine run) and the sweep
-is summarized after the table — aggregate steps/s and the latency
-percentiles per (sessions, rate, threads) cell.
+Only threads=1, sessions<=1 rows feed the median and the threshold; the
+multi-session and threaded serve rows depend on how the host schedules
+worker engines, so they are matched and printed as "info" only. After
+the table come three summaries of the current run: best-threads speedup
+over threads=1 per serve cell, the serve load sweep (aggregate steps/s
+and per-step latency percentiles), and each planner-on multi-way row's
+speedup over its planner-off twin with its probe statistics. The probe
+planner is cost-only by contract, so a planner pair disagreeing on
+counted_results is a hard failure.
 
-Planner rows (sjoin-perf-v4 multi-way rows with the runtime probe
-planner + score memos attached) are gated like any other threads=1 row
-and summarized after the table: per planner-on row, the steps/sec
-speedup over its planner-off twin plus the probe skip rate, probe-cache
-hit rate and checkpoint re-plan count. The planner is cost-only by
-contract, so a planner pair disagreeing on counted_results in the
-current run is a hard failure — that's a correctness bug, not a perf
-question.
-
-Batch rows (sjoin-perf-v6: `batch` 0 = scalar per-tuple Score() loop,
-1 = batched SoA scoring kernels, the default) are gated like any other
-threads=1 row and summarized after the table: per batch-off row, the
-ns/step speedup its batch-on twin achieves on the same realizations.
-The kernels preserve per-lane operation order by contract, so a batch
-pair disagreeing on counted_results in the current run is a hard
-failure — that's a correctness bug, not a perf question.
-
-Exit status 1 if any normalized threads=1 ratio exceeds the threshold,
-if a baseline row is missing from the current run, or if a planner or
-batch pair disagrees on counted_results.
+Exit status 1 if any normalized gated ratio exceeds the threshold, if a
+baseline row is missing from the current run, or if a planner pair
+disagrees on counted_results.
 """
 
 import json
@@ -72,17 +49,16 @@ def load_rows(path):
         (r["name"], r["workload"], r["len"], r.get("shards", 1),
          r.get("adaptive", 0), r.get("threads", 1),
          r.get("planner", 0), r.get("sessions", 1),
-         r.get("offered_rate", 0), r.get("batch", 1)): r
+         r.get("offered_rate", 0)): r
         for r in doc["results"]
     }
 
 
 def describe(key):
     (name, workload, length, shards, adaptive, threads, planner,
-     sessions, rate, batch) = key
+     sessions, rate) = key
     suffix = ", adaptive" if adaptive else ""
     suffix += ", planner" if planner else ""
-    suffix += ", batch-off" if not batch else ""
     if sessions > 1 or rate > 0:
         suffix += f", sessions={sessions}, rate={rate}"
     return (f"{name} ({workload}, len={length}, shards={shards}, "
@@ -105,8 +81,8 @@ def thread_scaling_summary(rows):
         serial = by_threads[1]
         best_threads = min(by_threads, key=lambda t: by_threads[t])
         speedup = serial / by_threads[best_threads]
-        (name, workload, length, shards, adaptive, planner, sessions, rate,
-         _batch) = group_key
+        (name, workload, length, shards, adaptive, planner, sessions,
+         rate) = group_key
         tag = " adaptive" if adaptive else ""
         tag += " planner" if planner else ""
         if sessions > 1:
@@ -156,40 +132,6 @@ def probe_plan_summary(rows):
     return mismatches
 
 
-def batch_summary(rows):
-    """Batch-on vs batch-off twins: SoA scoring-kernel speedup per pair.
-
-    Returns the number of batch pairs whose counted_results disagree —
-    the kernels preserve per-lane operation order by contract, so any
-    disagreement is a correctness failure.
-    """
-    mismatches = 0
-    printed_header = False
-    for key, row in sorted(rows.items()):
-        if key[9] != 0:
-            continue
-        twin = rows.get(key[:9] + (1,))
-        if not printed_header:
-            print("\nbatch scoring (current run, batch-on vs batch-off "
-                  "twin):")
-            printed_header = True
-        name, workload, length = key[:3]
-        line = f"  {name:<18} {workload:<6} len={length:<5} "
-        if twin is None:
-            print(line + "no batch-on twin in this run")
-            continue
-        speedup = row["ns_per_step"] / twin["ns_per_step"]
-        line += (f"speedup x{speedup:.2f} "
-                 f"({row['ns_per_step']:.0f} -> {twin['ns_per_step']:.0f} "
-                 f"ns/step)")
-        if row["counted_results"] != twin["counted_results"]:
-            line += (f"  COUNTED_RESULTS DIVERGE ({row['counted_results']} "
-                     f"vs {twin['counted_results']})")
-            mismatches += 1
-        print(line)
-    return mismatches
-
-
 def serve_summary(rows):
     """Serve load sweep: throughput and step-latency tails per cell."""
     printed_header = False
@@ -202,7 +144,7 @@ def serve_summary(rows):
             print("\nserve load sweep (current run, aggregate throughput "
                   "and per-step latency):")
             printed_header = True
-        name, _, length, _, _, threads, _, sessions, rate = key[:9]
+        name, _, length, _, _, threads, _, sessions, rate = key
         print(f"  {name:<18} n={sessions:<5} rate={rate:<3} t={threads} "
               f"len={length:<5} "
               f"{row['steps_per_sec']:>10.0f} steps/s  "
@@ -257,7 +199,6 @@ def main(argv):
             verdict = "ok"
         tag = "a" if key[4] else ""
         tag += "p" if key[6] else ""
-        tag += "nb" if not key[9] else ""  # Scalar (no-batch) scoring.
         serve_cell = f" n={key[7]} rate={key[8]}" if key[7] > 1 else ""
         print(f"{verdict:>14}  {key[0]:<18} {key[1]:<6} len={key[2]:<5} "
               f"s{key[3]}{tag}/t{key[5]:<2} "
@@ -271,10 +212,6 @@ def main(argv):
     if probe_plan_summary(current) > 0:
         print("planner pair counted_results mismatch — the probe planner "
               "must be cost-only")
-        failed = True
-    if batch_summary(current) > 0:
-        print("batch pair counted_results mismatch — the SoA scoring "
-              "kernels must be bit-identical to the scalar path")
         failed = True
 
     if failed:

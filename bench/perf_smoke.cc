@@ -1,7 +1,7 @@
 // Perf-telemetry baseline: times JoinSimulator::Run under the policies
 // that matter — HEEB in all four computation modes, FlowExpect, the
 // RAND/PROB/LIFE baselines and OPT-offline — plus CacheSimulator under
-// LRU/LFU/RAND (and PROB via the joining-policy route) on fixed seeds,
+// LRU/LFU/RAND and caching HEEB (CACHE-ECB) on fixed seeds,
 // and emits BENCH_perf.json so the perf trajectory of future PRs has a
 // measured anchor (steps/sec, ns/step, peak candidate count per
 // scenario). Both simulators are StreamEngine façades, so the rows also
@@ -25,13 +25,9 @@
 // planner-on rows carry plan_replans, probe_skip_rate and
 // probe_cache_hit_rate.
 //
-// sjoin-perf-v6 adds a `batch` flag to the row key: batched SoA scoring
-// kernels on (the default) vs the scalar per-tuple Score() loop. The
-// batch-scorable serial rows (HEEB-direct / HEEB-time-incr /
-// HEEB-walk-table / PROB / LIFE) and the CACHE-ECB caching-HEEB pair run
-// batch-off twins on the same realizations; the kernels preserve per-lane
-// operation order, so both sides of a pair must agree on counted_results
-// bit for bit (the checker enforces that and prints the batch speedups).
+// Every row's counted_results at --len=2000 --runs=1 is a committed
+// fingerprint (tests/golden/perf_smoke_counts.json, checked by
+// bench_harness_test; EXPERIMENTS.md has the regenerate command).
 //
 // Usage: perf_smoke [--len=2000] [--runs=3] [--cache=50] [--seed=1]
 //                   [--flow_len=400] [--flow_prune=1]
@@ -48,7 +44,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "harness/configs.h"
@@ -59,9 +54,7 @@
 #include "sjoin/core/flow_expect_policy.h"
 #include "sjoin/core/heeb_caching_policy.h"
 #include "sjoin/core/heeb_join_policy.h"
-#include "sjoin/engine/scoring_batch.h"
 #include "sjoin/engine/cache_simulator.h"
-#include "sjoin/engine/caching_policy.h"
 #include "sjoin/engine/join_simulator.h"
 #include "sjoin/multi/multi_baseline_policies.h"
 #include "sjoin/multi/multi_heeb_policy.h"
@@ -91,11 +84,6 @@ struct ScenarioResult {
   /// (multi-way rows). Part of the row key; planner twins must agree on
   /// counted_results bit for bit.
   int planner = 0;
-  /// 1 when the batched SoA scoring kernels were enabled (the default).
-  /// Part of the row key; a batch-off row measures the scalar per-tuple
-  /// Score() path on the same realizations, and the twins must agree on
-  /// counted_results bit for bit (check_perf_regression.py enforces it).
-  int batch = 1;
   std::int64_t setup_ns = 0;  // Policy construction (all runs).
   std::int64_t run_ns = 0;    // JoinSimulator::Run (all runs).
   std::int64_t counted_results = 0;
@@ -119,17 +107,12 @@ struct Config {
 template <typename MakePolicy>
 ScenarioResult TimeScenario(const std::string& name,
                             const JoinWorkload& workload, Time len,
-                            const Config& config, MakePolicy&& make_policy,
-                            bool batch = true) {
+                            const Config& config, MakePolicy&& make_policy) {
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
   out.len = len;
   out.runs = config.runs;
-  out.batch = batch ? 1 : 0;
-  // The engine snapshots the flag at session open, so scoping the whole
-  // timing loop pins every run in this row to one kernel path.
-  ScopedScoringBatch scoped_batch(batch);
 
   Rng rng(config.seed);
   std::vector<StreamPair> pairs;
@@ -163,25 +146,18 @@ ScenarioResult TimeScenario(const std::string& name,
   return out;
 }
 
-/// Times `make_policy` + CacheSimulator over `runs` pre-sampled reference
-/// streams (the workload's R process). A CachingPolicy runs through
-/// CacheSimulator::Run (the Theorem 1 adapter); a joining
-/// ReplacementPolicy runs through RunJoinPolicy — the inverse direction
-/// of the unification, where a join policy serves the caching problem.
+/// Times `make_policy` + CacheSimulator::Run (the Theorem 1 reduction)
+/// over `runs` pre-sampled reference streams (the workload's R process).
 template <typename MakePolicy>
 ScenarioResult TimeCacheScenario(const std::string& name,
                                  const JoinWorkload& workload, Time len,
                                  const Config& config,
-                                 MakePolicy&& make_policy,
-                                 bool batch = true) {
-  using PolicyT = typename decltype(make_policy())::element_type;
+                                 MakePolicy&& make_policy) {
   ScenarioResult out;
   out.name = name;
   out.workload = workload.name;
   out.len = len;
   out.runs = config.runs;
-  out.batch = batch ? 1 : 0;
-  ScopedScoringBatch scoped_batch(batch);
 
   Rng rng(config.seed);
   std::vector<std::vector<Value>> streams;
@@ -198,12 +174,7 @@ ScenarioResult TimeCacheScenario(const std::string& name,
     out.setup_ns += setup.ElapsedNs();
 
     Stopwatch run;
-    CacheRunResult result;
-    if constexpr (std::is_base_of_v<CachingPolicy, PolicyT>) {
-      result = sim.Run(references, *policy);
-    } else {
-      result = sim.RunJoinPolicy(references, *policy);
-    }
+    CacheRunResult result = sim.Run(references, *policy);
     out.run_ns += run.ElapsedNs();
     out.counted_results += result.counted_hits;
     if (result.telemetry.peak_candidates > out.peak_candidates) {
@@ -338,8 +309,6 @@ void WriteJson(const std::string& path, const Config& config,
     json.Int(r.runs);
     json.Key("planner");
     json.Int(r.planner);
-    json.Key("batch");
-    json.Int(r.batch);
     json.Key("setup_ns");
     json.Int(r.setup_ns);
     json.Key("run_ns");
@@ -491,39 +460,8 @@ int main(int argc, char** argv) {
         return std::make_unique<LifePolicy>(tower.life_window);
       }));
 
-  // Batch-off twins for the batch-scorable serial rows: same workloads,
-  // same realizations, scalar per-tuple Score() instead of the SoA
-  // kernels. counted_results must match the batch-on rows above bit for
-  // bit; the ns/step ratio is the measured kernel speedup the checker
-  // reports.
-  results.push_back(TimeScenario(
-      "HEEB-direct", tower, config.len, config,
-      heeb_on(tower, HeebJoinPolicy::Mode::kDirect, tower.heeb_alpha),
-      /*batch=*/false));
-  results.push_back(TimeScenario(
-      "HEEB-time-incr", tower, config.len, config,
-      heeb_on(tower, HeebJoinPolicy::Mode::kTimeIncremental,
-              tower.heeb_alpha),
-      /*batch=*/false));
-  results.push_back(TimeScenario(
-      "HEEB-walk-table", walk, config.len, config,
-      heeb_on(walk, HeebJoinPolicy::Mode::kWalkTable,
-              static_cast<double>(config.cache)),
-      /*batch=*/false));
-  results.push_back(TimeScenario(
-      "PROB", tower, config.len, config,
-      [&](const StreamPair&) { return std::make_unique<ProbPolicy>(life); },
-      /*batch=*/false));
-  results.push_back(TimeScenario(
-      "LIFE", tower, config.len, config,
-      [&](const StreamPair&) {
-        return std::make_unique<LifePolicy>(tower.life_window);
-      },
-      /*batch=*/false));
-
   // Caching rows: the same engine running the caching problem through the
-  // Theorem 1 reduction (and, for CACHE-PROB, a joining policy crossing
-  // over to the caching side).
+  // Theorem 1 reduction.
   results.push_back(TimeCacheScenario(
       "CACHE-LRU", tower, config.len, config,
       [] { return std::make_unique<LruCachingPolicy>(); }));
@@ -534,12 +472,9 @@ int main(int argc, char** argv) {
       "CACHE-RAND", tower, config.len, config, [&] {
         return std::make_unique<RandomCachingPolicy>(config.seed + 29);
       }));
-  results.push_back(TimeCacheScenario(
-      "CACHE-PROB", tower, config.len, config,
-      [] { return std::make_unique<ProbPolicy>(std::nullopt); }));
   // CACHE-ECB: the model-driven caching surface (caching HEEB realizes
-  // the ECB expected-benefit score, Corollary 4 family) as a batch on/off
-  // pair — the fused CachingHeebBatch kernel vs per-value CachingHeeb.
+  // the ECB expected-benefit score, Corollary 4 family), scored by the
+  // CachingHeebBatch kernel.
   auto cache_ecb_on = [&] {
     return std::make_unique<HeebCachingPolicy>(
         tower.r.get(),
@@ -549,8 +484,6 @@ int main(int argc, char** argv) {
   };
   results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
                                       cache_ecb_on));
-  results.push_back(TimeCacheScenario("CACHE-ECB", tower, config.len, config,
-                                      cache_ecb_on, /*batch=*/false));
 
   // The sweep block: a subset of the rows above at --sweep_len and
   // --sweep_cache, where every step ranks a larger cache.
@@ -609,9 +542,6 @@ int main(int argc, char** argv) {
   results.push_back(TimeCacheScenario(
       "CACHE-LRU", tower, sweep.len, sweep,
       [] { return std::make_unique<LruCachingPolicy>(); }));
-  results.push_back(TimeCacheScenario(
-      "CACHE-PROB", tower, sweep.len, sweep,
-      [] { return std::make_unique<ProbPolicy>(std::nullopt); }));
 
   // Multi-way A/B pairs: planner off (naive fixed-order probes, no score
   // memo) vs planner on (re-planned probe order + probe-result cache +

@@ -6,8 +6,8 @@
 // each Advance slice's wall time divided by its steps, weighted by
 // steps).
 //
-// Rows use the sjoin-perf-v6 schema: the v4 fields plus `sessions`,
-// `offered_rate` and `batch`, which join the row key. Only sessions=1 / threads=1
+// Rows use the sjoin-perf-v6 schema: the v4 fields plus `sessions` and
+// `offered_rate`, which join the row key. Only sessions=1 / threads=1
 // rows feed the regression gate (check_perf_regression.py) — they
 // measure the scheduler's overhead over a bare engine run, which is
 // machine-comparable; multi-session and threaded rows are reported as
@@ -208,9 +208,7 @@ LoadResult RunLoadCell(int sessions, int rate, int threads, Time len,
   return out;
 }
 
-/// One sjoin-perf-v6 results row. Serve rows never touch the batched
-/// scoring kernels' A/B axis; they emit batch=1 (the default engine
-/// configuration they actually run).
+/// One sjoin-perf-v6 results row.
 void WriteRow(JsonWriter& json, const LoadResult& r) {
   const double steps = static_cast<double>(r.steps_executed);
   json.BeginObject();
@@ -230,8 +228,6 @@ void WriteRow(JsonWriter& json, const LoadResult& r) {
   json.Int(r.sessions);
   json.Key("offered_rate");
   json.Int(r.offered_rate);
-  json.Key("batch");
-  json.Int(1);
   json.Key("setup_ns");
   json.Int(r.setup_ns);
   json.Key("run_ns");

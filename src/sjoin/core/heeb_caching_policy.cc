@@ -67,7 +67,7 @@ HeebCachingPolicy::HeebCachingPolicy(const StochasticProcess* reference,
 void HeebCachingPolicy::Reset() {
   cached_h_.clear();
   state_time_ = -1;
-  lane_order_ = LaneOrder::kNone;
+  lanes_returned_ = false;
 }
 
 double HeebCachingPolicy::DirectScore(Value v,
@@ -80,69 +80,45 @@ double HeebCachingPolicy::DirectScore(Value v,
                      horizon_);
 }
 
-void HeebCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                       const CachingContext& ctx,
-                                       double* out) {
-  switch (options_.mode) {
-    case Mode::kDirect:
-      if (survive_.capacity() < batch.size) {
-        // Grow the scratch by doubling, but stop at a full cache's lanes
-        // (capacity + the referenced value).
-        const std::size_t lanes =
-            std::max(batch.size,
-                     std::min(2 * survive_.capacity(), ctx.capacity + 1));
-        lanes_.reserve(lanes);
-        survive_.reserve(lanes);
-        returned_at_.reserve(lanes);
-      }
-      OrderLanes(batch, ctx);
-      survive_.resize(batch.size);
-      CachingHeebBatch(*reference_, *ctx.history, ctx.now, lanes_,
-                       lifetime_flat_, &pmf_, survive_.data(), out);
-      lane_order_ = LaneOrder::kBatch;
-      return;
-    case Mode::kWalkTable: {
-      const OffsetTable& table = *walk_table_;
-      const double* data = table.values().data();
-      const Value size = static_cast<Value>(table.values().size());
-      // At(v - last) indexes values()[v - last - min_offset]; fold the
-      // two subtractions into one base.
-      const Value base = ctx.history->back() + table.min_offset();
-      for (std::size_t i = 0; i < batch.size; ++i) {
-        const Value off = batch.values[i] - base;
-        out[i] = off >= 0 && off < size
-                     ? data[static_cast<std::size_t>(off)]
-                     : 0.0;
-      }
-      return;
-    }
-    case Mode::kEvaluator:
-    case Mode::kTimeIncremental:
-      // Not batch-scorable (see BatchScorable); per-lane fallback keeps
-      // any direct caller correct.
-      ScoredCachingPolicy::ScoreBatchInto(batch, ctx, out);
-      return;
+void HeebCachingPolicy::ScoreValues(std::span<const Value> values,
+                                    const CachingContext& ctx, double* out) {
+  if (options_.mode != Mode::kDirect) {
+    ScoredCachingPolicy::ScoreValues(values, ctx, out);
+    return;
   }
+  if (survive_.capacity() < values.size()) {
+    // Grow the scratch by doubling, but stop at a full cache's lanes
+    // (capacity + the referenced value).
+    const std::size_t lanes =
+        std::max(values.size(),
+                 std::min(2 * survive_.capacity(), ctx.capacity + 1));
+    lanes_.reserve(lanes);
+    survive_.reserve(lanes);
+    returned_at_.reserve(lanes);
+  }
+  OrderLanes(values, ctx);
+  survive_.resize(values.size());
+  CachingHeebBatch(*reference_, *ctx.history, ctx.now, lanes_,
+                   lifetime_flat_, &pmf_, survive_.data(), out);
 }
 
-void HeebCachingPolicy::OrderLanes(const CandidateBatch& batch,
+void HeebCachingPolicy::OrderLanes(std::span<const Value> values,
                                    const CachingContext& ctx) {
-  // The batch is the cached list, then the referenced value on a miss.
-  const std::size_t cached = ctx.hit ? batch.size : batch.size - 1;
+  // The values are the cached list, then the referenced value on a miss.
+  const std::size_t cached = ctx.hit ? values.size() : values.size() - 1;
   // The carried order holds one entry per position of the list this
   // policy returned; when ctx.cached is that list, it is this list's value
   // order.
-  if (ctx.carried && lane_order_ == LaneOrder::kReturned &&
-      lanes_.size() == cached) {
+  if (ctx.carried && lanes_returned_ && lanes_.size() == cached) {
     if constexpr (kValidationEnabled) {
       for (const auto& [value, lane] : lanes_) {
-        SJOIN_VALIDATE_MSG(lane < cached && batch.values[lane] == value,
+        SJOIN_VALIDATE_MSG(lane < cached && values[lane] == value,
                            "the carried-cache flag is set, but the cache is "
                            "not the list caching HEEB returned");
       }
     }
     if (!ctx.hit) {
-      const Value v = batch.values[cached];
+      const Value v = values[cached];
       lanes_.insert(
           std::upper_bound(lanes_.begin(), lanes_.end(), v,
                            [](Value value, const auto& lane) {
@@ -152,9 +128,9 @@ void HeebCachingPolicy::OrderLanes(const CandidateBatch& batch,
     }
     return;
   }
-  lanes_.resize(batch.size);
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    lanes_[i] = {batch.values[i], i};
+  lanes_.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    lanes_[i] = {values[i], i};
   }
   std::sort(lanes_.begin(), lanes_.end());
 }
@@ -163,12 +139,7 @@ void HeebCachingPolicy::EndStep(
     const CachingContext& ctx,
     const std::vector<std::uint32_t>& retained_lanes) {
   (void)ctx;
-  if (lane_order_ != LaneOrder::kBatch) {
-    // This step did not score through the batch kernel, so lanes_ does not
-    // describe the returned list.
-    lane_order_ = LaneOrder::kNone;
-    return;
-  }
+  if (options_.mode != Mode::kDirect) return;
   // Keep the retained lanes in value order, renumbered to their index in
   // the returned list.
   constexpr std::uint32_t kDropped = ~std::uint32_t{0};
@@ -183,7 +154,7 @@ void HeebCachingPolicy::EndStep(
     }
   }
   lanes_.resize(kept);
-  lane_order_ = LaneOrder::kReturned;
+  lanes_returned_ = true;
 }
 
 void HeebCachingPolicy::AdvanceIncremental(const CachingContext& ctx) {
@@ -240,7 +211,7 @@ void HeebCachingPolicy::AdvanceIncremental(const CachingContext& ctx) {
 double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
   switch (options_.mode) {
     case Mode::kDirect:
-      return DirectScore(v, ctx);
+      break;  // Scored by ScoreValues' kernel only.
     case Mode::kWalkTable:
       return walk_table_->At(v - ctx.history->back());
     case Mode::kEvaluator:
@@ -255,6 +226,7 @@ double HeebCachingPolicy::Score(Value v, const CachingContext& ctx) {
       return h;
     }
   }
+  SJOIN_CHECK_MSG(false, "kDirect scores through ScoreValues only");
   return 0.0;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,26 +69,23 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   const char* name() const override { return "HEEB"; }
 
  protected:
+  /// Every mode but kDirect; kDirect scores only through ScoreValues.
   double Score(Value v, const CachingContext& ctx) override;
-  /// Batched kernels for the stateless modes: kDirect shares one
-  /// predictive pmf per step across every lane (CachingHeebBatch) where
-  /// the scalar loop re-predicts per (value, step); kWalkTable gathers
-  /// from the h1 offset table with the reference anchor hoisted out of
-  /// the lane loop. Scores are bit-identical to Score().
-  bool BatchScorable() const override {
-    return options_.mode == Mode::kDirect ||
-           options_.mode == Mode::kWalkTable;
-  }
-  void ScoreBatchInto(const CandidateBatch& batch, const CachingContext& ctx,
-                      double* out) override;
-  /// kDirect: carries the batch's value order into the returned order.
+  /// kDirect: CachingHeebBatch, which shares one predictive pmf per Δt
+  /// across the step's values where CachingHeeb re-predicts per (value,
+  /// Δt); bit-identical to CachingHeeb. Other modes: per-value Score().
+  void ScoreValues(std::span<const Value> values, const CachingContext& ctx,
+                   double* out) override;
+  /// kDirect: carries the step's value order into the returned order.
   void EndStep(const CachingContext& ctx,
                const std::vector<std::uint32_t>& retained_lanes) override;
 
  private:
+  /// CachingHeeb for one value: kTimeIncremental's first score and
+  /// re-anchor.
   double DirectScore(Value v, const CachingContext& ctx) const;
-  /// kDirect batch: fills lanes_ with the batch's lanes in value order.
-  void OrderLanes(const CandidateBatch& batch, const CachingContext& ctx);
+  /// kDirect: fills lanes_ with the step's lanes in value order.
+  void OrderLanes(std::span<const Value> values, const CachingContext& ctx);
   /// kTimeIncremental: Corollary 4 advance of every stored H from
   /// state_time_ to ctx.now, then the stale-entry sweep.
   void AdvanceIncremental(const CachingContext& ctx);
@@ -99,19 +97,18 @@ class HeebCachingPolicy final : public ScoredCachingPolicy {
   // Borrowed from the ModelRepo — const-shared with every other policy on
   // the same model.
   std::shared_ptr<const OffsetTable> walk_table_;
-  // kDirect batch kernel: L(dt) for dt = 1..horizon_ (LifetimeTable).
+  // kDirect: L(dt) for dt = 1..horizon_ (LifetimeTable).
   std::vector<double> lifetime_flat_;
-  // kDirect batch kernel order and scratch, sized on first use. lanes_ is
-  // (value, lane) in value order: the last batch's lanes after
-  // ScoreBatchInto, that batch's returned list (lane = index in the list)
-  // after EndStep. When ctx.carried says the returned list is this miss
-  // step's cached list, OrderLanes only inserts the referenced value into
-  // the carried order; any other list is sorted.
-  enum class LaneOrder { kNone, kBatch, kReturned };
-  LaneOrder lane_order_ = LaneOrder::kNone;
+  // kDirect order and scratch, sized on first use. lanes_ is (value, lane)
+  // in value order: the step's candidate lanes after ScoreValues, the
+  // returned list (lane = index in the list) after EndStep, which sets
+  // lanes_returned_. When ctx.carried says the returned list is this
+  // miss step's cached list, OrderLanes only inserts the referenced value
+  // into the carried order; any other list is sorted.
+  bool lanes_returned_ = false;
   std::vector<std::pair<Value, std::size_t>> lanes_;
   std::vector<double> survive_;
-  // EndStep scratch: [batch lane] = index in the returned list.
+  // EndStep scratch: [candidate lane] = index in the returned list.
   std::vector<std::uint32_t> returned_at_;
   // The kernel's one predictive pmf, refilled per Δt.
   DiscreteDistribution pmf_;

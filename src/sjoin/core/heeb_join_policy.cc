@@ -286,47 +286,6 @@ double HeebJoinPolicy::DirectScore(const Tuple& tuple,
   return RingSum(tuple.side, tuple.value, ctx.now, max_dt);
 }
 
-void HeebJoinPolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                    const PolicyContext& ctx, double* out) {
-  if (options_.mode != Mode::kWalkTable) {
-    ScoredPolicy::ScoreBatchInto(batch, ctx, out);
-    return;
-  }
-  // Hoist the per-side table spans and partner anchors out of the lane
-  // loop; Score() re-derives the anchor per tuple.
-  const double* data[2];
-  Value base[2];
-  Value size[2];
-  for (StreamSide side : {StreamSide::kR, StreamSide::kS}) {
-    const int s = SideIndex(side);
-    const OffsetTable& table = *walk_table_[s];
-    data[s] = table.values().data();
-    size[s] = static_cast<Value>(table.values().size());
-    StreamSide partner = Partner(side);
-    const StreamHistory* partner_history = history(partner, ctx);
-    const auto* walk =
-        static_cast<const RandomWalkProcess*>(process(partner));
-    const Value last = partner_history->empty() ? walk->initial_value()
-                                                : partner_history->back();
-    // At(v - last) indexes values()[v - last - min_offset]; fold the two
-    // subtractions into one per-side base.
-    base[s] = last + table.min_offset();
-  }
-  const bool windowed = ctx.window.has_value();
-  const Time w = windowed ? *ctx.window : 0;
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    if (windowed && ctx.now - batch.arrivals[i] > w) {
-      out[i] = 0.0;
-      continue;
-    }
-    const int s = batch.sides[i];
-    const Value off = batch.values[i] - base[s];
-    out[i] = off >= 0 && off < size[s]
-                 ? data[s][static_cast<std::size_t>(off)]
-                 : 0.0;
-  }
-}
-
 double HeebJoinPolicy::ValueIncrementalScore(const Tuple& tuple,
                                              const PolicyContext& ctx) {
   // Find the scored tuple of the same side with the nearest value. The

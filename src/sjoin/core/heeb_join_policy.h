@@ -81,19 +81,9 @@ class HeebJoinPolicy final : public ScoredPolicy {
   const char* name() const override { return "HEEB"; }
 
  protected:
-  /// Only kWalkTable has a batch kernel. The other modes score each tuple
-  /// from the prediction ring or the incremental state, which a batch
-  /// gather would only copy.
-  bool BatchScorable() const override {
-    return options_.mode == Mode::kWalkTable;
-  }
   void BeginStep(const PolicyContext& ctx) override;
   double Score(const Tuple& tuple, std::uint32_t lane,
                const PolicyContext& ctx) override;
-  /// kWalkTable kernel: gathers from the per-side h1 tables with the
-  /// partner anchor hoisted out of the lane loop.
-  void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
-                      double* out) override;
   void EndStep(const PolicyContext& ctx,
                std::span<const RankedTuple> ranked) override;
 

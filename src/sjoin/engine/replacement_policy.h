@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sjoin/common/types.h"
-#include "sjoin/engine/candidate_batch.h"
 #include "sjoin/engine/tuple.h"
 #include "sjoin/stochastic/stream_history.h"
 
@@ -23,9 +22,6 @@ namespace sjoin {
 /// What an engine step hands a policy beyond K, N and H. Every field is a
 /// shortcut the policy may ignore. Borrowed for the SelectRetained call.
 struct EngineStep {
-  /// SoA view of this step's candidates in scalar scoring order (cached
-  /// then arrivals), or null when the engine did not build one.
-  const CandidateBatch* batch = nullptr;
   /// True when the cached tuples are exactly the list this policy
   /// returned at the previous step, in that order, so state the policy
   /// carried in that order still lines up. The engines set it on every
@@ -81,10 +77,6 @@ class ReplacementPolicy {
   /// ctx.cached ∪ ctx.arrivals with size <= ctx.capacity. The simulator
   /// validates the result.
   virtual std::vector<TupleId> SelectRetained(const PolicyContext& ctx) = 0;
-
-  /// True when the policy consumes PolicyContext::batch (so the engine
-  /// should spend the per-step gather building it). Queried at Open.
-  virtual bool WantsCandidateBatch() const { return false; }
 
   /// Human-readable policy name for experiment reports.
   virtual const char* name() const = 0;

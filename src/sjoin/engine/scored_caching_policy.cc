@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "sjoin/common/check.h"
 #include "sjoin/engine/rank_order.h"
 #include "sjoin/engine/ranked_select.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -23,52 +21,22 @@ std::vector<Value> ScoredCachingPolicy::SelectRetained(
 
 const std::vector<std::uint32_t>& ScoredCachingPolicy::SelectRetainedLanes(
     const CachingContext& ctx) {
-  candidates_.clear();
-  candidates_.reserve(ctx.cached->size() + 1);
   // Candidate lanes in scoring order: cached values, then the referenced
-  // value on a miss.
-  auto lane = [&] { return static_cast<std::uint32_t>(candidates_.size()); };
-  // Observer branch hoisted out of the loop, as in ScoredPolicy: observer
-  // runs stay on the scalar path, observer-free runs use the batch kernel
-  // when the subclass has one.
-  if (score_observer_) {
-    for (Value v : *ctx.cached) {
-      double score = Score(v, ctx);
-      score_observer_(v, score);
-      candidates_.push_back({score, v == ctx.referenced, lane(), v});
-    }
-    if (!ctx.hit) {
-      double score = Score(ctx.referenced, ctx);
-      score_observer_(ctx.referenced, score);
-      candidates_.push_back({score, true, lane(), ctx.referenced});
-    }
-  } else if (ScoringBatchEnabled() && BatchScorable()) {
-    // Values-only SoA batch: cached values in cache order, then the
-    // referenced value on a miss — the scalar scoring order.
-    batch_values_.assign(ctx.cached->begin(), ctx.cached->end());
-    if (!ctx.hit) batch_values_.push_back(ctx.referenced);
-    batch_scores_.resize(batch_values_.size());
-    CandidateBatch batch;
-    batch.size = batch_values_.size();
-    batch.values = batch_values_.data();
-    ScoreBatchInto(batch, ctx, batch_scores_.data());
-    for (std::size_t i = 0; i < ctx.cached->size(); ++i) {
-      candidates_.push_back(
-          {batch_scores_[i], batch_values_[i] == ctx.referenced, lane(),
-           batch_values_[i]});
-    }
-    if (!ctx.hit) {
-      candidates_.push_back(
-          {batch_scores_.back(), true, lane(), ctx.referenced});
-    }
-  } else {
-    for (Value v : *ctx.cached) {
-      candidates_.push_back({Score(v, ctx), v == ctx.referenced, lane(), v});
-    }
-    if (!ctx.hit) {
-      candidates_.push_back(
-          {Score(ctx.referenced, ctx), true, lane(), ctx.referenced});
-    }
+  // value on a miss. A hit scores the cached list in place.
+  std::span<const Value> values(*ctx.cached);
+  if (!ctx.hit) {
+    values_.assign(ctx.cached->begin(), ctx.cached->end());
+    values_.push_back(ctx.referenced);
+    values = values_;
+  }
+  scores_.resize(values.size());
+  ScoreValues(values, ctx, scores_.data());
+  candidates_.clear();
+  for (std::uint32_t lane = 0; lane < values.size(); ++lane) {
+    const Value v = values[lane];
+    if (score_observer_) score_observer_(v, scores_[lane]);
+    // The referenced value's lane: cached on a hit, the last on a miss.
+    candidates_.push_back({scores_[lane], v == ctx.referenced, lane, v});
   }
   auto better = [](const Candidate& a, const Candidate& b) {
     // rank_order.h with (major, minor) = (is-referenced, value): ties
@@ -90,11 +58,11 @@ const std::vector<std::uint32_t>& ScoredCachingPolicy::SelectRetainedLanes(
   return retained_lanes_;
 }
 
-void ScoredCachingPolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                         const CachingContext& ctx,
-                                         double* out) {
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    out[i] = Score(batch.values[i], ctx);
+void ScoredCachingPolicy::ScoreValues(std::span<const Value> values,
+                                      const CachingContext& ctx,
+                                      double* out) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out[i] = Score(values[i], ctx);
   }
 }
 

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "sjoin/engine/caching_policy.h"
-#include "sjoin/engine/candidate_batch.h"
 
 /// \file
 /// Base class for score-ranked caching policies (LRU, LFU, LFD, HEEB, ...).
@@ -30,8 +30,8 @@ class ScoredCachingPolicy : public CachingPolicy {
       const CachingContext& ctx);
 
   /// Verification hook mirroring ScoredPolicy::set_score_observer: when
-  /// set, receives every candidate value's score as SelectRetained
-  /// computes it.
+  /// set, receives every candidate value's score, in candidate order, as
+  /// ScoreValues produced it for the selection.
   using ScoreObserver = std::function<void(Value, double)>;
   void set_score_observer(ScoreObserver observer) {
     score_observer_ = std::move(observer);
@@ -41,14 +41,12 @@ class ScoredCachingPolicy : public CachingPolicy {
   /// Desirability of keeping the database tuple with value `v`.
   virtual double Score(Value v, const CachingContext& ctx) = 0;
 
-  /// Batched-kernel opt-in mirroring ScoredPolicy::BatchScorable: true
-  /// when ScoreBatchInto() matches per-lane Score() calls bit for bit.
-  virtual bool BatchScorable() const { return false; }
-
-  /// Scores every lane of a values-only batch (batch.values/batch.size;
-  /// sides/arrivals/ids are null) into out[i]. Default: per-lane Score().
-  virtual void ScoreBatchInto(const CandidateBatch& batch,
-                              const CachingContext& ctx, double* out);
+  /// Scores one step's candidate values (ctx.cached in order, then
+  /// ctx.referenced on a miss) into out[i]; called once per step. The
+  /// default calls Score() per value, in that order. A policy whose scores
+  /// share per-step work overrides this instead.
+  virtual void ScoreValues(std::span<const Value> values,
+                           const CachingContext& ctx, double* out);
 
   /// Called after every selection with the retained candidates' lanes in
   /// returned order (lane i < ctx.cached->size() is cached value i; on a
@@ -71,10 +69,10 @@ class ScoredCachingPolicy : public CachingPolicy {
 
   ScoreObserver score_observer_;
   // Per-call scratch reused across calls, so a step allocates nothing:
-  // the candidate value lanes (cached ∪ {referenced on a miss}), their
+  // the candidate values on a miss (cached, then referenced), their
   // scores, the ranked candidates and the retained lanes.
-  std::vector<Value> batch_values_;
-  std::vector<double> batch_scores_;
+  std::vector<Value> values_;
+  std::vector<double> scores_;
   std::vector<Candidate> candidates_;
   std::vector<std::uint32_t> retained_lanes_;
 };

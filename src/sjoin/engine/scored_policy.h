@@ -27,10 +27,6 @@ class ScoredPolicy : public ReplacementPolicy {
  public:
   std::vector<TupleId> SelectRetained(const PolicyContext& ctx) final;
 
-  /// The engine builds the per-step SoA batch exactly when the
-  /// subclass has a batch kernel to consume it.
-  bool WantsCandidateBatch() const final { return BatchScorable(); }
-
   /// Verification hook: when set, receives every candidate's score exactly
   /// as SelectRetained computes it. The differential harness uses this to
   /// compare scoring implementations in lockstep on a shared cache
@@ -50,18 +46,6 @@ class ScoredPolicy : public ReplacementPolicy {
   virtual double Score(const Tuple& tuple, std::uint32_t lane,
                        const PolicyContext& ctx) = 0;
 
-  /// Batched-kernel opt-in: return true when ScoreBatchInto() produces
-  /// scores bit-identical to per-lane Score() calls in lane order.
-  /// Queried per step.
-  virtual bool BatchScorable() const { return false; }
-
-  /// Scores every batch lane into out[i]. Kernels vectorize across
-  /// candidates: each lane keeps the scalar path's per-tuple operation
-  /// order, so results are bitwise equal to Score(). The default is the
-  /// per-lane loop.
-  virtual void ScoreBatchInto(const CandidateBatch& batch,
-                              const PolicyContext& ctx, double* out);
-
   /// Called with the final retained set; lets subclasses drop state for
   /// evicted tuples. `ranked` holds the retained candidates in retained
   /// order, each with its lane.
@@ -76,7 +60,6 @@ class ScoredPolicy : public ReplacementPolicy {
   // Per-step scratch reused across SelectRetained calls so the hot loop
   // stays allocation-free after warm-up.
   std::vector<RankedTuple> ranked_scratch_;
-  std::vector<double> score_scratch_;
 };
 
 }  // namespace sjoin

@@ -5,7 +5,6 @@
 #include "sjoin/common/check.h"
 #include "sjoin/common/validate.h"
 #include "sjoin/engine/probe_planner.h"
-#include "sjoin/engine/scoring_batch.h"
 
 namespace sjoin {
 
@@ -99,7 +98,6 @@ void StreamEngine::OpenWithLength(SessionState& session,
   session.policy = &policy;
   session.observers = std::move(observers);
   session.options = options;
-  session.batch_scoring = ScoringBatchEnabled() && policy.WantsCandidateBatch();
 
   policy.Reset();
 
@@ -260,39 +258,6 @@ void StreamEngine::Advance(
     retained_lanes_.clear();
     step.retained_lanes = &retained_lanes_;
     ctx.step = &step;
-    CandidateBatch batch_view;
-    if (session.batch_scoring) {
-      // Gather the step's candidates into SoA lanes, in the scalar
-      // scoring order (cached then arrivals), for the policy's batch
-      // kernel. The vectors are engine scratch: capacity + n lanes,
-      // allocation-free after warm-up.
-      const std::size_t total = session.cache.size() + arrivals_.size();
-      batch_values_.resize(total);
-      batch_arrivals_.resize(total);
-      batch_sides_.resize(total);
-      batch_ids_.resize(total);
-      std::size_t lane = 0;
-      for (const StreamTuple& tuple : session.cache) {
-        batch_values_[lane] = tuple.value;
-        batch_arrivals_[lane] = tuple.arrival;
-        batch_sides_[lane] = static_cast<std::uint8_t>(tuple.stream);
-        batch_ids_[lane] = tuple.id;
-        ++lane;
-      }
-      for (const StreamTuple& tuple : arrivals_) {
-        batch_values_[lane] = tuple.value;
-        batch_arrivals_[lane] = tuple.arrival;
-        batch_sides_[lane] = static_cast<std::uint8_t>(tuple.stream);
-        batch_ids_[lane] = tuple.id;
-        ++lane;
-      }
-      batch_view.size = total;
-      batch_view.values = batch_values_.data();
-      batch_view.arrivals = batch_arrivals_.data();
-      batch_view.sides = batch_sides_.data();
-      batch_view.ids = batch_ids_.data();
-      step.batch = &batch_view;
-    }
     std::vector<TupleId> retained = policy.SelectRetained(ctx);
     SJOIN_CHECK_LE(retained.size(), opts.capacity);
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sjoin/common/types.h"
-#include "sjoin/engine/candidate_batch.h"
 #include "sjoin/engine/lane_table.h"
 #include "sjoin/engine/replacement_policy.h"
 #include "sjoin/engine/step_observer.h"
@@ -106,8 +105,9 @@ class EnginePolicy {
   virtual void Reset() {}
   /// Subset of cached ∪ arrivals ids, size <= capacity.
   virtual std::vector<TupleId> SelectRetained(const EngineContext& ctx) = 0;
-  /// True when the policy consumes EngineContext::batch (so the engine
-  /// should spend the per-step gather building it). Queried at Open.
+  /// Always false: the engine builds no candidate batch. Kept only
+  /// because perfbench's TimedPolicy overrides it and its decorator test
+  /// calls it; deleted by ROADMAP item 1's benchmark change.
   virtual bool WantsCandidateBatch() const { return false; }
   virtual const char* name() const = 0;
 };
@@ -224,12 +224,6 @@ class StreamEngine {
   CandidateLanes lanes_;
   // The policy's retained-lane report (EngineStep::retained_lanes).
   std::vector<std::uint32_t> retained_lanes_;
-  // SoA lanes of the per-step CandidateBatch (cached then arrivals),
-  // rebuilt each step for sessions whose policy wants the batch.
-  std::vector<Value> batch_values_;
-  std::vector<Time> batch_arrivals_;
-  std::vector<std::uint8_t> batch_sides_;
-  std::vector<TupleId> batch_ids_;
 };
 
 /// Everything a run accumulates between steps — the engine's former
@@ -256,10 +250,6 @@ struct SessionState {
   /// Phase-1 index decision, taken once at Open (same criteria as the
   /// batch run: no window, capacity >= kValueIndexMinCapacity).
   bool use_value_index = false;
-  /// Build the per-step CandidateBatch for the policy; decided once at
-  /// Open (batching enabled and the policy wants it), so a mid-session
-  /// flip of the process-wide switch cannot change the session's path.
-  bool batch_scoring = false;
 
   // The join state proper: the cache selected at the previous step, each
   // stream's value history (its last StreamHistory::kTail values, so the
@@ -288,11 +278,6 @@ class BinaryPolicyAdapter final : public EnginePolicy {
   void Reset() override;
   std::vector<TupleId> SelectRetained(const EngineContext& ctx) override;
   const char* name() const override { return policy_->name(); }
-
-  /// Batch-building decision passes through to the wrapped policy.
-  bool WantsCandidateBatch() const override {
-    return policy_->WantsCandidateBatch();
-  }
 
  private:
   ReplacementPolicy* policy_;

@@ -41,32 +41,4 @@ double LifePolicy::Score(const Tuple& tuple, std::uint32_t /*lane*/,
   return prob * static_cast<double>(remaining);
 }
 
-void LifePolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                const PolicyContext& ctx, double* out) {
-  Time effective_lifetime = lifetime_;
-  if (ctx.window.has_value()) {
-    effective_lifetime = std::min(effective_lifetime, *ctx.window);
-  }
-  const std::unordered_map<Value, std::int64_t>* partner_counts[2] = {
-      &counts_[SideIndex(Partner(StreamSide::kR))],
-      &counts_[SideIndex(Partner(StreamSide::kS))]};
-  const Time seen[2] = {consumed_s_, consumed_r_};
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    const Time remaining =
-        effective_lifetime - (ctx.now - batch.arrivals[i]);
-    if (remaining <= 0) {
-      out[i] = -1.0;
-      continue;
-    }
-    const int s = batch.sides[i];
-    auto it = partner_counts[s]->find(batch.values[i]);
-    const std::int64_t count =
-        it == partner_counts[s]->end() ? 0 : it->second;
-    const double prob = seen[s] == 0 ? 0.0
-                                     : static_cast<double>(count) /
-                                           static_cast<double>(seen[s]);
-    out[i] = prob * static_cast<double>(remaining);
-  }
-}
-
 }  // namespace sjoin

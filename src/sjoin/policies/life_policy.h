@@ -31,14 +31,9 @@ class LifePolicy final : public ScoredPolicy {
   const char* name() const override { return "LIFE"; }
 
  protected:
-  /// Batch kernel: effective lifetime, partner tables, and consumed
-  /// counts are hoisted, leaving one hash probe per lane.
-  bool BatchScorable() const override { return true; }
   void BeginStep(const PolicyContext& ctx) override;
   double Score(const Tuple& tuple, std::uint32_t lane,
                const PolicyContext& ctx) override;
-  void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
-                      double* out) override;
 
  private:
   Time lifetime_;

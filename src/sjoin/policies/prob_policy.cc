@@ -36,34 +36,4 @@ double ProbPolicy::Score(const Tuple& tuple, std::uint32_t /*lane*/,
   return static_cast<double>(count) / static_cast<double>(seen);
 }
 
-void ProbPolicy::ScoreBatchInto(const CandidateBatch& batch,
-                                const PolicyContext& ctx, double* out) {
-  const bool windowed = ctx.window.has_value();
-  const Time w = windowed ? *ctx.window : 0;
-  const bool has_life = assumed_lifetime_.has_value();
-  const Time life = has_life ? *assumed_lifetime_ : 0;
-  // Per-side partner tables and consumed counts, hoisted; the quotient is
-  // the same division Score() performs.
-  const std::unordered_map<Value, std::int64_t>* partner_counts[2] = {
-      &counts_[SideIndex(Partner(StreamSide::kR))],
-      &counts_[SideIndex(Partner(StreamSide::kS))]};
-  const Time seen[2] = {consumed_s_, consumed_r_};
-  for (std::size_t i = 0; i < batch.size; ++i) {
-    const Time age = ctx.now - batch.arrivals[i];
-    if ((has_life && age > life) || (windowed && age > w)) {
-      out[i] = -1.0;
-      continue;
-    }
-    const int s = batch.sides[i];
-    if (seen[s] == 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    auto it = partner_counts[s]->find(batch.values[i]);
-    const std::int64_t count =
-        it == partner_counts[s]->end() ? 0 : it->second;
-    out[i] = static_cast<double>(count) / static_cast<double>(seen[s]);
-  }
-}
-
 }  // namespace sjoin

@@ -30,14 +30,9 @@ class ProbPolicy final : public ScoredPolicy {
   const char* name() const override { return "PROB"; }
 
  protected:
-  /// Batch kernel: the partner table pointer and consumed count are
-  /// hoisted per side, leaving one hash probe per lane.
-  bool BatchScorable() const override { return true; }
   void BeginStep(const PolicyContext& ctx) override;
   double Score(const Tuple& tuple, std::uint32_t lane,
                const PolicyContext& ctx) override;
-  void ScoreBatchInto(const CandidateBatch& batch, const PolicyContext& ctx,
-                      double* out) override;
 
  private:
   std::optional<Time> assumed_lifetime_;

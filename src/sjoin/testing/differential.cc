@@ -21,7 +21,6 @@
 #include "sjoin/engine/probe_planner.h"
 #include "sjoin/engine/scored_caching_policy.h"
 #include "sjoin/engine/scored_policy.h"
-#include "sjoin/engine/scoring_batch.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/engine/tuple.h"
 #include "sjoin/flow/min_cost_flow.h"
@@ -1693,171 +1692,6 @@ std::optional<std::string> ServeSchedulerTrial(std::uint64_t seed,
   return std::nullopt;
 }
 
-// ---------------------------------------------------------------------------
-// Suite 11: batch_scoring — the batched SoA scoring kernels against the
-// scalar per-tuple path, bit for bit on full per-step traces. Each trial
-// rotates over every batch-scorable policy family (HEEB kDirect /
-// kTimeIncremental / kWalkTable, PROB, LIFE, caching HEEB) and runs the
-// same realization batch-off (baseline) and batch-on. The kernels
-// preserve per-lane operation order, so the batch-on run must reproduce
-// the baseline exactly — scores, retained sets, produced counts,
-// telemetry. A config's batch pin runs both at one flag value instead.
-
-std::optional<std::string> BatchScoringTrial(std::uint64_t seed,
-                                             const DiffConfig& config) {
-  const bool off_flag = config.batch.value_or(false);
-  const bool on_flag = config.batch.value_or(true);
-  const int variant = static_cast<int>(seed % 6);
-
-  if (variant == 5) {
-    // Caching surface: HeebCachingPolicy kDirect (CachingHeebBatch fused
-    // kernel) or kWalkTable (precomputed-table gather) under the
-    // CacheSimulator, batch off and on. The batch-on hit/miss counters
-    // must agree with the batch-off baseline.
-    ScenarioGenerator::Options options;
-    options.min_length = 48;
-    options.max_length = 110;
-    options.min_capacity = 2;
-    options.max_capacity = 6;
-    options.max_horizon = 12;
-    options.window_probability = 0.3;
-    Rng aux(seed ^ kAuxSalt);
-    const bool walk_mode = aux.UniformReal() < 0.5;
-    options.pool = walk_mode ? ScenarioGenerator::Pool::kWalks
-                             : ScenarioGenerator::Pool::kIndependent;
-    ScenarioGenerator generator(options);
-    Scenario scenario = generator.Sample(seed);
-    const StochasticProcess& reference = *scenario.r_process;
-    Rng realization_rng(seed ^ kRealizationSalt);
-    std::vector<Value> references =
-        SampleStream(reference, scenario.length, realization_rng);
-
-    HeebCachingPolicy::Options caching_options;
-    caching_options.mode = walk_mode ? HeebCachingPolicy::Mode::kWalkTable
-                                     : HeebCachingPolicy::Mode::kDirect;
-    caching_options.alpha = scenario.alpha;
-    caching_options.horizon = scenario.horizon;
-    HeebCachingPolicy policy(&reference, caching_options);
-
-    CacheSimulator::Options cache_options;
-    cache_options.capacity = scenario.capacity;
-    cache_options.warmup = scenario.warmup;
-    cache_options.window = scenario.window;
-    auto run_cache = [&](bool batch) {
-      ScopedScoringBatch scoped(batch);
-      return CacheSimulator(cache_options).Run(references, policy);
-    };
-
-    const CacheRunResult base = run_cache(off_flag);
-    const CacheRunResult run = run_cache(on_flag);
-    if (run.hits != base.hits || run.misses != base.misses ||
-        run.counted_hits != base.counted_hits ||
-        run.counted_misses != base.counted_misses) {
-      std::ostringstream out;
-      out << scenario.description << " policy=" << policy.name()
-          << " [batch-on]: cache counters diverge from batch-off "
-          << "(base " << base.hits << "h/" << base.misses << "m counted "
-          << base.counted_hits << "/" << base.counted_misses << ", got "
-          << run.hits << "h/" << run.misses << "m counted "
-          << run.counted_hits << "/" << run.counted_misses << ")";
-      return out.str();
-    }
-    return std::nullopt;
-  }
-
-  ScenarioGenerator::Options options;
-  options.min_length = 32;
-  options.max_length = 80;
-  options.min_capacity = 2;
-  options.max_capacity = 8;
-  options.max_horizon = 12;
-  // Walk-table HEEB needs random-walk processes; the rest sample from the
-  // independent pool. kTimeIncremental runs unwindowed so the Corollary 3
-  // advance is exercised without window-expiry churn masking it.
-  options.pool = variant == 2 ? ScenarioGenerator::Pool::kWalks
-                              : ScenarioGenerator::Pool::kIndependent;
-  options.window_probability = 0.3;
-  ScenarioGenerator generator(options);
-  Scenario scenario = generator.Sample(seed);
-  if (variant == 1) scenario.window.reset();
-
-  Rng aux(seed ^ kAuxSalt);
-  Rng realization_rng(seed ^ kRealizationSalt);
-  auto [r, s] = SampleRealization(scenario, realization_rng);
-
-  std::unique_ptr<ReplacementPolicy> policy;
-  switch (variant) {
-    case 0:
-    case 1:
-    case 2: {
-      HeebJoinPolicy::Options heeb_options;
-      heeb_options.mode = variant == 0 ? HeebJoinPolicy::Mode::kDirect
-                          : variant == 1
-                              ? HeebJoinPolicy::Mode::kTimeIncremental
-                              : HeebJoinPolicy::Mode::kWalkTable;
-      heeb_options.alpha = scenario.alpha;
-      heeb_options.horizon = scenario.horizon;
-      heeb_options.refresh_interval = 8;
-      policy = std::make_unique<HeebJoinPolicy>(scenario.r_process.get(),
-                                                scenario.s_process.get(),
-                                                heeb_options);
-      break;
-    }
-    case 3: {
-      std::optional<Time> assumed_lifetime;
-      if (aux.UniformReal() < 0.5) assumed_lifetime = aux.UniformInt(4, 24);
-      policy = std::make_unique<ProbPolicy>(assumed_lifetime);
-      break;
-    }
-    default:
-      policy = std::make_unique<LifePolicy>(aux.UniformInt(4, 24));
-      break;
-  }
-  BinaryPolicyAdapter adapter(policy.get());
-
-  const StreamEngine::Options engine_options{.capacity = scenario.capacity,
-                                             .warmup = scenario.warmup,
-                                             .window = scenario.window};
-  auto run_engine = [&](bool batch, EngineTraceObserver* trace,
-                        PerfObserver* perf) {
-    ScopedScoringBatch scoped(batch);
-    StreamEngine engine(StreamTopology::Binary(), engine_options);
-    return engine.Run({&r, &s}, adapter, {perf, trace});
-  };
-
-  EngineTraceObserver base_trace;
-  PerfObserver base_perf;
-  const EngineRunResult base_run =
-      run_engine(off_flag, &base_trace, &base_perf);
-  EngineTraceObserver trace;
-  PerfObserver perf;
-  const EngineRunResult run = run_engine(on_flag, &trace, &perf);
-
-  const std::string context =
-      scenario.description + " policy=" + policy->name() + " [batch-on]";
-  if (run.total_results != base_run.total_results ||
-      run.counted_results != base_run.counted_results) {
-    std::ostringstream out;
-    out << context << ": result counts diverge from batch-off (base "
-        << base_run.total_results << "/" << base_run.counted_results
-        << ", got " << run.total_results << "/" << run.counted_results
-        << ")";
-    return out.str();
-  }
-  if (perf.telemetry().peak_candidates !=
-          base_perf.telemetry().peak_candidates ||
-      perf.telemetry().steps != base_perf.telemetry().steps) {
-    std::ostringstream out;
-    out << context << ": telemetry diverges from batch-off (base peak "
-        << base_perf.telemetry().peak_candidates << " steps "
-        << base_perf.telemetry().steps << ", got peak "
-        << perf.telemetry().peak_candidates << " steps "
-        << perf.telemetry().steps << ")";
-    return out.str();
-  }
-  return CompareEngineTraces(context, base_trace, trace);
-}
-
 /// Axes every suite that runs its optimized side through RunOptimizedJoin
 /// reads.
 constexpr unsigned kJoinAxes = kAxisEntry;
@@ -1909,11 +1743,6 @@ const std::vector<DifferentialSuite>& Registry() {
        "shedding) vs a solo StreamEngine run per session on the accepted "
        "arrivals, bit for bit, plus scheduler accounting invariants",
        1000, kAxisServeWorkers, &ServeSchedulerTrial},
-      {"batch_scoring",
-       "batched SoA scoring kernels vs the scalar per-tuple path across "
-       "{HEEB kDirect/kTimeIncremental/kWalkTable, PROB, LIFE, caching "
-       "HEEB}, bit for bit on full traces",
-       1000, kAxisBatch, &BatchScoringTrial},
   };
   return suites;
 }
@@ -1926,7 +1755,6 @@ const std::vector<DiffConfig>& Configs() {
       {.name = "direct", .direct = true},
       {.name = "multi_reruns", .multi_reruns = true},
       {.name = "serve_w4", .serve_workers = 4},
-      {.name = "batch_on", .batch = true},
   };
   return configs;
 }
@@ -1938,7 +1766,6 @@ unsigned DiffConfig::axes() const {
   if (direct) moved |= kAxisEntry;
   if (multi_reruns) moved |= kAxisMultiReruns;
   if (serve_workers > 0) moved |= kAxisServeWorkers;
-  if (batch.has_value()) moved |= kAxisBatch;
   return moved;
 }
 

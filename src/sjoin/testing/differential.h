@@ -40,8 +40,6 @@ enum DiffAxis : unsigned {
   kAxisMultiReruns = 1u << 1,
   /// Fixed SessionScheduler worker count instead of the seed-rotated one.
   kAxisServeWorkers = 1u << 2,
-  /// Batch-scoring flag pinned on every run instead of off-vs-on.
-  kAxisBatch = 1u << 3,
 };
 
 /// One row of the config table. Every field at its default is the
@@ -52,8 +50,6 @@ struct DiffConfig {
   bool multi_reruns = false;
   /// 0 keeps the seed-rotated worker count.
   int serve_workers = 0;
-  /// nullopt compares batch-off against batch-on.
-  std::optional<bool> batch;
 
   /// The DiffAxis flags on which this row differs from `default`.
   unsigned axes() const;

@@ -12,7 +12,6 @@
 #include "sjoin/core/precompute.h"
 #include "sjoin/engine/cache_simulator.h"
 #include "sjoin/engine/reduction.h"
-#include "sjoin/engine/scoring_batch.h"
 #include "sjoin/engine/step_observer.h"
 #include "sjoin/engine/stream_engine.h"
 #include "sjoin/policies/lfd_policy.h"
@@ -295,40 +294,182 @@ class RetainedHashObserver final : public StepObserver {
   std::vector<std::uint64_t> hashes_;
 };
 
-TEST(HeebCachingPolicyTest, BatchKernelMatchesScalarThroughReduction) {
+/// Scores every value with core CachingHeeb, one value at a time: the
+/// scalar oracle for HeebCachingPolicy kDirect's shared-pmf kernel.
+class ScalarCachingHeeb final : public ScoredCachingPolicy {
+ public:
+  ScalarCachingHeeb(const StochasticProcess* reference, double alpha,
+                    Time horizon)
+      : reference_(reference), lifetime_(alpha), horizon_(horizon) {}
+
+  const char* name() const override { return "HEEB-scalar"; }
+
+ protected:
+  double Score(Value v, const CachingContext& ctx) override {
+    return CachingHeeb(*reference_, *ctx.history, ctx.now, v, lifetime_,
+                       horizon_);
+  }
+
+ private:
+  const StochasticProcess* reference_;
+  ExpLifetime lifetime_;
+  Time horizon_;
+};
+
+/// A reference stream that re-references recent values often, so the
+/// reduction sees hits and windowed misses.
+std::vector<Value> RecentReferences(const StochasticProcess& reference) {
+  Rng rng(83);
+  std::vector<Value> refs = SampleRealization(reference, 600, rng);
+  for (std::size_t t = 5; t < refs.size(); t += 3) refs[t] = refs[t - 4];
+  return refs;
+}
+
+/// Retained supply-tuple hashes of `policy` run through the Theorem 1
+/// reduction of `reduction` at capacity 24.
+std::vector<std::uint64_t> ReductionTrace(const CachingReduction& reduction,
+                                          CachingPolicy* policy,
+                                          std::optional<Time> window) {
+  ReductionJoinPolicy join(&reduction, policy);
+  BinaryPolicyAdapter adapter(&join);
+  StreamEngine engine(StreamTopology::Binary(),
+                      {.capacity = 24, .warmup = 0, .window = window});
+  RetainedHashObserver trace;
+  engine.Run({&reduction.r_stream(), &reduction.s_stream()}, adapter,
+             {&trace});
+  return trace.hashes();
+}
+
+constexpr double kEcbAlpha = 10.0;
+constexpr Time kEcbHorizon = 80;
+
+HeebCachingPolicy::Options EcbDirectOptions() {
+  HeebCachingPolicy::Options options;
+  options.mode = HeebCachingPolicy::Mode::kDirect;
+  options.alpha = kEcbAlpha;
+  options.horizon = kEcbHorizon;
+  return options;
+}
+
+TEST(HeebCachingPolicyTest, KernelMatchesScalarOracleThroughReduction) {
   // The Theorem 1 reduction feeds the caching policy the engine's cache:
   // the returned list on a plain miss, the same list on a hit, and the
   // list with the expired referenced value dropped on a windowed miss.
-  // The batch kernel (carried order) and the scalar per-value path must
-  // retain the same supply tuples at every step.
+  // The kDirect kernel (carried order) and the per-value CachingHeeb
+  // oracle must retain the same supply tuples at every step.
   LinearTrendProcess reference(
       1.0, 0.0,
       DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 1.5, -6, 6));
-  Rng rng(83);
-  std::vector<Value> refs = SampleRealization(reference, 600, rng);
-  // Re-reference recent values often, so hits and windowed misses occur.
-  for (std::size_t t = 5; t < refs.size(); t += 3) refs[t] = refs[t - 4];
+  const CachingReduction reduction(RecentReferences(reference));
+  for (std::optional<Time> window :
+       {std::optional<Time>{}, std::optional<Time>{6}}) {
+    HeebCachingPolicy kernel(&reference, EcbDirectOptions());
+    ScalarCachingHeeb oracle(&reference, kEcbAlpha, kEcbHorizon);
+    EXPECT_EQ(ReductionTrace(reduction, &kernel, window),
+              ReductionTrace(reduction, &oracle, window))
+        << window.has_value();
+  }
+}
+
+/// The caching candidates the reduction hands its policy at each miss
+/// step, rebuilt from the engine's view: the previous step's cached supply
+/// tuples (decoded, in cache order) minus an expired copy of the
+/// referenced value, then the referenced value.
+class CachingCandidateObserver final : public StepObserver {
+ public:
+  struct Miss {
+    Time now = 0;
+    std::vector<Value> values;
+  };
+
+  CachingCandidateObserver(const CachingReduction* reduction,
+                           std::optional<Time> window)
+      : reduction_(reduction), window_(window) {}
+
+  void OnStep(const EngineStepView& step) override {
+    Value referenced = 0;
+    for (const StreamTuple& tuple : *step.arrivals) {
+      if (tuple.stream == 0) referenced = reduction_->Decode(tuple.value).first;
+    }
+    Miss miss{step.now, {}};
+    bool hit = false;
+    for (const StreamTuple& tuple : previous_) {
+      const Value v = reduction_->Decode(tuple.value).first;
+      if (v != referenced) {
+        miss.values.push_back(v);
+      } else if (!window_.has_value() ||
+                 step.now - tuple.arrival <= *window_) {
+        hit = true;
+      }
+    }
+    if (!hit) {
+      miss.values.push_back(referenced);
+      misses_.push_back(std::move(miss));
+    }
+    previous_ = *step.cache;
+  }
+
+  const std::vector<Miss>& misses() const { return misses_; }
+
+ private:
+  const CachingReduction* reduction_;
+  std::optional<Time> window_;
+  std::vector<StreamTuple> previous_;
+  std::vector<Miss> misses_;
+};
+
+TEST(HeebCachingPolicyTest, ScoreObserverSeesTheKernelScores) {
+  // An observer on kDirect receives the scores the kernel computed for the
+  // selection: exactly cached.size() + 1 per miss step (the reduction
+  // calls the policy on misses only), in lane order, each equal to the
+  // per-value CachingHeeb oracle's; and observing changes no decision.
+  LinearTrendProcess reference(
+      1.0, 0.0,
+      DiscreteDistribution::TruncatedDiscretizedNormal(0.0, 1.5, -6, 6));
+  const std::vector<Value> refs = RecentReferences(reference);
   const CachingReduction reduction(refs);
   for (std::optional<Time> window :
        {std::optional<Time>{}, std::optional<Time>{6}}) {
-    std::vector<std::vector<std::uint64_t>> traces;
-    for (bool batch : {true, false}) {
-      ScopedScoringBatch scoped(batch);
-      HeebCachingPolicy::Options options;
-      options.mode = HeebCachingPolicy::Mode::kDirect;
-      options.alpha = 10.0;
-      options.horizon = 80;
-      HeebCachingPolicy policy(&reference, options);
-      ReductionJoinPolicy join(&reduction, &policy);
-      BinaryPolicyAdapter adapter(&join);
-      StreamEngine engine(StreamTopology::Binary(),
-                          {.capacity = 24, .warmup = 0, .window = window});
-      RetainedHashObserver trace;
-      engine.Run({&reduction.r_stream(), &reduction.s_stream()}, adapter,
-                 {&trace});
-      traces.push_back(trace.hashes());
+    SCOPED_TRACE(window.has_value() ? "windowed" : "regular");
+    HeebCachingPolicy observed(&reference, EcbDirectOptions());
+    std::vector<Value> values;
+    std::vector<double> scores;
+    observed.set_score_observer([&](Value v, double score) {
+      values.push_back(v);
+      scores.push_back(score);
+    });
+    ReductionJoinPolicy join(&reduction, &observed);
+    BinaryPolicyAdapter adapter(&join);
+    StreamEngine engine(StreamTopology::Binary(),
+                        {.capacity = 24, .warmup = 0, .window = window});
+    RetainedHashObserver trace;
+    CachingCandidateObserver candidates(&reduction, window);
+    engine.Run({&reduction.r_stream(), &reduction.s_stream()}, adapter,
+               {&trace, &candidates});
+
+    HeebCachingPolicy plain(&reference, EcbDirectOptions());
+    EXPECT_EQ(trace.hashes(), ReductionTrace(reduction, &plain, window));
+
+    // The candidate lists in step order, scored by the oracle on the
+    // reference prefix each miss step saw.
+    ASSERT_GT(candidates.misses().size(), 100u);
+    ASSERT_LT(candidates.misses().size(), refs.size());
+    std::vector<Value> want_values;
+    std::vector<double> want_scores;
+    const ExpLifetime lifetime(kEcbAlpha);
+    StreamHistory history;
+    for (const CachingCandidateObserver::Miss& miss : candidates.misses()) {
+      while (history.size() <= miss.now) {
+        history.Append(refs[static_cast<std::size_t>(history.size())]);
+      }
+      for (Value v : miss.values) {
+        want_values.push_back(v);
+        want_scores.push_back(CachingHeeb(reference, history, miss.now, v,
+                                          lifetime, kEcbHorizon));
+      }
     }
-    EXPECT_EQ(traces[0], traces[1]) << window.has_value();
+    EXPECT_EQ(values, want_values);
+    EXPECT_EQ(scores, want_scores);
   }
 }
 
